@@ -3,8 +3,8 @@
 Instances are canonical JSON documents; generation is a pure function of an
 InstanceSpec (family, size, parameters, seed) using a documented PRNG
 (numpy PCG64).  Runs verify the learned structure against ground truth and
-report exact ledger snapshots; sweeps fan instances out across worker
-threads and merge rows deterministically.
+report exact ledger snapshots; sweeps run their instances one after another
+in (n, seed) order.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -399,16 +398,17 @@ def _sweep_row(spec, learner):
     return row
 
 
-def sweep(family, n_values, reps, learner, base_seed=0, k=None, capacity_rule="uniform-random", max_workers=4):
+def sweep(family, n_values, reps, learner, base_seed=0, k=None, capacity_rule="uniform-random"):
     """Run the sweep grid; returns (rows, summary_rows).
 
-    Rows are ordered by (n, seed) regardless of worker completion order.  The
-    per-n summary statistic is the worst case: max queries/n over that n's
-    rows (rank queries for rank learners, independence queries for the
-    baseline).
+    Runs execute serially and rows come out in (n, seed) order.  The work is
+    interpreter-bound, so worker threads would only contend for the
+    interpreter lock.  The per-n summary statistic is the worst case: max
+    queries/n over that n's rows (rank queries for rank learners,
+    independence queries for the baseline).
     """
     specs = []
-    for n in n_values:
+    for n in sorted(n_values):
         for rep in range(reps):
             specs.append(
                 InstanceSpec(
@@ -419,11 +419,7 @@ def sweep(family, n_values, reps, learner, base_seed=0, k=None, capacity_rule="u
                     capacity_rule=capacity_rule,
                 )
             )
-    if not specs:
-        return [], []
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(pool.map(lambda s: _sweep_row(s, learner), specs))
-    rows.sort(key=lambda r: (r["n"], r["seed"]))
+    rows = [_sweep_row(s, learner) for s in specs]
     summaries = []
     for n in sorted({r["n"] for r in rows}):
         group = [r for r in rows if r["n"] == n]

@@ -19,7 +19,7 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation
-from .model import as_element_array, canonical_parts
+from .model import canonical_parts
 from .partition import find_partition_run
 
 __all__ = [
@@ -168,7 +168,11 @@ def side_complement(n, side):
 
 
 class _InsideOracle:
-    """Simulated simple rank over basis positions: rank(B - S + T2) - rank(B - S)."""
+    """Simulated simple rank over basis positions: rank(B - S + T2) - rank(B - S).
+
+    Positions come from find_partition_run and are trusted; the base oracle
+    validates each probe it is asked.
+    """
 
     def __init__(self, base_oracle, basis_members, t2):
         self.base = base_oracle
@@ -177,23 +181,25 @@ class _InsideOracle:
         self.t2 = t2
         self.n = int(basis_members.size)
 
-    def _probe(self, s):
-        pos = as_element_array(s, self.n)
+    def _probe(self, pos):
         keep = np.ones(self.b.size, dtype=bool)
         keep[pos] = False
-        return np.concatenate((self.b[keep], self.t2)), self.b.size - pos.size
+        return np.concatenate((self.b[keep], self.t2)), self.b.size - len(pos)
 
-    def rank(self, s):
-        probe, offset = self._probe(s)
+    def rank(self, pos):
+        probe, offset = self._probe(pos)
         return self.base.rank(probe) - offset
 
-    def audit_rank(self, s):
-        probe, offset = self._probe(s)
+    def audit_rank(self, pos):
+        probe, offset = self._probe(pos)
         return self.base.audit_rank(probe) - offset
 
 
 class _OutsideOracle:
-    """Simulated simple rank over non-basis positions: rank(B + S - T1) - rank(B - T1)."""
+    """Simulated simple rank over non-basis positions: rank(B + S - T1) - rank(B - T1).
+
+    Positions are trusted as in _InsideOracle.
+    """
 
     def __init__(self, base_oracle, basis_members, outside_elements, t1):
         self.base = base_oracle
@@ -203,15 +209,14 @@ class _OutsideOracle:
         self._b_minus_t1 = np.setdiff1d(basis_members, t1, assume_unique=True)
         self._offset = int(self._b_minus_t1.size)  # = rank(B - T1), a run constant
 
-    def rank(self, s):
-        pos = as_element_array(s, self.n)
-        probe = np.concatenate((self._b_minus_t1, self.outside[pos]))
-        return self.base.rank(probe) - self._offset
+    def _probe(self, pos):
+        return np.concatenate((self._b_minus_t1, self.outside[pos]))
 
-    def audit_rank(self, s):
-        pos = as_element_array(s, self.n)
-        probe = np.concatenate((self._b_minus_t1, self.outside[pos]))
-        return self.base.audit_rank(probe) - self._offset
+    def rank(self, pos):
+        return self.base.rank(self._probe(pos)) - self._offset
+
+    def audit_rank(self, pos):
+        return self.base.audit_rank(self._probe(pos)) - self._offset
 
 
 def learn_matroid_with_reps(n, oracle, basis, reps, stages=None, audit=False):

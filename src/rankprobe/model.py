@@ -1,8 +1,16 @@
 """Ground-truth partition structures, rank/independence oracles, and query accounting.
 
 Element ids are dense integers 0..n-1.  Element sets are represented as 1-D
-numpy integer arrays throughout the package; any iterable of ints is accepted
-at the public boundaries and normalised by :func:`as_element_array`.
+numpy int64 arrays throughout the package.
+
+Query input contract: every set passed to a public query (``RankOracle.rank``,
+``is_independent``, ``audit_rank``, :func:`sum_query_sim`,
+:func:`add_query_sim`) holds distinct integer ids in [0, n); any iterable of
+ints or integer array is accepted.  Anything else (a float or bool array, an
+id out of range, a repeated id) raises :class:`UsageError` and charges
+nothing.  Each query is validated once, by :func:`as_element_array` at the
+oracle boundary; internal code passes arrays it built itself and does not
+validate them again.
 """
 
 from __future__ import annotations
@@ -32,21 +40,52 @@ __all__ = [
 ]
 
 
-def as_element_array(s, n=None):
-    """Normalise an element-set to a 1-D int64 array, validating the id range."""
-    if isinstance(s, np.ndarray):
-        arr = s.astype(np.int64, copy=False)
-    elif isinstance(s, (set, frozenset)):
-        arr = np.fromiter(sorted(s), dtype=np.int64, count=len(s))
-    else:
-        arr = np.asarray(list(s), dtype=np.int64)
+# Up to this size, Python's min/max/set on a list beat NumPy's per-call cost.
+_SMALL_SET = 64
+
+
+def _out_of_range(n, bad):
+    return UsageError(f"element id out of range [0, {n}): saw {bad}")
+
+
+def as_element_array(s, n, mark=None):
+    """Validate an element set over {0..n-1}; return it as a 1-D int64 array.
+
+    Raises UsageError unless ``s`` holds distinct integer ids in [0, n).  For
+    sets above ``_SMALL_SET`` ids the duplicate check writes each id's
+    position into ``mark``, an int64 array of size n that the caller owns, and
+    reads it back: O(|S|) and sort-free.  Without ``mark`` a temporary one is
+    allocated.
+    """
+    arr = s if isinstance(s, np.ndarray) else np.asarray(list(s))
     if arr.ndim != 1:
         raise UsageError("element sets must be one-dimensional")
-    if n is not None and arr.size:
-        lo = int(arr.min())
-        hi = int(arr.max())
+    size = arr.size
+    if size == 0:
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind not in "iu":
+        raise UsageError(f"element ids must be integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
+    if size <= _SMALL_SET:
+        ids = arr.tolist()
+        lo, hi = min(ids), max(ids)
         if lo < 0 or hi >= n:
-            raise UsageError(f"element id out of range [0, {n}): saw {lo if lo < 0 else hi}")
+            raise _out_of_range(n, lo if lo < 0 else hi)
+        if len(set(ids)) != size:
+            raise UsageError("element sets must not repeat an id")
+        return arr
+    lo = int(arr.min())
+    if lo < 0:
+        raise _out_of_range(n, lo)
+    if mark is None:
+        mark = np.empty(n, dtype=np.int64)
+    order = np.arange(size)
+    try:
+        mark[arr] = order  # an id >= n is the only index left that can fail
+    except IndexError:
+        raise _out_of_range(n, int(arr.max())) from None
+    if not (mark.take(arr) == order).all():
+        raise UsageError("element sets must not repeat an id")
     return arr
 
 
@@ -165,8 +204,10 @@ class QueryLedger:
     Every oracle call increments exactly one of ``rank_count``,
     ``independence_count`` or ``audit_count``.  Simulated sum/add queries have
     no counter of their own: they charge ``rank_count`` through the rank calls
-    they issue.  ``per_phase`` attributes each charged (non-audit) call to
-    every phase label active at the time.
+    they issue.  ``per_phase`` maps each phase label to the charged
+    (non-audit) calls made while it was open; a phase adds its calls when it
+    closes, so ``per_phase`` is settled only outside open phases.  Labels that
+    charged nothing are absent.
     """
 
     def __init__(self):
@@ -174,27 +215,22 @@ class QueryLedger:
         self.independence_count = 0
         self.audit_count = 0
         self.per_phase = {}
-        self._stack = []
 
     @contextmanager
     def phase(self, label):
-        self._stack.append(label)
+        start = self.rank_count + self.independence_count
         try:
             yield self
         finally:
-            self._stack.pop()
-
-    def _attribute(self):
-        for label in self._stack:
-            self.per_phase[label] = self.per_phase.get(label, 0) + 1
+            spent = self.rank_count + self.independence_count - start
+            if spent:
+                self.per_phase[label] = self.per_phase.get(label, 0) + spent
 
     def charge_rank(self):
         self.rank_count += 1
-        self._attribute()
 
     def charge_independence(self):
         self.independence_count += 1
-        self._attribute()
 
     def charge_audit(self):
         self.audit_count += 1
@@ -213,8 +249,9 @@ class RankOracle:
 
     Answers are pure functions of (structure, query set); the element-to-part
     index is precomputed so one query costs O(|S|) plus a counting pass.
-    An oracle and its ledger belong to one learner run; run distinct oracle
-    instances when working across threads.
+    Each public query validates its set once (see the module docstring) and
+    charges only after it is accepted.  An oracle and its ledger belong to one
+    learner run; run distinct oracle instances when working across threads.
     """
 
     def __init__(self, structure, ledger=None):
@@ -226,16 +263,18 @@ class RankOracle:
         self._caps = caps
         self._simple = bool(np.all(caps == 1))
         self._scratch = np.zeros(caps.size, dtype=bool)
+        self._mark = np.empty(self.n, dtype=np.int64)  # as_element_array's duplicate check
 
     def _evaluate(self, s):
-        arr = as_element_array(s, self.n)
-        if arr.size == 0:
+        """Rank of a set already known to hold distinct ids in [0, n) (array or list)."""
+        size = len(s)
+        if size == 0:
             return 0
-        parts = self._part_of[arr]
+        parts = self._part_of[s]
         if self._simple:
-            if arr.size <= 64:
+            if size <= 64:
                 return len(set(parts.tolist()))
-            if arr.size >= self._caps.size // 4:
+            if size >= self._caps.size // 4:
                 # scatter-count beats sorting once |S| is comparable to k
                 seen = self._scratch
                 seen[parts] = True
@@ -243,7 +282,7 @@ class RankOracle:
                 seen[parts] = False
                 return count
             return int(np.unique(parts).size)
-        if arr.size >= self._caps.size // 4:
+        if size >= self._caps.size // 4:
             counts = np.bincount(parts, minlength=self._caps.size)
             return int(np.minimum(counts, self._caps).sum())
         uniq, counts = np.unique(parts, return_counts=True)
@@ -251,37 +290,46 @@ class RankOracle:
 
     def rank(self, s):
         """Number of parts hit, capped per part at r_i (r_i = 1 for a simple partition)."""
-        value = self._evaluate(s)
+        value = self._evaluate(as_element_array(s, self.n, self._mark))
         self.ledger.charge_rank()
         return value
 
     def is_independent(self, s):
         """True iff |S ∩ P_i| <= r_i for every part; charged as one independence query."""
-        arr = as_element_array(s, self.n)
-        value = self._evaluate(arr)
+        arr = as_element_array(s, self.n, self._mark)
+        value = self._evaluate(arr) == arr.size
         self.ledger.charge_independence()
-        return value == arr.size
+        return value
 
     def audit_rank(self, s):
         """Rank evaluated for audit checks only; charged to the audit counter."""
-        value = self._evaluate(s)
+        value = self._evaluate(as_element_array(s, self.n, self._mark))
         self.ledger.charge_audit()
         return value
 
 
-def sum_query_sim(oracle, s, i2, check=True):
+def _sum_query(oracle, s, i2):
+    """sum_query_sim on int64 arrays the caller built: distinct, disjoint, in range."""
+    return s.size + i2.size - oracle.rank(np.concatenate((s, i2)))
+
+
+def _add_query(oracle, s):
+    """add_query_sim on an int64 array of distinct in-range ids the caller built."""
+    return s.size - oracle.rank(s)
+
+
+def sum_query_sim(oracle, s, i2):
     """Count elements of S with a friend in the independent set I2, via one rank query.
 
     Identity used: sum = |S| + |I2| - rank(S ∪ I2), valid when S is contained
-    in an independent set disjoint from I2.  Internal callers that guarantee
-    disjointness structurally may pass check=False to skip the intersection
-    test; answers and accounting are identical either way.
+    in an independent set disjoint from I2.  S and I2 must be valid element
+    sets and disjoint, otherwise UsageError.
     """
     s = as_element_array(s, oracle.n)
     i2 = as_element_array(i2, oracle.n)
-    if check and s.size and i2.size and np.intersect1d(s, i2).size:
+    if s.size and i2.size and np.intersect1d(s, i2).size:
         raise UsageError("sum query requires S and I2 disjoint")
-    return s.size + i2.size - oracle.rank(np.concatenate((s, i2)))
+    return _sum_query(oracle, s, i2)
 
 
 def add_query_sim(oracle, s):
@@ -289,10 +337,9 @@ def add_query_sim(oracle, s):
 
     Meaningful when S is drawn from the union of two independent sets whose
     friendships form a matching; outside that regime the value is well defined
-    but not a pair count.
+    but not a pair count.  S must be a valid element set, otherwise UsageError.
     """
-    s = as_element_array(s, oracle.n)
-    return s.size - oracle.rank(s)
+    return _add_query(oracle, as_element_array(s, oracle.n))
 
 
 def _instance_payload(structure, meta=None):

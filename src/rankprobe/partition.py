@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalConsistencyError, InvariantViolation
-from .model import add_query_sim, sum_query_sim
+from .model import _add_query, _sum_query
 from .weighing import recover_matching, recover_sparse
 
 __all__ = [
@@ -108,14 +108,10 @@ def merge(i1, i2, oracle):
     i2 = np.asarray(i2, dtype=np.int64)
     ledger = oracle.ledger
     with ledger.phase("com-discovery"):
-        rec1 = recover_sparse(
-            i1.size, lambda idx: sum_query_sim(oracle, i1[idx], i2, check=False)
-        )
+        rec1 = recover_sparse(i1.size, lambda idx: _sum_query(oracle, i1[idx], i2))
         com12 = i1[rec1.support]
         rec2 = recover_sparse(
-            i2.size,
-            lambda idx: sum_query_sim(oracle, i2[idx], i1, check=False),
-            known_total=com12.size,
+            i2.size, lambda idx: _sum_query(oracle, i2[idx], i1), known_total=com12.size
         )
         com21 = i2[rec2.support]
     if com12.size != com21.size:
@@ -129,7 +125,7 @@ def merge(i1, i2, oracle):
         pairs = [(int(com12[0]), int(com21[0]))]
     else:
         with ledger.phase("matching"):
-            result = recover_matching(com12, com21, lambda s: add_query_sim(oracle, s))
+            result = recover_matching(com12, com21, lambda s: _add_query(oracle, s))
         pairs = [(int(e), int(result.pairs[int(e)])) for e in com12]
     merged = np.setdiff1d(np.union1d(i1, i2), com12, assume_unique=True)
     return MergeOutcome(merged, pairs)

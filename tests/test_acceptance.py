@@ -296,7 +296,7 @@ def test_criterion_10_determinism():
         return a.to_json(include_wall_time=False) + b.to_json(include_wall_time=False)
 
     def sweep_trace():
-        rows, summaries = sweep("uniform-k", [64, 128], 2, "find_partition", max_workers=4)
+        rows, summaries = sweep("uniform-k", [64, 128], 2, "find_partition")
         return sweep_rows_to_csv(rows, summaries)
 
     ok = (

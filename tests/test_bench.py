@@ -168,7 +168,7 @@ class TestSweep:
 
     def test_deterministic_csv(self):
         def once():
-            rows, summaries = sweep("uniform-k", [32, 64], 2, "find_partition", max_workers=3)
+            rows, summaries = sweep("uniform-k", [32, 64], 2, "find_partition")
             return sweep_rows_to_csv(rows, summaries)
 
         assert once() == once()

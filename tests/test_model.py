@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,6 +158,71 @@ class TestAddQuery:
     def test_two_pairs(self):
         o = oracle([[0, 2], [1, 3]])
         assert add_query_sim(o, [0, 1, 2, 3]) == 2
+
+
+class TestQueryContract:
+    """Queries must hold distinct integer ids in [0, n); a rejected one charges nothing."""
+
+    CAPPED = ([[0, 1, 2], [3, 4]], [2, 1])
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda o: o.rank([0, 0]),
+            lambda o: o.is_independent([3, 3]),
+            lambda o: o.rank(np.array([1.7, 0.2])),
+            lambda o: o.rank([1.0, 0.0]),
+            lambda o: o.rank(np.array([True, False])),
+            lambda o: o.audit_rank([2, 2]),
+            lambda o: sum_query_sim(o, [0, 0], [3]),
+            lambda o: sum_query_sim(o, [0], [3, 3]),
+            lambda o: add_query_sim(o, [1, 4, 1]),
+        ],
+        ids=[
+            "rank-duplicate",
+            "independence-duplicate",
+            "float-array",
+            "float-list",
+            "bool-array",
+            "audit-duplicate",
+            "sum-duplicate-in-s",
+            "sum-duplicate-in-i2",
+            "add-duplicate",
+        ],
+    )
+    def test_rejected_and_uncharged(self, query):
+        o = oracle(*self.CAPPED)
+        with pytest.raises(UsageError):
+            query(o)
+        assert (o.ledger.rank_count, o.ledger.independence_count, o.ledger.audit_count) == (0, 0, 0)
+
+    def test_large_set_duplicate(self):
+        # above the small-set threshold the duplicate check uses the mark array
+        parts = [list(range(i, 200, 7)) for i in range(7)]
+        o = oracle(parts)
+        for bad in (list(range(100)) + [42], [199] * 70):
+            with pytest.raises(UsageError):
+                o.rank(bad)
+            with pytest.raises(UsageError):
+                o.is_independent(np.asarray(bad))
+        with pytest.raises(UsageError):
+            o.rank(list(range(100)) + [200])
+        with pytest.raises(UsageError):
+            o.rank(list(range(100)) + [-1])
+        assert o.ledger.rank_count == o.ledger.independence_count == 0
+
+    def test_scratch_usable_after_rejection(self):
+        parts = [list(range(i, 300, 11)) for i in range(11)]
+        caps = [len(p) // 2 for p in parts]
+        o = oracle(parts, caps)
+        with pytest.raises(UsageError):
+            o.rank(np.r_[np.arange(150), np.arange(150)])
+        universe = list(range(300))[::-1]
+        assert o.rank(universe) == brute_rank(parts, caps, universe)
+        assert o.rank([5, 16, 27]) == brute_rank(parts, caps, [5, 16, 27])
+        evens = np.arange(0, 300, 2)
+        assert o.rank(evens) == brute_rank(parts, caps, evens)
+        assert o.ledger.rank_count == 3
 
 
 class TestRankProperties:

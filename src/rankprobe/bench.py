@@ -236,6 +236,46 @@ def _is_all_ones(structure):
     )
 
 
+def _run_partition(structure, audit):
+    """find_partition on a fresh oracle: (oracle, wall, parts, capacities, correct, phases)."""
+    oracle = RankOracle(structure)
+    t0 = time.perf_counter()
+    run = find_partition_run(structure.n, oracle, audit=audit)
+    wall = time.perf_counter() - t0
+    correct = _canonical_parts_list(run.parts) == _canonical_parts_list(structure.parts)
+    phases = [
+        {
+            "phase": r.phase,
+            "merges": r.merges,
+            "thick_merges": r.thick_merges,
+            "rank_queries": r.rank_queries,
+        }
+        for r in run.phase_records
+    ]
+    return oracle, wall, run.parts, None, correct, phases
+
+
+def _run_matroid(target, learner, audit):
+    """A matroid learner on a fresh oracle; same tuple as _run_partition."""
+    oracle = RankOracle(target)
+    t0 = time.perf_counter()
+    if learner == "learn_partition_matroid":
+        mrun = learn_partition_matroid_run(target.n, oracle, audit=audit)
+    else:
+        mrun = baseline_independence_learner_run(target.n, oracle)
+    wall = time.perf_counter() - t0
+    phases = [
+        {
+            "stage": s.stage,
+            "rank_queries": s.rank_queries,
+            "independence_queries": s.independence_queries,
+        }
+        for s in mrun.stages
+    ]
+    matroid = mrun.matroid
+    return oracle, wall, matroid.parts, matroid.capacities, matroid.matches(target), phases
+
+
 def run_learner(structure, learner, audit=False):
     """Execute one learner against a fresh oracle; verify against ground truth.
 
@@ -247,83 +287,28 @@ def run_learner(structure, learner, audit=False):
     """
     if learner not in LEARNERS:
         raise UsageError(f"unknown learner {learner!r}")
-    n = structure.n
     simple = structure.capacities is None
     routed = None
 
     if learner == "find_partition":
         if not simple and not _is_all_ones(structure):
             raise UsageError("find_partition requires a simple (or all-ones) instance")
-        oracle = RankOracle(structure)
-        t0 = time.perf_counter()
-        run = find_partition_run(n, oracle, audit=audit)
-        wall = time.perf_counter() - t0
-        learned_parts = run.parts
-        learned_caps = None
-        correct = tuple(tuple(int(e) for e in p) for p in learned_parts) == tuple(
-            tuple(int(e) for e in p) for p in structure.parts
-        )
-        phases = [
-            {
-                "phase": r.phase,
-                "merges": r.merges,
-                "thick_merges": r.thick_merges,
-                "rank_queries": r.rank_queries,
-            }
-            for r in run.phase_records
-        ]
+        result = _run_partition(structure, audit)
+    elif simple and min(p.size for p in structure.parts) < 2:
+        # singleton parts admit no valid capacities; fall back per policy
+        routed = "find_partition"
+        result = _run_partition(structure, audit)
     else:
-        min_part = min(p.size for p in structure.parts)
-        if simple and min_part < 2:
-            # singleton parts admit no valid capacities; fall back per policy
-            routed = "find_partition"
-            oracle = RankOracle(structure)
-            t0 = time.perf_counter()
-            run = find_partition_run(n, oracle, audit=audit)
-            wall = time.perf_counter() - t0
-            learned_parts = run.parts
-            learned_caps = None
-            correct = tuple(tuple(int(e) for e in p) for p in learned_parts) == tuple(
-                tuple(int(e) for e in p) for p in structure.parts
-            )
-            phases = [
-                {
-                    "phase": r.phase,
-                    "merges": r.merges,
-                    "thick_merges": r.thick_merges,
-                    "rank_queries": r.rank_queries,
-                }
-                for r in run.phase_records
-            ]
-        else:
-            target = (
-                structure
-                if not simple
-                else CapacitatedPartition(structure.parts, [1] * structure.k)
-            )
-            oracle = RankOracle(target)
-            t0 = time.perf_counter()
-            if learner == "learn_partition_matroid":
-                mrun = learn_partition_matroid_run(n, oracle, audit=audit)
-            else:
-                mrun = baseline_independence_learner_run(n, oracle)
-            wall = time.perf_counter() - t0
-            learned_parts = mrun.matroid.parts
-            learned_caps = mrun.matroid.capacities
-            correct = mrun.matroid.matches(target)
-            phases = [
-                {
-                    "stage": s.stage,
-                    "rank_queries": s.rank_queries,
-                    "independence_queries": s.independence_queries,
-                }
-                for s in mrun.stages
-            ]
+        target = (
+            structure if not simple else CapacitatedPartition(structure.parts, [1] * structure.k)
+        )
+        result = _run_matroid(target, learner, audit)
+    oracle, wall, learned_parts, learned_caps, correct, phases = result
 
     return RunReport(
         instance_digest=instance_digest(structure),
         learner=learner,
-        n=n,
+        n=structure.n,
         k=structure.k,
         correct=bool(correct),
         wall_time=wall,

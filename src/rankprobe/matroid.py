@@ -14,9 +14,10 @@ binary search.
 
 from __future__ import annotations
 
-import numpy as np
-
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import InvariantViolation
 from .model import canonical_parts
@@ -111,16 +112,76 @@ class MatroidRun:
     outside_run: object = field(default=None, repr=False)
 
 
-def find_basis(n, oracle):
-    """Greedy basis in exactly n rank queries; rank(B) is tracked, never re-queried."""
+@contextmanager
+def _stage(ledger, stages, label):
+    """Append the queries charged inside the block to ``stages`` as one StageRecord."""
+    rank0, independence0 = ledger.rank_count, ledger.independence_count
+    yield
+    if stages is not None:
+        stages.append(
+            StageRecord(
+                stage=label,
+                rank_queries=ledger.rank_count - rank0,
+                independence_queries=ledger.independence_count - independence0,
+            )
+        )
+
+
+def _rank_test(oracle):
+    """Independence as one rank query: S is independent iff rank(S) = |S|."""
+    return lambda s: oracle.rank(s) == s.size
+
+
+def _find_basis(n, ledger, independent):
+    """Greedy basis, one ``independent(S)`` test per element (see find_basis)."""
     buf = np.empty(max(n, 1), dtype=np.int64)
     size = 0
-    with oracle.ledger.phase("basis"):
+    with ledger.phase("basis"):
         for v in range(n):
             buf[size] = v
-            if oracle.rank(buf[: size + 1]) == size + 1:
+            if independent(buf[: size + 1]):
                 size += 1
     return Basis(buf[:size].copy())
+
+
+def find_basis(n, oracle):
+    """Greedy basis in exactly n rank queries; rank(B) is tracked, never re-queried."""
+    return _find_basis(n, oracle.ledger, _rank_test(oracle))
+
+
+def _find_representatives(n, ledger, independent, basis):
+    """T1, T2 and phi from ``independent(S)`` tests (see find_representatives)."""
+    b = basis.members
+    t1, t2, phi = [], [], {}
+    in_cur = np.ones(b.size, dtype=bool)  # B - T1 as a mask over B
+    cur = b
+    outside = side_complement(n, b)
+    with ledger.phase("representatives"):
+        for e in outside.tolist():
+            # B - T1 + e is independent iff e's part still has a hole in
+            # B - T1, i.e. a member in T1: the part is already discovered.
+            if independent(np.append(cur, e)):
+                continue
+            t2.append(e)
+            xlo, xhi = 0, b.size
+            while xhi - xlo > 1:
+                mid = xlo + (xhi - xlo + 1) // 2
+                # query Y + X1 + e where X = B[xlo:xhi] is the search window,
+                # X1 its lower half, and Y = B minus X the settled remainder.
+                if independent(np.concatenate((b[:mid], b[xhi:], [e]))):
+                    xlo = mid  # X2 holds at least one friend
+                else:
+                    xhi = mid  # X2 holds no friend of e
+            x = int(b[xlo])
+            t1.append(x)
+            phi[x] = e
+            in_cur[xlo] = False
+            cur = b[in_cur]
+    return RepresentativePair(
+        np.asarray(sorted(t1), dtype=np.int64),
+        np.asarray(sorted(t2), dtype=np.int64),
+        phi,
+    )
 
 
 def find_representatives(n, oracle, basis):
@@ -131,36 +192,7 @@ def find_representatives(n, oracle, basis):
     friend.  Ranks of known-independent sets (B - T1 and Y + X1) are computed
     arithmetically, not queried.
     """
-    b = basis.members
-    t1, t2, phi = [], [], {}
-    cur = b.copy()  # B - T1, kept sorted
-    outside = np.setdiff1d(np.arange(n, dtype=np.int64), b, assume_unique=True)
-    with oracle.ledger.phase("representatives"):
-        for e in outside.tolist():
-            # equal rank means e's part is still fully represented in B - T1,
-            # i.e. its part has no member in T1 yet: a new part discovered.
-            if oracle.rank(np.append(cur, e)) != cur.size:
-                continue
-            t2.append(e)
-            xlo, xhi = 0, b.size
-            while xhi - xlo > 1:
-                mid = xlo + (xhi - xlo + 1) // 2
-                # query Y + X1 + e where X = B[xlo:xhi] is the search window,
-                # X1 its lower half, and Y = B minus X the settled remainder.
-                probe = np.concatenate((b[:mid], b[xhi:], [e]))
-                if oracle.rank(probe) == probe.size - 1:
-                    xhi = mid  # X2 holds no friend of e
-                else:
-                    xlo = mid  # X2 holds at least one friend
-            x = int(b[xlo])
-            t1.append(x)
-            phi[x] = e
-            cur = np.setdiff1d(cur, [x], assume_unique=True)
-    return RepresentativePair(
-        np.asarray(sorted(t1), dtype=np.int64),
-        np.asarray(sorted(t2), dtype=np.int64),
-        phi,
-    )
+    return _find_representatives(n, oracle.ledger, _rank_test(oracle), basis)
 
 
 def side_complement(n, side):
@@ -180,11 +212,14 @@ class _InsideOracle:
         self.b = basis_members
         self.t2 = t2
         self.n = int(basis_members.size)
+        self._keep = np.ones(self.n, dtype=bool)  # all True between probes
 
     def _probe(self, pos):
-        keep = np.ones(self.b.size, dtype=bool)
+        keep = self._keep
         keep[pos] = False
-        return np.concatenate((self.b[keep], self.t2)), self.b.size - len(pos)
+        probe = np.concatenate((self.b[keep], self.t2))
+        keep[pos] = True
+        return probe, self.n - len(pos)
 
     def rank(self, pos):
         probe, offset = self._probe(pos)
@@ -231,34 +266,19 @@ def learn_matroid_with_reps(n, oracle, basis, reps, stages=None, audit=False):
     outside = side_complement(n, b)
     ledger = oracle.ledger
 
-    def record(stage, before):
-        if stages is not None:
-            stages.append(
-                StageRecord(
-                    stage=stage,
-                    rank_queries=ledger.rank_count - before[0],
-                    independence_queries=ledger.independence_count - before[1],
-                )
-            )
-
-    mark = (ledger.rank_count, ledger.independence_count)
-    with ledger.phase("inside-basis"):
+    with _stage(ledger, stages, "inside-basis"), ledger.phase("inside-basis"):
         inside_run = find_partition_run(
             int(b.size), _InsideOracle(oracle, b, reps.outside), audit=audit
         )
     parts1 = [b[p] for p in inside_run.parts]
-    record("inside-basis", mark)
 
-    mark = (ledger.rank_count, ledger.independence_count)
-    with ledger.phase("outside-basis"):
+    with _stage(ledger, stages, "outside-basis"), ledger.phase("outside-basis"):
         outside_run = find_partition_run(
             int(outside.size), _OutsideOracle(oracle, b, outside, reps.inside), audit=audit
         )
     parts2 = [outside[p] for p in outside_run.parts]
-    record("outside-basis", mark)
 
-    mark = (ledger.rank_count, ledger.independence_count)
-    with ledger.phase("stitch"):
+    with _stage(ledger, stages, "stitch"), ledger.phase("stitch"):
         part1_of = {}
         for i, p in enumerate(parts1):
             for e in p.tolist():
@@ -284,7 +304,6 @@ def learn_matroid_with_reps(n, oracle, basis, reps, stages=None, audit=False):
             capacities.append(int(parts1[i].size))
         if len(used2) != len(parts2):
             raise InvariantViolation("an outside part received no representative image")
-    record("stitch", mark)
     matroid = LearnedMatroid(final_parts, capacities)
     return matroid, inside_run, outside_run
 
@@ -293,26 +312,12 @@ def learn_partition_matroid_run(n, oracle, audit=False):
     """Full pipeline with per-stage ledger records."""
     ledger = oracle.ledger
     stages = []
-
-    def record(stage, before):
-        stages.append(
-            StageRecord(
-                stage=stage,
-                rank_queries=ledger.rank_count - before[0],
-                independence_queries=ledger.independence_count - before[1],
-            )
-        )
-
-    mark = (ledger.rank_count, ledger.independence_count)
-    basis = find_basis(n, oracle)
-    record("basis", mark)
+    with _stage(ledger, stages, "basis"):
+        basis = find_basis(n, oracle)
     if audit and oracle.audit_rank(basis.members) != basis.size:
         raise InvariantViolation("greedy scan did not return an independent set")
-
-    mark = (ledger.rank_count, ledger.independence_count)
-    reps = find_representatives(n, oracle, basis)
-    record("representatives", mark)
-
+    with _stage(ledger, stages, "representatives"):
+        reps = find_representatives(n, oracle, basis)
     matroid, inside_run, outside_run = learn_matroid_with_reps(
         n, oracle, basis, reps, stages, audit=audit
     )
@@ -322,46 +327,6 @@ def learn_partition_matroid_run(n, oracle, audit=False):
 def learn_partition_matroid(n, oracle):
     """Learn a general partition matroid in O(n + k log r) rank queries."""
     return learn_partition_matroid_run(n, oracle).matroid
-
-
-def _find_basis_independence(n, oracle):
-    buf = np.empty(max(n, 1), dtype=np.int64)
-    size = 0
-    with oracle.ledger.phase("basis"):
-        for v in range(n):
-            buf[size] = v
-            if oracle.is_independent(buf[: size + 1]):
-                size += 1
-    return Basis(buf[:size].copy())
-
-
-def _find_representatives_independence(n, oracle, basis):
-    b = basis.members
-    t1, t2, phi = [], [], {}
-    cur = b.copy()
-    outside = np.setdiff1d(np.arange(n, dtype=np.int64), b, assume_unique=True)
-    with oracle.ledger.phase("representatives"):
-        for e in outside.tolist():
-            if oracle.is_independent(np.append(cur, e)):
-                continue  # e's part already has a hole in B - T1
-            t2.append(e)
-            xlo, xhi = 0, b.size
-            while xhi - xlo > 1:
-                mid = xlo + (xhi - xlo + 1) // 2
-                probe = np.concatenate((b[:mid], b[xhi:], [e]))
-                if not oracle.is_independent(probe):
-                    xhi = mid
-                else:
-                    xlo = mid
-            x = int(b[xlo])
-            t1.append(x)
-            phi[x] = e
-            cur = np.setdiff1d(cur, [x], assume_unique=True)
-    return RepresentativePair(
-        np.asarray(sorted(t1), dtype=np.int64),
-        np.asarray(sorted(t2), dtype=np.int64),
-        phi,
-    )
 
 
 def baseline_independence_learner_run(n, oracle):
@@ -375,64 +340,43 @@ def baseline_independence_learner_run(n, oracle):
     """
     ledger = oracle.ledger
     stages = []
-
-    def record(stage, before):
-        stages.append(
-            StageRecord(
-                stage=stage,
-                rank_queries=ledger.rank_count - before[0],
-                independence_queries=ledger.independence_count - before[1],
-            )
-        )
-
-    mark = (ledger.rank_count, ledger.independence_count)
-    basis = _find_basis_independence(n, oracle)
-    record("basis", mark)
-
-    mark = (ledger.rank_count, ledger.independence_count)
-    reps = _find_representatives_independence(n, oracle, basis)
-    record("representatives", mark)
+    independent = oracle.is_independent
+    with _stage(ledger, stages, "basis"):
+        basis = _find_basis(n, ledger, independent)
+    with _stage(ledger, stages, "representatives"):
+        reps = _find_representatives(n, ledger, independent, basis)
 
     b = basis.members
-    t1_list = reps.inside.tolist()
+    t1 = reps.inside
+    t1_list = t1.tolist()
     groups = {t: {"basis": [t], "outside": [reps.phi[t]]} for t in t1_list}
+    rest = np.setdiff1d(b, t1, assume_unique=True)  # B - T1
 
-    mark = (ledger.rank_count, ledger.independence_count)
-    outside = np.setdiff1d(np.arange(n, dtype=np.int64), b, assume_unique=True)
-    t2_set = set(reps.outside.tolist())
-    t1_arr = reps.inside
-    t1_pos = np.searchsorted(b, t1_arr)
-    with ledger.phase("outside-basis"):
-        for e in outside.tolist():
+    # B - T1[lo:mid] + e is built as T1[:lo] + T1[mid:] + (B - T1 + e)
+    with _stage(ledger, stages, "outside-basis"), ledger.phase("outside-basis"):
+        t2_set = set(reps.outside.tolist())
+        for e in side_complement(n, b).tolist():
             if e in t2_set:
                 continue
-            lo, hi = 0, t1_arr.size
+            rest_e = np.append(rest, e)
+            lo, hi = 0, t1.size
             while hi - lo > 1:
                 mid = lo + (hi - lo + 1) // 2
-                keep = np.ones(b.size, dtype=bool)
-                keep[t1_pos[lo:mid]] = False
-                probe = np.append(b[keep], e)
-                if oracle.is_independent(probe):
+                if independent(np.concatenate((t1[:lo], t1[mid:], rest_e))):
                     hi = mid  # removing X1 freed e's part: friend inside X1
                 else:
                     lo = mid
-            groups[int(t1_arr[lo])]["outside"].append(e)
-    record("outside-basis", mark)
+            groups[int(t1[lo])]["outside"].append(e)
 
-    mark = (ledger.rank_count, ledger.independence_count)
-    rest = np.setdiff1d(b, reps.inside, assume_unique=True)
-    rest_pos_in_b = np.searchsorted(b, rest)
-    with ledger.phase("inside-basis"):
+    # B - rest[lo:hi] + t2 is built as (T1 + t2) + rest[:lo] + rest[hi:]
+    with _stage(ledger, stages, "inside-basis"), ledger.phase("inside-basis"):
         for t in t1_list:
-            t2 = reps.phi[t]
             if not rest.size:
                 continue
+            t1_t2 = np.append(t1, reps.phi[t])
 
             def hits(lo, hi):
-                keep = np.ones(b.size, dtype=bool)
-                keep[rest_pos_in_b[lo:hi]] = False
-                probe = np.append(b[keep], t2)
-                return oracle.is_independent(probe)
+                return independent(np.concatenate((t1_t2, rest[:lo], rest[hi:])))
 
             def sweep(lo, hi):
                 if not hits(lo, hi):
@@ -445,15 +389,15 @@ def baseline_independence_learner_run(n, oracle):
                 sweep(mid, hi)
 
             sweep(0, rest.size)
-    record("inside-basis", mark)
 
-    mark = (ledger.rank_count, ledger.independence_count)
-    parts = []
-    capacities = []
-    for t in t1_list:
-        parts.append(np.asarray(sorted(groups[t]["basis"] + groups[t]["outside"]), dtype=np.int64))
-        capacities.append(len(groups[t]["basis"]))
-    record("stitch", mark)
+    with _stage(ledger, stages, "stitch"):
+        parts = []
+        capacities = []
+        for t in t1_list:
+            parts.append(
+                np.asarray(sorted(groups[t]["basis"] + groups[t]["outside"]), dtype=np.int64)
+            )
+            capacities.append(len(groups[t]["basis"]))
     matroid = LearnedMatroid(parts, capacities)
     return MatroidRun(matroid, stages, basis, reps)
 

@@ -42,6 +42,9 @@ __all__ = [
 
 # Up to this size, Python's min/max/set on a list beat NumPy's per-call cost.
 _SMALL_SET = 64
+# From |S| * _DENSE_RATIO >= n on, one bincount over [0, n) checks a set faster
+# than the mark array; below it, bincount's O(n) pass over mostly empty bins loses.
+_DENSE_RATIO = 8
 
 
 def _out_of_range(n, bad):
@@ -51,11 +54,17 @@ def _out_of_range(n, bad):
 def as_element_array(s, n, mark=None):
     """Validate an element set over {0..n-1}; return it as a 1-D int64 array.
 
-    Raises UsageError unless ``s`` holds distinct integer ids in [0, n).  For
-    sets above ``_SMALL_SET`` ids the duplicate check writes each id's
-    position into ``mark``, an int64 array of size n that the caller owns, and
-    reads it back: O(|S|) and sort-free.  Without ``mark`` a temporary one is
-    allocated.
+    Raises UsageError unless ``s`` holds distinct integer ids in [0, n).  Sets
+    of up to ``_SMALL_SET`` ids are checked in Python.  Larger sets take one of
+    two sort-free paths:
+
+    * dense (``|S| * _DENSE_RATIO >= n``): after one ``max`` bounds the ids,
+      ``np.bincount(s, minlength=n)`` rejects a negative id, and fewer than
+      |S| nonzero bins means a repeated id; O(n).
+    * sparse: after one ``min``, each id's position is written into ``mark``,
+      an int64 array of size n that the caller owns, and read back; a
+      position that does not survive is a repeated id, and an id >= n fails
+      the write; O(|S|).  Without ``mark`` a temporary one is allocated.
     """
     arr = s if isinstance(s, np.ndarray) else np.asarray(list(s))
     if arr.ndim != 1:
@@ -72,6 +81,18 @@ def as_element_array(s, n, mark=None):
         if lo < 0 or hi >= n:
             raise _out_of_range(n, lo if lo < 0 else hi)
         if len(set(ids)) != size:
+            raise UsageError("element sets must not repeat an id")
+        return arr
+    if size * _DENSE_RATIO >= n:
+        # bound the ids first: bincount allocates max(id) + 1 bins
+        hi = int(np.maximum.reduce(arr))
+        if hi >= n:
+            raise _out_of_range(n, hi)
+        try:
+            counts = np.bincount(arr, minlength=n)
+        except ValueError:  # bincount refuses negative ids
+            raise _out_of_range(n, int(arr.min())) from None
+        if np.count_nonzero(counts) != size:
             raise UsageError("element sets must not repeat an id")
         return arr
     lo = int(arr.min())

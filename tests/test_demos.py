@@ -1,0 +1,37 @@
+"""Each quick demo runs to completion in a fresh interpreter.
+
+``remeasure_regression.py`` is left out: it re-measures the frozen constants
+and takes minutes.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
+
+
+@pytest.mark.parametrize(
+    "demo",
+    ["learn_hidden_partition", "learn_partition_matroid", "coin_weighing", "query_benchmark"],
+)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / f"{demo}.py")],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if demo == "query_benchmark":
+        assert (tmp_path / "demo_sweep.csv").is_file()

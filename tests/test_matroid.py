@@ -217,6 +217,44 @@ class TestBaseline:
             assert o.ledger.independence_count <= bound
 
 
+class TestPinnedLedgers:
+    """Exact ledgers on one fixed instance: a probe that changes a query set shows here."""
+
+    @pytest.fixture(scope="class")
+    def structure(self):
+        st, _ = generate(InstanceSpec("capacitated-random", 2**11, k=256, seed=1))
+        return st
+
+    def stage_counts(self, run):
+        return [(s.stage, s.rank_queries + s.independence_queries) for s in run.stages]
+
+    def test_rank_learner(self, structure):
+        o = RankOracle(structure)
+        run = learn_partition_matroid_run(2**11, o)
+        assert run.matroid.matches(structure)
+        assert (o.ledger.rank_count, o.ledger.independence_count) == (18005, 0)
+        assert self.stage_counts(run) == [
+            ("basis", 2048),
+            ("representatives", 3579),
+            ("inside-basis", 6275),
+            ("outside-basis", 6103),
+            ("stitch", 0),
+        ]
+
+    def test_baseline(self, structure):
+        o = RankOracle(structure)
+        run = baseline_independence_learner_run(2**11, o)
+        assert run.matroid.matches(structure)
+        assert (o.ledger.rank_count, o.ledger.independence_count) == (0, 23469)
+        assert self.stage_counts(run) == [
+            ("basis", 2048),
+            ("representatives", 3579),
+            ("outside-basis", 6064),
+            ("inside-basis", 11778),
+            ("stitch", 0),
+        ]
+
+
 class TestExtremeShapes:
     def test_single_part_matroid(self):
         parts = [list(range(512))]

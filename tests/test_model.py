@@ -14,6 +14,7 @@ from rankprobe import (
     instance_digest,
     sum_query_sim,
 )
+from rankprobe import model
 from rankprobe.model import instance_from_bytes, instance_to_bytes
 
 from _bruteforce import brute_rank, brute_sum_query, enumerate_set_partitions
@@ -197,7 +198,8 @@ class TestQueryContract:
         assert (o.ledger.rank_count, o.ledger.independence_count, o.ledger.audit_count) == (0, 0, 0)
 
     def test_large_set_duplicate(self):
-        # above the small-set threshold the duplicate check uses the mark array
+        # above the small-set threshold and with |S| * _DENSE_RATIO >= n (here
+        # n = 200), one bincount does the check; see test_large_set_paths
         parts = [list(range(i, 200, 7)) for i in range(7)]
         o = oracle(parts)
         for bad in (list(range(100)) + [42], [199] * 70):
@@ -210,6 +212,31 @@ class TestQueryContract:
         with pytest.raises(UsageError):
             o.rank(list(range(100)) + [-1])
         assert o.ledger.rank_count == o.ledger.independence_count == 0
+
+    @pytest.mark.parametrize(
+        "n,size,dense", [(200, 100, True), (4096, 100, False)], ids=["bincount", "mark-array"]
+    )
+    def test_large_set_paths(self, n, size, dense):
+        assert size > model._SMALL_SET and (size * model._DENSE_RATIO >= n) == dense
+        parts = [list(range(i, n, 7)) for i in range(7)]
+        caps = [len(p) // 2 for p in parts]
+        o = oracle(parts, caps)
+        good = np.arange(0, n, n // size)[:size]
+        cases = [
+            (np.r_[good[:-1], good[0]], "repeat"),
+            (np.r_[good[:-1], -1], "saw -1"),
+            (np.r_[good[:-1], n], f"saw {n}"),
+        ]
+        for bad, message in cases:
+            for query in (o.rank, o.is_independent, o.audit_rank):
+                with pytest.raises(UsageError, match=message):
+                    query(bad)
+        assert (o.ledger.rank_count, o.ledger.independence_count, o.ledger.audit_count) == (0, 0, 0)
+        expected = brute_rank(parts, caps, good.tolist())
+        assert o.rank(good) == expected
+        assert o.is_independent(good) == (expected == size)
+        assert o.is_independent(good[:2]) and o.rank(good[::-1]) == expected
+        assert (o.ledger.rank_count, o.ledger.independence_count, o.ledger.audit_count) == (2, 2, 0)
 
     def test_scratch_usable_after_rejection(self):
         parts = [list(range(i, 300, 11)) for i in range(11)]

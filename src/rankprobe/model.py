@@ -10,7 +10,8 @@ ints or integer array is accepted.  Anything else (a float or bool array, an
 id out of range, a repeated id) raises :class:`UsageError` and charges
 nothing.  Each query is validated once, by :func:`as_element_array` at the
 oracle boundary; internal code passes arrays it built itself and does not
-validate them again.
+validate them again.  Instance constructors hold part ids and capacities to
+the same integer rule.
 """
 
 from __future__ import annotations
@@ -51,6 +52,20 @@ def _out_of_range(n, bad):
     return UsageError(f"element id out of range [0, {n}): saw {bad}")
 
 
+def _int_array(s, what):
+    """``s`` (an integer array or an iterable of ints) as a 1-D int64 array.
+
+    The integer rule every query and instance shares: a float or bool dtype
+    raises UsageError instead of being truncated.  An empty ``s`` passes.
+    """
+    arr = s if isinstance(s, np.ndarray) else np.asarray(list(s))
+    if arr.ndim != 1:
+        raise UsageError(f"{what} must be one-dimensional")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise UsageError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 def as_element_array(s, n, mark=None):
     """Validate an element set over {0..n-1}; return it as a 1-D int64 array.
 
@@ -66,15 +81,10 @@ def as_element_array(s, n, mark=None):
       position that does not survive is a repeated id, and an id >= n fails
       the write; O(|S|).  Without ``mark`` a temporary one is allocated.
     """
-    arr = s if isinstance(s, np.ndarray) else np.asarray(list(s))
-    if arr.ndim != 1:
-        raise UsageError("element sets must be one-dimensional")
+    arr = _int_array(s, "element ids")
     size = arr.size
     if size == 0:
-        return arr.astype(np.int64, copy=False)
-    if arr.dtype.kind not in "iu":
-        raise UsageError(f"element ids must be integers, got dtype {arr.dtype}")
-    arr = arr.astype(np.int64, copy=False)
+        return arr
     if size <= _SMALL_SET:
         ids = arr.tolist()
         lo, hi = min(ids), max(ids)
@@ -111,8 +121,14 @@ def as_element_array(s, n, mark=None):
 
 
 def canonical_parts(parts):
-    """Sort each part ascending and order parts by their minimum element."""
-    normalised = [np.asarray(sorted(int(e) for e in p), dtype=np.int64) for p in parts]
+    """Sort each part ascending and order parts by their minimum element.
+
+    Each part must be a nonempty set of integer ids (the rule of queries),
+    otherwise UsageError.
+    """
+    normalised = [np.sort(_int_array(p, "part ids")) for p in parts]
+    if any(p.size == 0 for p in normalised):
+        raise UsageError("parts must be nonempty")
     order = sorted(range(len(normalised)), key=lambda i: int(normalised[i][0]))
     return [normalised[i] for i in order], order
 
@@ -125,18 +141,16 @@ class HiddenPartition:
     """
 
     def __init__(self, parts, n=None):
-        if not parts:
+        if len(parts) == 0:
             raise UsageError("a partition needs at least one part")
         self.parts, _ = canonical_parts(parts)
         total = int(sum(p.size for p in self.parts))
-        if any(p.size == 0 for p in self.parts):
-            raise UsageError("parts must be nonempty")
         self.n = total if n is None else int(n)
         if total != self.n:
             raise UsageError(f"parts cover {total} elements, expected n={self.n}")
         part_of = np.full(self.n, -1, dtype=np.int64)
         for i, p in enumerate(self.parts):
-            if p.size and (p[0] < 0 or p[-1] >= self.n):
+            if p[0] < 0 or p[-1] >= self.n:
                 raise UsageError("element id out of range")
             if np.any(part_of[p] != -1):
                 raise UsageError("parts must be disjoint")
@@ -175,12 +189,12 @@ class CapacitatedPartition:
     """
 
     def __init__(self, parts, capacities, n=None):
-        caps_in = [int(c) for c in capacities]
-        if len(caps_in) != len(parts):
+        caps_in = _int_array(capacities, "capacities")
+        if caps_in.size != len(parts):
             raise UsageError("need one capacity per part")
         canon, order = canonical_parts(parts)
         self.base = HiddenPartition(canon, n=n)
-        caps = np.asarray([caps_in[i] for i in order], dtype=np.int64)
+        caps = caps_in[order]
         sizes = np.asarray([p.size for p in self.base.parts], dtype=np.int64)
         if np.any(caps < 1) or np.any(caps >= sizes):
             raise UsageError("capacities must satisfy 1 <= r_i < |P_i|")
@@ -386,11 +400,13 @@ def instance_from_bytes(data):
     """Parse an instance document; returns (structure, meta)."""
     doc = json.loads(data)
     try:
-        n = int(doc["n"])
+        n = doc["n"]
         parts = doc["parts"]
         caps = doc.get("capacities")
     except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed instance document: {exc}") from exc
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise UsageError(f"instance n must be an integer, got {n!r}")
     if caps is None:
         structure = HiddenPartition(parts, n=n)
     else:

@@ -127,7 +127,12 @@ def merge(i1, i2, oracle):
         with ledger.phase("matching"):
             result = recover_matching(com12, com21, lambda s: _add_query(oracle, s))
         pairs = [(int(e), int(result.pairs[int(e)])) for e in com12]
-    merged = np.setdiff1d(np.union1d(i1, i2), com12, assume_unique=True)
+    # I1 and I2 are disjoint, so dropping com12 from I1 and sorting the
+    # concatenation is the sorted union minus com12
+    keep = np.ones(i1.size, dtype=bool)
+    keep[rec1.support] = False
+    merged = np.concatenate((i1[keep], i2))
+    merged.sort()
     return MergeOutcome(merged, pairs)
 
 

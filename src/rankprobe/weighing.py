@@ -30,13 +30,23 @@ The frozen bases (re-verified by the test suite):
   {0..25}^9 can share measurements.
 
 Tiers: T1 = B16 (16 cols, 10 rows), T2 = B16 (x) A2 (160 cols, 80 rows),
-T3 = B16 (x) A2 (x) A3 (1440 cols, 640 rows).  A design for N columns packs
-the largest tiers first and finishes with identity columns, so the row count
-stays well under N once N reaches a few hundred (about 0.46*N at N = 4096).
+T3 = B16 (x) (A2 (x) A3) (1440 cols, 640 rows).  One product decoder serves
+every tier and follows the peeling proof on a batch of b measurement vectors:
+the inner level decodes all b*r_out row groups at once, then the outer level
+decodes all b*c_in column slices at once.  T3's inner level is itself a
+product, so the same two steps recurse.  Each base decodes a whole batch in
+one vectorised pass.
+
+A design for N columns packs the largest tiers first and finishes with
+identity columns, so the row count stays well under N once N reaches a few
+hundred (about 0.46*N at N = 4096).  A tier's blocks sit side by side, so
+decoding a design hands all of them to the tier as one batch.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -124,159 +134,122 @@ class _LatticeBase:
     Fixing the free coordinates (chosen so the remaining square submatrix is
     invertible) determines the rest linearly; decoding enumerates the at most
     (box+1)^(u-m) choices and keeps the unique exact integer solution in the
-    box.
+    box.  The solving tables are built on the first decode.
     """
 
     def __init__(self, matrix, box):
         self.matrix = matrix
         self.box = int(box)
-        m, u = matrix.shape
-        self.free = self._pick_free(matrix, u - m)
-        self.pinned = [j for j in range(u) if j not in self.free]
-        square = matrix[:, self.pinned].astype(np.float64)
-        self._inv = np.linalg.inv(square)
-        vals = np.arange(self.box + 1, dtype=np.int64)
-        grids = np.meshgrid(*([vals] * len(self.free)), indexing="ij")
-        self._free_choices = np.stack([g.ravel() for g in grids], axis=1)
-        self._free_cols = matrix[:, self.free].astype(np.float64)
+        self.n_cols = matrix.shape[1]
+        self.rows = [np.flatnonzero(r) for r in matrix]
 
-    @staticmethod
-    def _pick_free(matrix, s):
-        from itertools import combinations
-
-        m, u = matrix.shape
-        for free in combinations(range(u), s):
+    @functools.cached_property
+    def _tables(self):
+        m, u = self.matrix.shape
+        for free in itertools.combinations(range(u), u - m):
             pinned = [j for j in range(u) if j not in free]
-            if abs(np.linalg.det(matrix[:, pinned].astype(np.float64))) > 0.5:
-                return list(free)
-        raise RuntimeError("no invertible pinned submatrix; bad base")
+            square = self.matrix[:, pinned].astype(np.float64)
+            if abs(np.linalg.det(square)) > 0.5:
+                break
+        else:
+            raise RuntimeError("no invertible pinned submatrix; bad base")
+        free = list(free)
+        inv_t = np.linalg.inv(square).T
+        vals = np.arange(self.box + 1, dtype=np.int64)
+        choices = np.stack([g.ravel() for g in np.meshgrid(*[vals] * len(free), indexing="ij")], 1)
+        # pinned values of choice c for measurements y: y @ inv_t - offset[c]
+        offset = (choices @ self.matrix[:, free].T) @ inv_t
+        return free, pinned, inv_t, choices, offset
 
     def decode(self, meas):
-        """Unique y in {0..box}^u with matrix @ y == meas; DecodeFailure otherwise."""
-        meas = np.asarray(meas, dtype=np.int64)
-        rhs = meas[None, :] - self._free_choices @ self._free_cols.T
-        pinned_vals = rhs @ self._inv.T
-        cand = np.rint(pinned_vals).astype(np.int64)
-        ok = np.abs(pinned_vals - cand) < 1e-6
-        ok = ok.all(axis=1) & (cand >= 0).all(axis=1) & (cand <= self.box).all(axis=1)
-        hits = np.flatnonzero(ok)
-        for h in hits:
-            y = np.empty(self.matrix.shape[1], dtype=np.int64)
-            y[self.free] = self._free_choices[h]
-            y[self.pinned] = cand[h]
-            if np.array_equal(self.matrix @ y, meas):
-                return y
-        raise DecodeFailure("no vector in the box matches the measurements")
+        """Per row of a (b, m) batch, the unique y in {0..box}^u with matrix @ y == row.
+
+        Each row keeps the first candidate that passes the exact integer check;
+        a row without one raises DecodeFailure.
+        """
+        free, pinned, inv_t, choices, offset = self._tables
+        vals = (meas @ inv_t)[:, None, :] - offset[None, :, :]
+        cand = np.rint(vals).astype(np.int64)
+        ok = (np.abs(vals - cand) < 1e-6) & (cand >= 0) & (cand <= self.box)
+        rows, picks = np.nonzero(ok.all(axis=2))
+        y = np.empty((rows.size, self.n_cols), dtype=np.int64)
+        y[:, free] = choices[picks]
+        y[:, pinned] = cand[rows, picks]
+        exact = (y @ self.matrix.T == meas[rows]).all(axis=1)
+        rows, y = rows[exact], y[exact]
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        if first.size != meas.shape[0]:
+            raise DecodeFailure("no vector in the box matches the measurements")
+        return y[first]
 
 
-_lattice_a2 = None
-_lattice_a3 = None
-_b16_table = None
+_BITS = np.arange(16, dtype=np.int64)
+_POW6 = 6 ** np.arange(10, dtype=np.int64)  # base-6 code of a B16 measurement (entries <= 5)
 
 
-def _lattice_bases():
-    global _lattice_a2, _lattice_a3
-    if _lattice_a2 is None:
-        _lattice_a2 = _LatticeBase(_A2, _A2_BOX)
-        _lattice_a3 = _LatticeBase(_A3, _A3_BOX)
-    return _lattice_a2, _lattice_a3
+class _BinaryBase:
+    """Decoder for the 10 x 16 binary base via a sorted table of all 2^16 codes."""
 
+    n_cols = 16
 
-def _b16_decode_table():
-    """Measurement-code -> 16-bit pattern for the binary base (lazy, built once)."""
-    global _b16_table
-    if _b16_table is None:
-        x = ((np.arange(1 << 16)[:, None] >> np.arange(16)[None, :]) & 1).astype(np.int64)
-        codes = (x @ _B16.T) @ (6 ** np.arange(10, dtype=np.int64))
+    def __init__(self):
+        self.rows = [np.flatnonzero(r) for r in _B16]
+
+    @functools.cached_property
+    def _table(self):
+        x = ((np.arange(1 << 16)[:, None] >> _BITS[None, :]) & 1).astype(np.int64)
+        codes = (x @ _B16.T) @ _POW6
         order = np.argsort(codes, kind="stable")
-        _b16_table = (codes[order], np.arange(1 << 16, dtype=np.int64)[order])
-    return _b16_table
+        return codes[order], np.arange(1 << 16, dtype=np.int64)[order]
+
+    def decode(self, meas):
+        """Decode a (b, 10) batch of measurements to a (b, 16) batch of 0/1 vectors."""
+        codes, patterns = self._table
+        if np.any(meas < 0) or np.any(meas > 5):
+            raise DecodeFailure("binary-base measurements out of range")
+        keys = meas @ _POW6
+        idx = np.searchsorted(codes, keys).clip(max=codes.size - 1)
+        if np.any(codes[idx] != keys):
+            raise DecodeFailure("no binary vector matches the measurements")
+        return (patterns[idx][:, None] >> _BITS[None, :]) & 1
 
 
-def _b16_decode(meas_rows):
-    """Decode a batch of B16 measurement vectors (k x 10) to 16-bit patterns."""
-    codes, patterns = _b16_decode_table()
-    if np.any(meas_rows < 0) or np.any(meas_rows > 5):
-        raise DecodeFailure("binary-base measurements out of range")
-    keys = meas_rows @ (6 ** np.arange(10, dtype=np.int64))
-    idx = np.searchsorted(codes, keys)
-    idx = np.clip(idx, 0, codes.size - 1)
-    if np.any(codes[idx] != keys):
-        raise DecodeFailure("no binary vector matches the measurements")
-    return patterns[idx]
+class _Product:
+    """The Kronecker product outer (x) inner: rows outer-row-major, column g*c_in + i.
+
+    Row (rho, a) measures inner row a applied to the sum of the column slices
+    in outer row rho, so decoding peels the inner level off every outer row,
+    then decodes the outer level on every inner column.
+    """
+
+    def __init__(self, outer, inner):
+        self.outer = outer
+        self.inner = inner
+        self.n_cols = outer.n_cols * inner.n_cols
+        self.rows = [
+            np.sort((groups[:, None] * inner.n_cols + irow[None, :]).ravel())
+            for groups in outer.rows
+            for irow in inner.rows
+        ]
+
+    def decode(self, meas):
+        """Decode a (b, r_out*r_in) batch: the inner level on all b*r_out slices at once,
+        then the outer level on all b*c_in columns at once."""
+        b = meas.shape[0]
+        r_out, r_in = len(self.outer.rows), len(self.inner.rows)
+        c_out, c_in = self.outer.n_cols, self.inner.n_cols
+        slices = self.inner.decode(meas.reshape(b * r_out, r_in))
+        cols = slices.reshape(b, r_out, c_in).transpose(0, 2, 1).reshape(b * c_in, r_out)
+        x = self.outer.decode(cols)
+        return x.reshape(b, c_in, c_out).transpose(0, 2, 1).reshape(b, self.n_cols)
 
 
-def _kron_rows(outer, inner_rows, inner_cols):
-    """Rows of outer (x) inner, outer-row-major, as column index arrays."""
-    rows = []
-    for orow in outer:
-        groups = np.flatnonzero(orow)
-        for irow in inner_rows:
-            cols = (groups[:, None] * inner_cols + irow[None, :]).ravel()
-            rows.append(np.sort(cols))
-    return rows
-
-
-class _Tier:
-    def __init__(self, name, n_cols, rows, decode):
-        self.name = name
-        self.n_cols = n_cols
-        self.rows = rows
-        self.decode = decode
-
-
-_tiers = None
-
-
-def _decode_t1(meas):
-    bits = _b16_decode(np.asarray(meas, dtype=np.int64)[None, :])[0]
-    return (bits >> np.arange(16, dtype=np.int64)) & 1
-
-
-def _decode_t2(meas):
-    a2, _ = _lattice_bases()
-    meas = np.asarray(meas, dtype=np.int64).reshape(10, 8)
-    y = np.empty((10, 10), dtype=np.int64)  # y[rho] = A2-decoded slice sums
-    for rho in range(10):
-        y[rho] = a2.decode(meas[rho])
-    bits = _b16_decode(y.T.copy())  # one B16 decode per inner column
-    out = np.empty(160, dtype=np.int64)
-    for i in range(10):
-        out[np.arange(16) * 10 + i] = (bits[i] >> np.arange(16)) & 1
-    return out
-
-
-def _decode_t3(meas):
-    a2, a3 = _lattice_bases()
-    meas = np.asarray(meas, dtype=np.int64).reshape(10, 8, 8)
-    out = np.empty(1440, dtype=np.int64)
-    y = np.empty((10, 10, 9), dtype=np.int64)
-    for rho in range(10):
-        z = np.empty((8, 9), dtype=np.int64)
-        for a in range(8):
-            z[a] = a3.decode(meas[rho, a])
-        for j in range(9):
-            y[rho, :, j] = a2.decode(z[:, j])
-    for i in range(10):
-        for j in range(9):
-            bits = _b16_decode(y[:, i, j][None, :])[0]
-            cols = np.arange(16) * 90 + (i * 9 + j)
-            out[cols] = (bits >> np.arange(16)) & 1
-    return out
-
-
+@functools.cache
 def _build_tiers():
-    global _tiers
-    if _tiers is None:
-        b16_rows = [np.flatnonzero(r).astype(np.int64) for r in _B16]
-        a2_rows = [np.flatnonzero(r).astype(np.int64) for r in _A2]
-        a3_rows = [np.flatnonzero(r).astype(np.int64) for r in _A3]
-        t2_inner = _kron_rows(_A2, a3_rows, 9)  # A2 (x) A3 rows, for reuse below
-        t1 = _Tier("t1", 16, b16_rows, _decode_t1)
-        t2 = _Tier("t2", 160, _kron_rows(_B16, a2_rows, 10), _decode_t2)
-        t3 = _Tier("t3", 1440, _kron_rows(_B16, t2_inner, 90), _decode_t3)
-        _tiers = [t3, t2, t1]
-    return _tiers
+    """T3 = B16 (x) (A2 (x) A3), T2 = B16 (x) A2, T1 = B16, largest first."""
+    b16 = _BinaryBase()
+    a2 = _LatticeBase(_A2, _A2_BOX)
+    return [_Product(b16, _Product(a2, _LatticeBase(_A3, _A3_BOX))), _Product(b16, a2), b16]
 
 
 @dataclass
@@ -285,7 +258,7 @@ class DetectingMatrix:
 
     n_cols: int
     rows: list = field(repr=False)
-    _blocks: list = field(default=None, repr=False)
+    _blocks: list = field(default=(), repr=False)  # (tier, block count), largest tier first
 
     @property
     def n_rows(self):
@@ -305,23 +278,26 @@ class DetectingMatrix:
         return np.array([int(x[r].sum()) for r in self.rows], dtype=np.int64)
 
     def decode(self, measurements):
-        """Invert the measurement map; raises DecodeFailure on inconsistent input."""
+        """Invert the measurement map; raises DecodeFailure on inconsistent input.
+
+        A tier's blocks are contiguous in rows and columns, so each tier
+        decodes all of its blocks as one batch; the identity tail follows.
+        """
         meas = np.asarray(measurements, dtype=np.int64)
         if meas.shape != (len(self.rows),):
             raise DecodeFailure(f"expected {len(self.rows)} measurements, got {meas.shape}")
-        out = np.zeros(self.n_cols, dtype=np.int64)
-        pos = 0
-        for tier, col_off in self._blocks:
-            if tier is None:  # identity tail
-                tail = meas[pos:]
-                if np.any((tail < 0) | (tail > 1)):
-                    raise DecodeFailure("identity-tail measurements must be 0/1")
-                out[col_off:] = tail
-                pos = len(self.rows)
-                break
-            n_rows = len(tier.rows)
-            out[col_off : col_off + tier.n_cols] = tier.decode(meas[pos : pos + n_rows])
+        out = np.empty(self.n_cols, dtype=np.int64)
+        pos = col = 0
+        for tier, count in self._blocks:
+            n_rows, width = count * len(tier.rows), count * tier.n_cols
+            batch = meas[pos : pos + n_rows].reshape(count, -1)
+            out[col : col + width] = tier.decode(batch).ravel()
             pos += n_rows
+            col += width
+        tail = meas[pos:]
+        if np.any((tail < 0) | (tail > 1)):
+            raise DecodeFailure("identity-tail measurements must be 0/1")
+        out[col:] = tail
         return out
 
 
@@ -343,16 +319,14 @@ def build_detecting_matrix(N):
     rows = []
     blocks = []
     offset = 0
-    remaining = N
     for tier in _build_tiers():
-        while remaining >= tier.n_cols:
+        count = (N - offset) // tier.n_cols
+        if count:
+            blocks.append((tier, count))
+        for _ in range(count):
             rows.extend(offset + r for r in tier.rows)
-            blocks.append((tier, offset))
             offset += tier.n_cols
-            remaining -= tier.n_cols
-    if remaining:
-        blocks.append((None, offset))
-        rows.extend(np.array([j], dtype=np.int64) for j in range(offset, N))
+    rows.extend(np.array([j], dtype=np.int64) for j in range(offset, N))
     matrix = DetectingMatrix(N, rows, blocks)
     _matrix_cache[N] = matrix
     return matrix
@@ -448,6 +422,8 @@ def recover_matching(x_side, y_side, add_oracle):
     ys = np.asarray(sorted(int(e) for e in y_side), dtype=np.int64)
     if xs.size != ys.size:
         raise UsageError("matching sides must have equal size")
+    if (xs[1:] == xs[:-1]).any() or (ys[1:] == ys[:-1]).any():
+        raise UsageError("a matching side must not repeat an id")
     if np.intersect1d(xs, ys).size:
         raise UsageError("matching sides must be disjoint")
     d = int(xs.size)

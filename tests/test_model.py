@@ -328,6 +328,32 @@ class TestStructures:
         hp = HiddenPartition([[5, 2], [1, 0], [4, 3]])
         assert [p.tolist() for p in hp.parts] == [[0, 1], [2, 5], [3, 4]]
 
+    def test_non_integer_ids_and_capacities_rejected(self):
+        # the rule of queries: float and bool ids or capacities are never truncated
+        bad = [
+            lambda: HiddenPartition([[0.7, 1], [2]]),
+            lambda: HiddenPartition([np.array([True]), np.array([False])]),
+            lambda: CapacitatedPartition([[0, 1, 2], [3, 4]], [1.9, 1]),
+            lambda: CapacitatedPartition([[0, 1, 2], [3, 4]], np.array([True, True])),
+            lambda: instance_from_bytes(b'{"n":3,"parts":[[0,1.5],[2]],"capacities":null}'),
+            lambda: instance_from_bytes(b'{"n":5,"parts":[[0,1,2],[3,4]],"capacities":[1.5,1]}'),
+        ]
+        for build in bad:
+            with pytest.raises(UsageError, match="must be integers"):
+                build()
+        for n in (b"3.7", b"true", b'"3"'):
+            with pytest.raises(UsageError, match="must be an integer"):
+                instance_from_bytes(b'{"n":' + n + b',"parts":[[0,1],[2]],"capacities":null}')
+        with pytest.raises(UsageError, match="nonempty"):
+            HiddenPartition([[0], []])
+
+    def test_integer_arrays_accepted(self):
+        assert HiddenPartition(np.array([[0, 3], [2, 1]])).as_tuples() == ((0, 3), (1, 2))
+        parts = [np.array([4, 3], dtype=np.int32), np.arange(3, dtype=np.uint8)]
+        cp = CapacitatedPartition(parts, np.array([1, 2], dtype=np.int16))
+        assert cp.as_tuples() == (((0, 1, 2), (3, 4)), (2, 1))
+        assert all(p.dtype == np.int64 for p in cp.parts)
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):

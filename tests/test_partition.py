@@ -15,6 +15,7 @@ from rankprobe import (
     find_partition_run,
     merge,
 )
+from rankprobe.bench import InstanceSpec, generate
 from rankprobe.partition import RepForest
 from rankprobe.regression import load_regression_config
 
@@ -174,6 +175,34 @@ class TestFindPartition:
         parts = list(grouped.values())
         got = find_partition(n, oracle(parts))
         assert canonical(got) == canonical(parts)
+
+
+class TestPinnedLedgers:
+    """Exact ledgers on fixed instances: a merged set built in another order moves queries."""
+
+    @pytest.mark.parametrize(
+        "spec,rank_count,per_phase",
+        [
+            (
+                InstanceSpec("uniform-k", 2**13, seed=1),
+                49621,
+                {"com-discovery": 26647, "matching": 22974, "pairwise-merge": 49240, "final-fold": 381},
+            ),
+            (
+                InstanceSpec("uniform-k", 2**12, k=2**10, seed=1),
+                27061,
+                {"com-discovery": 13689, "matching": 13372, "pairwise-merge": 24843, "final-fold": 2218},
+            ),
+        ],
+        ids=["small-parts", "large-parts"],
+    )
+    def test_find_partition(self, spec, rank_count, per_phase):
+        structure, _ = generate(spec)
+        o = RankOracle(structure)
+        parts = find_partition(structure.n, o)
+        assert canonical(parts) == canonical(structure.parts)
+        assert (o.ledger.rank_count, o.ledger.per_phase) == (rank_count, per_phase)
+        assert o.ledger.independence_count == o.ledger.audit_count == 0
 
 
 class TestComponents:

@@ -18,6 +18,10 @@ from rankprobe.regression import load_regression_config
 from rankprobe.weighing import _A2, _A3, _B16
 
 
+# 2*1440 + 2*160 + 3*16 + 5 columns: two or three blocks of every tier
+MULTI_BLOCK_N = 3253
+
+
 def row_budget(n):
     return max(n, math.ceil(4 * n / math.log2(n))) if n >= 2 else n
 
@@ -129,6 +133,49 @@ class TestDecode:
         m = build_detecting_matrix(64)
         with pytest.raises(DecodeFailure):
             m.decode(np.zeros(3, dtype=np.int64))
+
+    def test_multi_block_tiers_round_trip(self):
+        # every tier decodes a batch of several blocks, then the identity tail
+        m = build_detecting_matrix(MULTI_BLOCK_N)
+        blocks = [(tier.n_cols, count) for tier, count in m._blocks]
+        assert blocks == [(1440, 2), (160, 2), (16, 3)]
+        rng = np.random.default_rng(MULTI_BLOCK_N)
+        for density in (0.0, 0.05, 0.3, 0.5, 0.8, 1.0):
+            x = (rng.random(MULTI_BLOCK_N) < density).astype(np.int64)
+            assert np.array_equal(m.decode(m.measure(x)), x)
+
+    @pytest.mark.parametrize("tier", [0, 1, 2], ids=["t3", "t2", "t1"])
+    def test_corrupt_second_block_fails(self, tier):
+        m = build_detecting_matrix(MULTI_BLOCK_N)
+        start = sum(len(t.rows) * count for t, count in m._blocks[:tier])
+        block_rows = len(m._blocks[tier][0].rows)
+        x = (np.random.default_rng(tier).random(MULTI_BLOCK_N) < 0.5).astype(np.int64)
+        meas = m.measure(x)
+        for r in (start + block_rows, start + block_rows + block_rows // 2, start + 2 * block_rows - 1):
+            # no 0/1 vector measures -1 or more than the row's size
+            for bad in (-1, len(m.rows[r]) + 1):
+                corrupt = meas.copy()
+                corrupt[r] = bad
+                with pytest.raises(DecodeFailure):
+                    m.decode(corrupt)
+
+    def test_off_by_one_decodes_exactly_or_fails(self):
+        # a +-1 error may land on another vector's measurements; decode then
+        # returns that vector, never one that disagrees with its input
+        m = build_detecting_matrix(MULTI_BLOCK_N)
+        rng = np.random.default_rng(7)
+        failures = 0
+        for _ in range(30):
+            meas = m.measure((rng.random(MULTI_BLOCK_N) < 0.5).astype(np.int64))
+            meas[rng.integers(m.n_rows)] += rng.choice([-1, 1])
+            try:
+                x = m.decode(meas)
+            except DecodeFailure:
+                failures += 1
+                continue
+            assert set(np.unique(x).tolist()) <= {0, 1}
+            assert np.array_equal(m.measure(x), meas)
+        assert failures > 0
 
     @settings(max_examples=40, derandomize=True)
     @given(st.integers(min_value=1, max_value=220), st.integers(0, 2**31))
@@ -288,3 +335,10 @@ class TestRecoverMatching:
     def test_overlap_rejected(self):
         with pytest.raises(UsageError):
             recover_matching([0, 1], [1, 2], lambda s: 0)
+
+    def test_repeated_id_rejected(self):
+        asked = []
+        for xs, ys in (([0, 0], [1, 2]), ([1, 2], [0, 0]), ([5] * 40, list(range(40)))):
+            with pytest.raises(UsageError, match="repeat"):
+                recover_matching(xs, ys, asked.append)
+        assert asked == []

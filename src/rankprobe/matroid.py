@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation
-from .model import canonical_parts
+from .model import _check_universe, canonical_parts
 from .partition import find_partition_run
 
 __all__ = [
@@ -146,6 +146,7 @@ def _find_basis(n, ledger, independent):
 
 def find_basis(n, oracle):
     """Greedy basis in exactly n rank queries; rank(B) is tracked, never re-queried."""
+    _check_universe(n, oracle)
     return _find_basis(n, oracle.ledger, _rank_test(oracle))
 
 
@@ -192,6 +193,7 @@ def find_representatives(n, oracle, basis):
     friend.  Ranks of known-independent sets (B - T1 and Y + X1) are computed
     arithmetically, not queried.
     """
+    _check_universe(n, oracle)
     return _find_representatives(n, oracle.ledger, _rank_test(oracle), basis)
 
 
@@ -262,6 +264,7 @@ def learn_matroid_with_reps(n, oracle, basis, reps, stages=None, audit=False):
     the two partitions through phi.  ``stages`` collects per-stage ledger
     records when provided.
     """
+    _check_universe(n, oracle)
     b = basis.members
     outside = side_complement(n, b)
     ledger = oracle.ledger
@@ -310,6 +313,7 @@ def learn_matroid_with_reps(n, oracle, basis, reps, stages=None, audit=False):
 
 def learn_partition_matroid_run(n, oracle, audit=False):
     """Full pipeline with per-stage ledger records."""
+    _check_universe(n, oracle)
     ledger = oracle.ledger
     stages = []
     with _stage(ledger, stages, "basis"):
@@ -338,6 +342,7 @@ def baseline_independence_learner_run(n, oracle):
     B's elements in part i is group-tested with the probe B - X + t2_i, which
     is independent exactly when X hits the part's basis members.
     """
+    _check_universe(n, oracle)
     ledger = oracle.ledger
     stages = []
     independent = oracle.is_independent

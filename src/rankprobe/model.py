@@ -66,6 +66,19 @@ def _int_array(s, what):
     return arr.astype(np.int64, copy=False)
 
 
+def _check_int(value, what):
+    """Raise UsageError unless ``value`` is an integer scalar (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+
+
+def _check_universe(n, oracle):
+    """Raise UsageError unless a learner's ``n`` is the oracle's universe size."""
+    _check_int(n, "n")
+    if n != oracle.n:
+        raise UsageError(f"n={n} does not match the oracle's universe size {oracle.n}")
+
+
 def as_element_array(s, n, mark=None):
     """Validate an element set over {0..n-1}; return it as a 1-D int64 array.
 
@@ -282,8 +295,12 @@ class QueryLedger:
 class RankOracle:
     """Answers rank queries from a hidden structure, charging a ledger per call.
 
-    Answers are pure functions of (structure, query set); the element-to-part
-    index is precomputed so one query costs O(|S|) plus a counting pass.
+    Answers are pure functions of (structure, query set).  With the
+    element-to-part index precomputed, counting costs O(|S|) on a simple
+    partition: a Python set up to ``_SMALL_SET`` ids, position marks over the
+    k parts above.  On a capacitated one it costs O(|S| + k) (one bincount)
+    from |S| >= k/4 on and O(|S| log |S|) (a sort) below.  Validation adds
+    O(|S|), or O(n) for a dense set (see :func:`as_element_array`).
     Each public query validates its set once (see the module docstring) and
     charges only after it is accepted.  An oracle and its ledger belong to one
     learner run; run distinct oracle instances when working across threads.
@@ -297,8 +314,9 @@ class RankOracle:
         caps = structure.effective_capacities()
         self._caps = caps
         self._simple = bool(np.all(caps == 1))
-        self._scratch = np.zeros(caps.size, dtype=bool)
         self._mark = np.empty(self.n, dtype=np.int64)  # as_element_array's duplicate check
+        self._part_mark = np.empty(caps.size, dtype=np.int64)  # distinct-part count
+        self._order = np.arange(self.n, dtype=np.int64)
 
     def _evaluate(self, s):
         """Rank of a set already known to hold distinct ids in [0, n) (array or list)."""
@@ -307,16 +325,14 @@ class RankOracle:
             return 0
         parts = self._part_of[s]
         if self._simple:
-            if size <= 64:
+            if size <= _SMALL_SET:
                 return len(set(parts.tolist()))
-            if size >= self._caps.size // 4:
-                # scatter-count beats sorting once |S| is comparable to k
-                seen = self._scratch
-                seen[parts] = True
-                count = int(np.count_nonzero(seen))
-                seen[parts] = False
-                return count
-            return int(np.unique(parts).size)
+            # each part's slot keeps the position of one of its writers, so
+            # exactly one position per distinct part reads itself back
+            order = self._order[:size]
+            marks = self._part_mark
+            marks[parts] = order
+            return int(np.count_nonzero(marks.take(parts) == order))
         if size >= self._caps.size // 4:
             counts = np.bincount(parts, minlength=self._caps.size)
             return int(np.minimum(counts, self._caps).sum())
@@ -398,15 +414,17 @@ def instance_to_bytes(structure, meta=None):
 
 def instance_from_bytes(data):
     """Parse an instance document; returns (structure, meta)."""
-    doc = json.loads(data)
+    try:
+        doc = json.loads(data)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise UsageError(f"instance document is not valid JSON: {exc}") from exc
     try:
         n = doc["n"]
         parts = doc["parts"]
         caps = doc.get("capacities")
     except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed instance document: {exc}") from exc
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise UsageError(f"instance n must be an integer, got {n!r}")
+    _check_int(n, "instance n")
     if caps is None:
         structure = HiddenPartition(parts, n=n)
     else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalConsistencyError, InvariantViolation
-from .model import _add_query, _sum_query
+from .model import _add_query, _check_universe, _sum_query
 from .weighing import recover_matching, recover_sparse
 
 __all__ = [
@@ -147,8 +147,10 @@ def find_partition_run(n, oracle, audit=False):
     class holding two or more; afterwards at most floor(log2 n) + 1 sets can
     survive (asserted).  Phase 2 folds the survivors in ascending size order.
     Audit mode re-checks each merged set's independence through separately
-    counted audit queries.
+    counted audit queries.  ``n`` must be the oracle's universe size, otherwise
+    UsageError.
     """
+    _check_universe(n, oracle)
     parent = np.full(n, -1, dtype=np.int64)
     stats = []
     ledger = oracle.ledger

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DecodeFailure, ProtocolError, UsageError
+from .model import _check_int, _int_array
 
 __all__ = [
     "DetectingMatrix",
@@ -311,6 +312,7 @@ def build_detecting_matrix(N):
     finishes with identity rows for the remainder or for any N below
     MATRIX_MIN_SIZE.  Row count is at most N, and o(N) once tiers dominate.
     """
+    _check_int(N, "N")
     if N < 1:
         raise UsageError("need at least one column")
     cached = _matrix_cache.get(N)
@@ -386,6 +388,7 @@ def recover_sparse(N, sum_oracle, *, split_threshold=SPLIT_THRESHOLD, known_tota
         solve(lo, mid, left)
         solve(mid, hi, ones - left)
 
+    _check_int(N, "N")
     if N < 0:
         raise UsageError("N must be nonnegative")
     if N == 0:
@@ -416,10 +419,11 @@ def recover_matching(x_side, y_side, add_oracle):
     "my partner's bit b is set" is recovered as a sparse-recovery instance
     with known total (the number of ids with bit b set), one add query per
     sum query.  A decode failure or a non-bijective result means the matching
-    precondition was violated.
+    precondition was violated.  Each side must hold distinct integer ids, the
+    sides disjoint and of equal size, otherwise UsageError.
     """
-    xs = np.asarray(sorted(int(e) for e in x_side), dtype=np.int64)
-    ys = np.asarray(sorted(int(e) for e in y_side), dtype=np.int64)
+    xs = np.sort(_int_array(x_side, "matching ids"))
+    ys = np.sort(_int_array(y_side, "matching ids"))
     if xs.size != ys.size:
         raise UsageError("matching sides must have equal size")
     if (xs[1:] == xs[:-1]).any() or (ys[1:] == ys[:-1]).any():

@@ -233,6 +233,13 @@ class TestCli:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("content", [b"{not json", b'{"n": 3, "parts": [[0, 1, 2]]\xff}'])
+    def test_corrupt_instance_exit_2(self, tmp_path, capsys, content):
+        inst = tmp_path / "corrupt.json"
+        inst.write_bytes(content)
+        assert main(["run", "--instance", str(inst), "--learner", "find_partition"]) == 2
+        assert "usage error: instance document is not valid JSON" in capsys.readouterr().err
+
     def test_sweep_writes_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
         rc = main(

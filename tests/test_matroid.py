@@ -6,6 +6,7 @@ from rankprobe import (
     CapacitatedPartition,
     HiddenPartition,
     RankOracle,
+    UsageError,
     baseline_independence_learner_run,
     find_basis,
     find_partition,
@@ -253,6 +254,42 @@ class TestPinnedLedgers:
             ("inside-basis", 11778),
             ("stitch", 0),
         ]
+
+
+def _small_oracle():
+    return cap_oracle([[0, 1, 2], [3, 4], [5, 6, 7, 8, 9]], [2, 1, 3])
+
+
+def _small_basis_and_reps():
+    o = _small_oracle()
+    basis = find_basis(10, o)
+    return basis, find_representatives(10, o, basis)
+
+
+class TestUniverseSize:
+    @pytest.mark.parametrize(
+        "learner",
+        [
+            find_basis,
+            lambda n, o: find_representatives(n, o, find_basis(10, _small_oracle())),
+            lambda n, o: learn_matroid_with_reps(n, o, *_small_basis_and_reps()),
+            learn_partition_matroid_run,
+            baseline_independence_learner_run,
+        ],
+        ids=[
+            "find_basis",
+            "find_representatives",
+            "learn_matroid_with_reps",
+            "learn_partition_matroid_run",
+            "baseline",
+        ],
+    )
+    @pytest.mark.parametrize("n", [0, 5, 11, 10.0])
+    def test_n_must_be_the_oracles_universe(self, learner, n):
+        o = _small_oracle()
+        with pytest.raises(UsageError):
+            learner(n, o)
+        assert (o.ledger.rank_count, o.ledger.independence_count) == (0, 0)
 
 
 class TestExtremeShapes:

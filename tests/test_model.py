@@ -252,6 +252,47 @@ class TestQueryContract:
         assert o.ledger.rank_count == 3
 
 
+class TestSimpleLargeK:
+    """Sets above the small-set threshold on a simple partition with many parts."""
+
+    N, K = 4096, 1024
+    # K ids: a dense set (8|S| >= n), and the largest independent one
+    SIZES = [64, 65, K // 4 - 1, K // 4, K]
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        rng = np.random.default_rng(5)
+        part_of = np.r_[np.arange(self.K), rng.integers(0, self.K, self.N - self.K)]
+        part_of = part_of[rng.permutation(self.N)]
+        parts = [np.flatnonzero(part_of == i).tolist() for i in range(self.K)]
+        return parts, part_of
+
+    def subset(self, parts, part_of, size, independent):
+        rng = np.random.default_rng(size)
+        if independent:
+            chosen = rng.permutation(self.K)[:size]
+            return np.asarray([parts[i][0] for i in chosen], dtype=np.int64)
+        # elements of the first parts holding 5|S|/4 ids, so parts repeat
+        limit = np.searchsorted(np.cumsum(np.bincount(part_of)), size * 5 // 4) + 1
+        few = np.flatnonzero(part_of < limit)
+        return rng.permutation(few)[:size]
+
+    @pytest.mark.parametrize("independent", [True, False], ids=["independent", "repeated-parts"])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_matches_brute_force(self, instance, size, independent):
+        parts, part_of = instance
+        s = self.subset(parts, part_of, size, independent)
+        assert s.size == size
+        expected = brute_rank(parts, None, s)
+        assert (expected == size) == independent
+        o = RankOracle(HiddenPartition(parts))
+        for form in (s, s[::-1].copy(), s.tolist()):
+            assert o.rank(form) == expected
+            assert o.is_independent(form) == independent
+            assert o.audit_rank(form) == expected
+        assert (o.ledger.rank_count, o.ledger.independence_count, o.ledger.audit_count) == (3, 3, 3)
+
+
 class TestRankProperties:
     def test_bounded_by_size_and_k(self):
         parts = [[0, 3], [1, 4, 6], [2], [5, 7]]
@@ -378,6 +419,11 @@ class TestSerialization:
     def test_malformed_rejected(self):
         with pytest.raises(UsageError):
             instance_from_bytes(b'{"n": 3}')
+
+    @pytest.mark.parametrize("data", [b"{not json", b"", b'{"n": 1, "parts": [[0]]}\xff'])
+    def test_corrupt_document_rejected(self, data):
+        with pytest.raises(UsageError, match="not valid JSON"):
+            instance_from_bytes(data)
 
 
 class TestLedger:

@@ -9,7 +9,9 @@ from rankprobe import (
     HiddenPartition,
     InternalConsistencyError,
     InvariantViolation,
+    QueryLedger,
     RankOracle,
+    UsageError,
     components,
     find_partition,
     find_partition_run,
@@ -65,7 +67,19 @@ class TestMerge:
 
 class TestFindPartition:
     def test_n0(self):
-        assert find_partition(0, oracle([[0]])) == []
+        class EmptyUniverse:  # a simulated oracle over no elements, as the matroid learner builds
+            n = 0
+            ledger = QueryLedger()
+
+        assert find_partition(0, EmptyUniverse()) == []
+
+    @pytest.mark.parametrize("n", [0, 5, 11, 10.0, True])
+    def test_n_must_be_the_oracles_universe(self, n):
+        o = oracle([[0, 1], [2, 3, 4], [5, 6, 7, 8, 9]])
+        for learner in (find_partition, find_partition_run):
+            with pytest.raises(UsageError):
+                learner(n, o)
+        assert o.ledger.rank_count == 0
 
     def test_n1_zero_queries(self):
         o = oracle([[0]])

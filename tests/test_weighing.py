@@ -342,3 +342,29 @@ class TestRecoverMatching:
             with pytest.raises(UsageError, match="repeat"):
                 recover_matching(xs, ys, asked.append)
         assert asked == []
+
+    def test_non_integer_ids_rejected(self):
+        asked = []
+        for xs, ys in (([0.7, 1.2], [2.9, 3.1]), ([0, 1], [2.0, 3.0]), ([True, False], [2, 3])):
+            with pytest.raises(UsageError, match="integers"):
+                recover_matching(xs, ys, asked.append)
+        assert asked == []
+
+
+class TestIntegerSizes:
+    @pytest.mark.parametrize("N", [10.5, 10.0, True, np.float64(8)])
+    def test_recover_sparse_rejects_non_integer_n(self, N):
+        asked = []
+        with pytest.raises(UsageError, match="integer"):
+            recover_sparse(N, lambda idx: asked.append(idx) or 0)
+        assert asked == []
+
+    @pytest.mark.parametrize("N", [40.0, True, np.float64(40)])
+    def test_build_detecting_matrix_rejects_non_integer_n(self, N):
+        build_detecting_matrix(40)  # a cached 40-column design must not answer 40.0
+        with pytest.raises(UsageError, match="integer"):
+            build_detecting_matrix(N)
+
+    def test_numpy_integer_n_accepted(self):
+        assert recover_sparse(np.int64(8), counting_oracle([3])).support.tolist() == [3]
+        assert build_detecting_matrix(np.int64(16)).n_cols == 16

@@ -156,6 +156,8 @@ class HiddenPartition:
     def __init__(self, parts, n=None):
         if len(parts) == 0:
             raise UsageError("a partition needs at least one part")
+        if n is not None:
+            _check_int(n, "n")
         self.parts, _ = canonical_parts(parts)
         total = int(sum(p.size for p in self.parts))
         self.n = total if n is None else int(n)
@@ -202,6 +204,8 @@ class CapacitatedPartition:
     """
 
     def __init__(self, parts, capacities, n=None):
+        if n is not None:
+            _check_int(n, "n")
         caps_in = _int_array(capacities, "capacities")
         if caps_in.size != len(parts):
             raise UsageError("need one capacity per part")

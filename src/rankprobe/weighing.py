@@ -9,44 +9,49 @@ Three capabilities back the partition learners:
 
 Detecting designs
 -----------------
-A design is *B-ary detecting* if x -> (row sums of x) is injective on
-{0..B}^n; binary detecting is the B = 1 case.  Large designs are built as
-Kronecker towers over three small frozen bases, using the composition rule
+A design is *detecting* if x -> (row sums of x) is injective on {0,1}^n.
+Large designs are built from a weight-carrying recursive family in the line
+of Lindström (1964) and Cantor & Mills (1966):
 
-    outer B-ary detecting with max row weight w  (+)  inner (B*w)-ary
-    detecting   =>   Kronecker product is B-ary detecting,
+    D'_1 = [[1, 0], [1, 1]],
+    D'_{j+1} = [[D'_j, D'_j,       I'],
+                [D'_j, J - D'_j,   0 ],
+                [1  ...              1]],
 
-proved by peeling: each outer row group measures the inner design applied to
-a nonnegative combination of at most w columns-slices (entries <= B*w), which
-the inner design decodes; the outer design then decodes each column slice.
+with columns (x1, x2, z).  I' is the identity on every row of D'_j except its
+all-ones row (so z has one entry fewer than D'_j has rows), and J is all
+ones.  A design block D_k is D'_k without its top all-ones row: 98, 242, 578,
+1346 and 3074 columns in 46, 94, 190, 382 and 766 rows for k = 5..9.
 
-The frozen bases (re-verified by the test suite):
+Decode needs no input beyond the block's measurements.  The all-ones rows of
+the two copies of D'_j one level down give |x1| and |x2|; on every other row
+the top and middle measurements add up to 2*(D'_j x1) + z, so parity gives
+z, and with s = top - z and t = middle - |x2| the halves measure
+y1 = (s + t)/2 and y2 = (s - t)/2, which recurse with |x1| and |x2| as their
+all-ones rows.  Each pass splits every block of a batch at once.  A pass
+below the top also requires the all-ones row to equal |x1| + |x2| + |z|, and
+the leaves of D'_1 must be 0/1; with those checks every decoded vector
+reproduces the measurements exactly (each pass reproduces its rows from exact
+halves), or the decode raises DecodeFailure.
 
-* ``_B16``  10x16 binary detecting, row weight <= 5  (exhaustive check);
-* ``_A2``   8x10  5-ary detecting, row weight <= 5   (meet-in-the-middle
-  check over {-5..5}^10);
-* ``_A3``   8x9   25-ary detecting: its integer kernel is spanned by a
-  single vector with an entry of magnitude 38 > 25, so no two vectors in
-  {0..25}^9 can share measurements.
+``_B16`` is a 10x16 binary detecting base (checked exhaustively by the test
+suite), decoded through a sorted table of all 2^16 codes.
 
-Tiers: T1 = B16 (16 cols, 10 rows), T2 = B16 (x) A2 (160 cols, 80 rows),
-T3 = B16 (x) (A2 (x) A3) (1440 cols, 640 rows).  One product decoder serves
-every tier and follows the peeling proof on a batch of b measurement vectors:
-the inner level decodes all b*r_out row groups at once, then the outer level
-decodes all b*c_in column slices at once.  T3's inner level is itself a
-product, so the same two steps recurse.  Each base decodes a whole batch in
-one vectorised pass.
-
-A design for N columns packs the largest tiers first and finishes with
-identity columns, so the row count stays well under N once N reaches a few
-hundred (about 0.46*N at N = 4096).  A tier's blocks sit side by side, so
-decoding a design hands all of them to the tier as one batch.
+``build_detecting_matrix(N)`` packs family blocks D_5..D_9, B16 blocks and
+identity columns with the fewest rows, found by one dynamic program over N
+shared by every design (ties go to B16 and identity columns).  Levels start
+at 98 columns: smaller family blocks save a few rows over B16 but decode
+several times slower per design, so every design of up to 97 columns is B16
+blocks plus an identity tail.  A design is a list of (block, count) pairs;
+each block's row-index list is built once, on first use, and a design's rows
+are generated as they are asked for.  Decoding hands all blocks of one kind
+to it as one batch.  The row count is about 0.31*N at N = 1440 and 0.28*N at
+N = 4096.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -95,95 +100,6 @@ _B16 = np.array(
     dtype=np.int64,
 )
 
-_A2 = np.array(
-    [
-        [0, 1, 1, 0, 1, 0, 0, 0, 0, 1],
-        [1, 0, 1, 0, 1, 1, 0, 1, 0, 0],
-        [0, 0, 1, 1, 1, 0, 1, 0, 1, 0],
-        [0, 0, 0, 1, 0, 1, 0, 1, 0, 1],
-        [1, 1, 0, 1, 1, 1, 0, 0, 0, 0],
-        [1, 0, 0, 0, 1, 1, 0, 0, 1, 1],
-        [0, 1, 0, 0, 0, 0, 0, 1, 1, 1],
-        [1, 1, 1, 1, 0, 1, 0, 0, 0, 0],
-    ],
-    dtype=np.int64,
-)
-
-_A3 = np.array(
-    [
-        [0, 1, 1, 1, 1, 1, 1, 0, 0],
-        [1, 0, 1, 1, 0, 1, 0, 0, 0],
-        [0, 0, 0, 1, 0, 1, 1, 0, 1],
-        [1, 0, 1, 0, 1, 1, 1, 1, 0],
-        [1, 0, 0, 1, 1, 0, 0, 1, 1],
-        [1, 1, 1, 0, 0, 1, 0, 0, 1],
-        [0, 1, 0, 1, 0, 1, 0, 1, 0],
-        [1, 1, 1, 1, 0, 0, 1, 1, 0],
-    ],
-    dtype=np.int64,
-)
-
-# Alphabet each lattice base must decode: A2 sees sums of <=5 binary column
-# slices (B16 row weight), A3 sees sums of <=5 A2-alphabet slices.
-_A2_BOX = 5
-_A3_BOX = 25
-
-
-class _LatticeBase:
-    """Decoder for a frozen m x u 0/1 base with u - m in {1, 2}.
-
-    Fixing the free coordinates (chosen so the remaining square submatrix is
-    invertible) determines the rest linearly; decoding enumerates the at most
-    (box+1)^(u-m) choices and keeps the unique exact integer solution in the
-    box.  The solving tables are built on the first decode.
-    """
-
-    def __init__(self, matrix, box):
-        self.matrix = matrix
-        self.box = int(box)
-        self.n_cols = matrix.shape[1]
-        self.rows = [np.flatnonzero(r) for r in matrix]
-
-    @functools.cached_property
-    def _tables(self):
-        m, u = self.matrix.shape
-        for free in itertools.combinations(range(u), u - m):
-            pinned = [j for j in range(u) if j not in free]
-            square = self.matrix[:, pinned].astype(np.float64)
-            if abs(np.linalg.det(square)) > 0.5:
-                break
-        else:
-            raise RuntimeError("no invertible pinned submatrix; bad base")
-        free = list(free)
-        inv_t = np.linalg.inv(square).T
-        vals = np.arange(self.box + 1, dtype=np.int64)
-        choices = np.stack([g.ravel() for g in np.meshgrid(*[vals] * len(free), indexing="ij")], 1)
-        # pinned values of choice c for measurements y: y @ inv_t - offset[c]
-        offset = (choices @ self.matrix[:, free].T) @ inv_t
-        return free, pinned, inv_t, choices, offset
-
-    def decode(self, meas):
-        """Per row of a (b, m) batch, the unique y in {0..box}^u with matrix @ y == row.
-
-        Each row keeps the first candidate that passes the exact integer check;
-        a row without one raises DecodeFailure.
-        """
-        free, pinned, inv_t, choices, offset = self._tables
-        vals = (meas @ inv_t)[:, None, :] - offset[None, :, :]
-        cand = np.rint(vals).astype(np.int64)
-        ok = (np.abs(vals - cand) < 1e-6) & (cand >= 0) & (cand <= self.box)
-        rows, picks = np.nonzero(ok.all(axis=2))
-        y = np.empty((rows.size, self.n_cols), dtype=np.int64)
-        y[:, free] = choices[picks]
-        y[:, pinned] = cand[rows, picks]
-        exact = (y @ self.matrix.T == meas[rows]).all(axis=1)
-        rows, y = rows[exact], y[exact]
-        first = np.flatnonzero(np.diff(rows, prepend=-1))
-        if first.size != meas.shape[0]:
-            raise DecodeFailure("no vector in the box matches the measurements")
-        return y[first]
-
-
 _BITS = np.arange(16, dtype=np.int64)
 _POW6 = 6 ** np.arange(10, dtype=np.int64)  # base-6 code of a B16 measurement (entries <= 5)
 
@@ -215,59 +131,130 @@ class _BinaryBase:
         return (patterns[idx][:, None] >> _BITS[None, :]) & 1
 
 
-class _Product:
-    """The Kronecker product outer (x) inner: rows outer-row-major, column g*c_in + i.
+class _Level:
+    """Family block D_k: the rows of D'_k except its top all-ones row.
 
-    Row (rho, a) measures inner row a applied to the sum of the column slices
-    in outer row rho, so decoding peels the inner level off every outer row,
-    then decodes the outer level on every inner column.
+    ``halves`` lists the row count of D'_j for j = k-1 down to 1, the size of
+    the top and of the middle row group that each decoding pass splits.
     """
 
-    def __init__(self, outer, inner):
-        self.outer = outer
-        self.inner = inner
-        self.n_cols = outer.n_cols * inner.n_cols
-        self.rows = [
-            np.sort((groups[:, None] * inner.n_cols + irow[None, :]).ravel())
-            for groups in outer.rows
-            for irow in inner.rows
-        ]
+    def __init__(self, n_cols, rows, halves):
+        self.n_cols = n_cols
+        self.rows = rows
+        self.halves = halves
 
     def decode(self, meas):
-        """Decode a (b, r_out*r_in) batch: the inner level on all b*r_out slices at once,
-        then the outer level on all b*c_in columns at once."""
-        b = meas.shape[0]
-        r_out, r_in = len(self.outer.rows), len(self.inner.rows)
-        c_out, c_in = self.outer.n_cols, self.inner.n_cols
-        slices = self.inner.decode(meas.reshape(b * r_out, r_in))
-        cols = slices.reshape(b, r_out, c_in).transpose(0, 2, 1).reshape(b * c_in, r_out)
-        x = self.outer.decode(cols)
-        return x.reshape(b, c_in, c_out).transpose(0, 2, 1).reshape(b, self.n_cols)
+        """Decode a (b, rows) batch of block measurements to a (b, n_cols) batch."""
+        y = meas
+        zs = []
+        for m in self.halves:
+            top, mid = y[:, :m], y[:, m : 2 * m]
+            w1 = mid[:, -1]
+            w2 = top[:, -1] - w1
+            u = top[:, :-1] + mid[:, :-1]
+            u -= w2[:, None]  # 2 * y1 + z
+            z = u & 1
+            if y.shape[1] > 2 * m and np.any(y[:, -1] - top[:, -1] != z.sum(axis=1)):
+                raise DecodeFailure("an all-ones row disagrees with its halves' weights")
+            halves = np.empty((y.shape[0], 2, m), dtype=np.int64)
+            y1 = np.right_shift(u, 1, out=halves[:, 0, :-1])
+            np.subtract(y1, mid[:, :-1], out=halves[:, 1, :-1])
+            halves[:, 1, :-1] += w2[:, None]  # y2 = y1 - (mid - |x2|)
+            halves[:, 0, -1] = w1
+            halves[:, 1, -1] = w2
+            y = halves.reshape(-1, m)
+            zs.append(z)
+        x = np.column_stack((y[:, 0], y[:, 1] - y[:, 0]))  # D'_1 = [[1, 0], [1, 1]]
+        if np.any((x < 0) | (x > 1)):
+            raise DecodeFailure("no binary vector matches the measurements")
+        for z in reversed(zs):
+            x = np.concatenate((x.reshape(z.shape[0], -1), z), axis=1)
+        return x
 
 
 @functools.cache
-def _build_tiers():
-    """T3 = B16 (x) (A2 (x) A3), T2 = B16 (x) A2, T1 = B16, largest first."""
-    b16 = _BinaryBase()
-    a2 = _LatticeBase(_A2, _A2_BOX)
-    return [_Product(b16, _Product(a2, _LatticeBase(_A3, _A3_BOX))), _Product(b16, a2), b16]
+def _level(k):
+    """D_k, built on first use; only its row-index lists are kept."""
+    d = np.array([[1, 0], [1, 1]], dtype=bool)  # D'_1
+    halves = []
+    for _ in range(k - 1):
+        m, n = d.shape
+        eye = np.eye(m, m - 1, dtype=bool)  # I': no entry on the all-ones row
+        ones = np.ones((1, 2 * n + m - 1), dtype=bool)
+        d = np.block([[d, d, eye], [d, ~d, np.zeros_like(eye)], [ones]])
+        halves.insert(0, m)
+    return _Level(d.shape[1], [np.flatnonzero(r) for r in d[:-1]], halves)
 
 
-@dataclass
+def _block_kinds():
+    """Each block kind a design may use, by column count: (row count, factory)."""
+    kinds = {16: (10, functools.cache(_BinaryBase))}
+    cols, rows = 2, 1  # D_1
+    for k in range(2, 10):
+        cols, rows = 2 * cols + rows, 2 * rows + 2
+        if k >= 5:
+            kinds[cols] = (rows, functools.partial(_level, k))
+    return kinds
+
+
+_KINDS = _block_kinds()
+
+# The shared dynamic program: _fewest[N] rows for N columns, ending in a block
+# of _last[N] columns (1: an identity column).  Grown on demand.
+_fewest = [0]
+_last = [1]
+
+
+def _plan(N):
+    """Block counts by column count of a fewest-rows design for N columns."""
+    for n in range(len(_fewest), N + 1):
+        best, last = _fewest[n - 1] + 1, 1
+        for cols, (rows, _) in _KINDS.items():
+            if cols <= n and _fewest[n - cols] + rows < best:
+                best, last = _fewest[n - cols] + rows, cols
+        _fewest.append(best)
+        _last.append(last)
+    counts = {}
+    while N:
+        counts[_last[N]] = counts.get(_last[N], 0) + 1
+        N -= _last[N]
+    return counts
+
+
+@dataclass(frozen=True)
 class DetectingMatrix:
-    """A binary query design whose measurement map is injective on {0,1}^n_cols."""
+    """A binary query design whose measurement map is injective on {0,1}^n_cols.
+
+    Its columns are ``_blocks`` (block, count) side by side, the largest
+    block first, then one identity row per remaining column.
+    """
 
     n_cols: int
-    rows: list = field(repr=False)
-    _blocks: list = field(default=(), repr=False)  # (tier, block count), largest tier first
+    _blocks: tuple = field(repr=False)
 
     @property
     def n_rows(self):
-        return len(self.rows)
+        return self.n_cols - sum(count * (b.n_cols - len(b.rows)) for b, count in self._blocks)
+
+    def iter_rows(self, lo=0):
+        """Each row's column ids plus ``lo``, built as it is asked for."""
+        base = lo
+        for block, count in self._blocks:
+            for _ in range(count):
+                for row in block.rows:
+                    yield base + row
+                base += block.n_cols
+        for j in range(base, lo + self.n_cols):
+            yield np.array([j], dtype=np.int64)
+
+    @property
+    def rows(self):
+        """Every row's column ids, as a new list."""
+        return list(self.iter_rows())
 
     def as_dense(self):
-        m = np.zeros((len(self.rows), self.n_cols), dtype=np.int64)
-        for i, r in enumerate(self.rows):
+        m = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
+        for i, r in enumerate(self.iter_rows()):
             m[i, r] = 1
         return m
 
@@ -276,23 +263,24 @@ class DetectingMatrix:
         x = np.asarray(x, dtype=np.int64)
         if x.shape != (self.n_cols,):
             raise UsageError(f"expected a vector of length {self.n_cols}")
-        return np.array([int(x[r].sum()) for r in self.rows], dtype=np.int64)
+        return np.array([int(x[r].sum()) for r in self.iter_rows()], dtype=np.int64)
 
     def decode(self, measurements):
         """Invert the measurement map; raises DecodeFailure on inconsistent input.
 
-        A tier's blocks are contiguous in rows and columns, so each tier
-        decodes all of its blocks as one batch; the identity tail follows.
+        Measurements must be integers (UsageError otherwise).  A block kind's
+        blocks are contiguous in rows and columns, so each kind decodes all of
+        its blocks as one batch; the identity tail follows.
         """
-        meas = np.asarray(measurements, dtype=np.int64)
-        if meas.shape != (len(self.rows),):
-            raise DecodeFailure(f"expected {len(self.rows)} measurements, got {meas.shape}")
+        meas = _int_array(measurements, "measurements")
+        if meas.shape != (self.n_rows,):
+            raise DecodeFailure(f"expected {self.n_rows} measurements, got {meas.shape}")
         out = np.empty(self.n_cols, dtype=np.int64)
         pos = col = 0
-        for tier, count in self._blocks:
-            n_rows, width = count * len(tier.rows), count * tier.n_cols
+        for block, count in self._blocks:
+            n_rows, width = count * len(block.rows), count * block.n_cols
             batch = meas[pos : pos + n_rows].reshape(count, -1)
-            out[col : col + width] = tier.decode(batch).ravel()
+            out[col : col + width] = block.decode(batch).ravel()
             pos += n_rows
             col += width
         tail = meas[pos:]
@@ -302,36 +290,24 @@ class DetectingMatrix:
         return out
 
 
-_matrix_cache = {}
+@functools.cache
+def _design(N):
+    counts = _plan(N)
+    blocks = [(_KINDS[c][1](), counts[c]) for c in sorted(counts, reverse=True) if c > 1]
+    return DetectingMatrix(N, tuple(blocks))
 
 
 def build_detecting_matrix(N):
-    """Deterministic detecting design for N columns.
+    """Deterministic detecting design for N columns with the fewest rows the packing allows.
 
-    Packs the largest Kronecker tiers first (1440, 160, then 16 columns) and
-    finishes with identity rows for the remainder or for any N below
-    MATRIX_MIN_SIZE.  Row count is at most N, and o(N) once tiers dominate.
+    Packs family blocks (98 to 3074 columns), B16 blocks and identity columns
+    (see the module docstring); every N below 98 gets B16 blocks and an
+    identity tail.  Row count is at most N.
     """
     _check_int(N, "N")
     if N < 1:
         raise UsageError("need at least one column")
-    cached = _matrix_cache.get(N)
-    if cached is not None:
-        return cached
-    rows = []
-    blocks = []
-    offset = 0
-    for tier in _build_tiers():
-        count = (N - offset) // tier.n_cols
-        if count:
-            blocks.append((tier, count))
-        for _ in range(count):
-            rows.extend(offset + r for r in tier.rows)
-            offset += tier.n_cols
-    rows.extend(np.array([j], dtype=np.int64) for j in range(offset, N))
-    matrix = DetectingMatrix(N, rows, blocks)
-    _matrix_cache[N] = matrix
-    return matrix
+    return _design(int(N))
 
 
 @dataclass
@@ -353,7 +329,8 @@ def recover_sparse(N, sum_oracle, *, split_threshold=SPLIT_THRESHOLD, known_tota
 
     ``known_total`` skips the root query when the caller already knows the
     number of ones; the public contract with d unknown always spends the root
-    query, so x = 0 costs exactly one query.
+    query, so x = 0 costs exactly one query.  It must be an integer in
+    [0, N] (UsageError before any query otherwise).
     """
     state = {"queries": 0, "matrix_used": False}
 
@@ -377,7 +354,7 @@ def recover_sparse(N, sum_oracle, *, split_threshold=SPLIT_THRESHOLD, known_tota
         if size >= MATRIX_MIN_SIZE and size <= split_threshold * ones:
             state["matrix_used"] = True
             matrix = build_detecting_matrix(size)
-            meas = [ask(lo + row) for row in matrix.rows]
+            meas = [ask(row) for row in matrix.iter_rows(lo)]
             bits = matrix.decode(meas)
             if int(bits.sum()) != ones:
                 raise DecodeFailure("decoded weight disagrees with the known sub-universe sum")
@@ -391,12 +368,15 @@ def recover_sparse(N, sum_oracle, *, split_threshold=SPLIT_THRESHOLD, known_tota
     _check_int(N, "N")
     if N < 0:
         raise UsageError("N must be nonnegative")
-    if N == 0:
-        total = 0 if known_total is None else int(known_total)
-    elif known_total is None:
-        total = ask(np.arange(N, dtype=np.int64))
-    else:
+    if known_total is not None:
+        _check_int(known_total, "known_total")
+        if not 0 <= known_total <= N:
+            raise UsageError(f"known_total must lie in [0, {N}], got {known_total}")
         total = int(known_total)
+    elif N == 0:
+        total = 0
+    else:
+        total = ask(np.arange(N, dtype=np.int64))
     solve(0, N, total)
     strategy = "hybrid" if state["matrix_used"] else "binary-split"
     return SparseRecovery(np.asarray(support, dtype=np.int64), state["queries"], strategy)

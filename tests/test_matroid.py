@@ -233,12 +233,12 @@ class TestPinnedLedgers:
         o = RankOracle(structure)
         run = learn_partition_matroid_run(2**11, o)
         assert run.matroid.matches(structure)
-        assert (o.ledger.rank_count, o.ledger.independence_count) == (18005, 0)
+        assert (o.ledger.rank_count, o.ledger.independence_count) == (17281, 0)
         assert self.stage_counts(run) == [
             ("basis", 2048),
             ("representatives", 3579),
-            ("inside-basis", 6275),
-            ("outside-basis", 6103),
+            ("inside-basis", 5829),
+            ("outside-basis", 5825),
             ("stitch", 0),
         ]
 

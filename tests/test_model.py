@@ -388,6 +388,20 @@ class TestStructures:
         with pytest.raises(UsageError, match="nonempty"):
             HiddenPartition([[0], []])
 
+    @pytest.mark.parametrize("n", [4.5, 4.0, True, np.float64(4), "4"])
+    @pytest.mark.parametrize("capacitated", [False, True], ids=["simple", "capacitated"])
+    def test_non_integer_n_rejected(self, n, capacitated):
+        # n=4.5 used to build a 4-element instance; n=True complained "expected n=1"
+        with pytest.raises(UsageError, match="n must be an integer"):
+            if capacitated:
+                CapacitatedPartition([[0, 1], [2, 3]], [1, 1], n=n)
+            else:
+                HiddenPartition([[0, 1], [2, 3]], n=n)
+
+    def test_integer_n_accepted(self):
+        assert HiddenPartition([[0, 1], [2, 3]], n=np.int64(4)).n == 4
+        assert CapacitatedPartition([[0, 1], [2, 3]], [1, 1], n=4).n == 4
+
     def test_integer_arrays_accepted(self):
         assert HiddenPartition(np.array([[0, 3], [2, 1]])).as_tuples() == ((0, 3), (1, 2))
         parts = [np.array([4, 3], dtype=np.int32), np.arange(3, dtype=np.uint8)]

@@ -1,5 +1,5 @@
 import math
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -15,59 +15,82 @@ from rankprobe import (
     recover_sparse,
 )
 from rankprobe.regression import load_regression_config
-from rankprobe.weighing import _A2, _A3, _B16
+from rankprobe.weighing import _B16, _level
 
 
-# 2*1440 + 2*160 + 3*16 + 5 columns: two or three blocks of every tier
-MULTI_BLOCK_N = 3253
+# 2*1346 + 2*98 + 2*16 + 5 columns: two blocks of each of three tiers (block
+# kinds), then an identity tail
+MULTI_BLOCK_N = 2925
 
 
 def row_budget(n):
     return max(n, math.ceil(4 * n / math.log2(n))) if n >= 2 else n
 
 
+def all_binary(n):
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int64)
+
+
+def block_measure(block, x):
+    """Row sums of a (b, n_cols) batch under a block's row-index lists."""
+    return np.stack([x[:, r].sum(axis=1) for r in block.rows], axis=1)
+
+
 class TestFrozenBases:
     def test_b16_binary_detecting_exhaustive(self):
-        x = ((np.arange(1 << 16)[:, None] >> np.arange(16)[None, :]) & 1).astype(np.int64)
+        x = all_binary(16)
         meas = x @ _B16.T
         assert len(np.unique(meas, axis=0)) == 1 << 16
         assert int(_B16.sum(axis=1).max()) <= 5
 
-    def test_a2_5ary_detecting_mitm(self):
-        # exact check: the only vector in {-5..5}^10 with zero measurement is 0
-        t = 5
-        m, u = _A2.shape
-        h = u // 2
-        vals = np.arange(-t, t + 1, dtype=np.int64)
-        left = np.array(list(product(vals, repeat=h)), dtype=np.int64)
-        right = np.array(list(product(vals, repeat=u - h)), dtype=np.int64)
-        ls = left @ _A2[:, :h].T
-        rs = right @ _A2[:, h:].T
-        base = np.int64(2 * t * 5 + 3)  # per-row sums bounded by t * row weight
-        shift = t * 5 + 1
-        pw = base ** np.arange(m, dtype=np.int64)
-        lcode = (ls + shift) @ pw
-        rcode = (-rs + shift) @ pw
-        lsort = np.sort(lcode)
-        lo = np.searchsorted(lsort, rcode, side="left")
-        hi = np.searchsorted(lsort, rcode, side="right")
-        assert int((hi - lo).sum()) == 1  # the trivial pairing only
-        assert int(_A2.sum(axis=1).max()) <= 5
 
-    def test_a3_25ary_detecting_via_kernel(self):
-        # rank 8 with a single integer kernel generator of gcd 1 whose largest
-        # entry exceeds the alphabet bound 25, so no two vectors in {0..25}^9
-        # share measurements
-        g = []
-        for j in range(9):
-            sub = np.delete(_A3, j, axis=1).astype(np.float64)
-            d = int(round(np.linalg.det(sub)))
-            g.append(d if j % 2 == 0 else -d)
-        g = np.array(g, dtype=np.int64)
-        assert np.all(_A3 @ g == 0)
-        assert np.linalg.matrix_rank(_A3.astype(np.float64)) == 8
-        assert math.gcd(*[abs(int(v)) for v in g if v]) == 1
-        assert int(np.abs(g).max()) > 25
+class TestFamily:
+    def test_sizes(self):
+        # D'_1 has 2 rows for 2 columns; a block D_k drops the top all-ones row
+        sizes = [(_level(k).n_cols, len(_level(k).rows)) for k in range(1, 10)]
+        assert sizes == [
+            (2, 1), (5, 4), (14, 10), (38, 22), (98, 46), (242, 94), (578, 190), (1346, 382), (3074, 766)
+        ]
+
+    def test_d1_with_its_all_ones_row_exhaustive(self):
+        # D_1 = [[1, 0]] alone is not detecting; with its all-ones row it is
+        x = all_binary(2)
+        meas = np.column_stack((block_measure(_level(1), x), x.sum(axis=1)))
+        assert len(np.unique(meas, axis=0)) == 4
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_block_injective_exhaustive(self, k):
+        block = _level(k)
+        x = all_binary(block.n_cols)
+        meas = block_measure(block, x)
+        assert len(np.unique(meas, axis=0)) == 1 << block.n_cols
+        assert np.array_equal(block.decode(meas), x)
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_level_round_trips(self, k):
+        block = _level(k)
+        rng = np.random.default_rng(k)
+        x = (rng.random((40, block.n_cols)) < rng.random((40, 1))).astype(np.int64)
+        x[0], x[1] = 0, 1
+        assert np.array_equal(block.decode(block_measure(block, x)), x)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_level_decodes_exactly_or_fails(self, k):
+        # one corrupt row: a value no 0/1 vector gives must fail, and a +-1
+        # error decodes only to a vector that has exactly those measurements
+        block = _level(k)
+        rng = np.random.default_rng(k)
+        meas = block_measure(block, (rng.random((1, block.n_cols)) < 0.5).astype(np.int64))
+        for r in range(len(block.rows)):
+            for bad in (-1, len(block.rows[r]) + 1, meas[0, r] - 1, meas[0, r] + 1):
+                corrupt = meas.copy()
+                corrupt[0, r] = bad
+                try:
+                    x = block.decode(corrupt)
+                except DecodeFailure:
+                    continue
+                assert set(np.unique(x).tolist()) <= {0, 1}
+                assert np.array_equal(block_measure(block, x), corrupt)
 
 
 class TestBuild:
@@ -96,7 +119,20 @@ class TestBuild:
         assert covered.all()
 
     def test_sublinear_at_scale(self):
-        assert build_detecting_matrix(4096).n_rows < 0.5 * 4096
+        assert build_detecting_matrix(1440).n_rows <= 446
+        assert build_detecting_matrix(4096).n_rows <= 1148
+
+    def test_below_98_columns_b16_and_identity_only(self):
+        for n in range(1, 98):
+            m = build_detecting_matrix(n)
+            assert [(b.n_cols, c) for b, c in m._blocks] == ([(16, n // 16)] if n >= 16 else [])
+            assert m.n_rows == n - 6 * (n // 16)
+
+    def test_rows_built_as_asked(self):
+        m = build_detecting_matrix(200)
+        shifted = list(m.iter_rows(lo=1000))
+        assert [r.tolist() for r in shifted] == [(1000 + r).tolist() for r in m.rows]
+        assert all(r.dtype == np.int64 for r in shifted)
 
     def test_deterministic(self):
         a = build_detecting_matrix(100)
@@ -114,7 +150,7 @@ class TestDecode:
         sizes = np.array([len(r) for r in m.rows])
         assert m.decode(sizes).tolist() == [1] * 40
 
-    @pytest.mark.parametrize("n", [16, 31, 160, 200, 1440, 1600])
+    @pytest.mark.parametrize("n", [16, 31, 98, 160, 200, 1440, 1600])
     def test_round_trips(self, n):
         m = build_detecting_matrix(n)
         dense = m.as_dense()
@@ -134,11 +170,21 @@ class TestDecode:
         with pytest.raises(DecodeFailure):
             m.decode(np.zeros(3, dtype=np.int64))
 
+    @pytest.mark.parametrize("n", [64, 1440])
+    def test_non_integer_measurements_rejected(self, n):
+        # D @ x + 0.4 used to truncate to the right answer
+        m = build_detecting_matrix(n)
+        x = (np.random.default_rng(n).random(n) < 0.5).astype(np.int64)
+        meas = m.as_dense() @ x
+        for bad in (meas + 0.4, meas.astype(np.float64), meas.astype(bool)):
+            with pytest.raises(UsageError, match="integers"):
+                m.decode(bad)
+
     def test_multi_block_tiers_round_trip(self):
         # every tier decodes a batch of several blocks, then the identity tail
         m = build_detecting_matrix(MULTI_BLOCK_N)
         blocks = [(tier.n_cols, count) for tier, count in m._blocks]
-        assert blocks == [(1440, 2), (160, 2), (16, 3)]
+        assert blocks == [(1346, 2), (98, 2), (16, 2)]
         rng = np.random.default_rng(MULTI_BLOCK_N)
         for density in (0.0, 0.05, 0.3, 0.5, 0.8, 1.0):
             x = (rng.random(MULTI_BLOCK_N) < density).astype(np.int64)
@@ -368,3 +414,19 @@ class TestIntegerSizes:
     def test_numpy_integer_n_accepted(self):
         assert recover_sparse(np.int64(8), counting_oracle([3])).support.tolist() == [3]
         assert build_detecting_matrix(np.int64(16)).n_cols == 16
+
+    @pytest.mark.parametrize(
+        "N,total", [(8, True), (8, 2.7), (8, 2.0), (8, np.float64(2)), (8, "2"), (8, -1), (8, 9), (0, 1)]
+    )
+    def test_recover_sparse_known_total_rule(self, N, total):
+        # support {3, 5} in N=8: True returned [3], 2.7 was truncated, -1 and 9
+        # raised DecodeFailure, which blames the oracle for a caller error
+        asked = []
+        with pytest.raises(UsageError, match="known_total"):
+            recover_sparse(N, lambda idx: asked.append(idx) or 0, known_total=total)
+        assert asked == []
+
+    def test_recover_sparse_integer_known_total_accepted(self):
+        for total in (2, np.int64(2), np.uint8(2)):
+            rec = recover_sparse(8, counting_oracle([3, 5]), known_total=total)
+            assert rec.support.tolist() == [3, 5]

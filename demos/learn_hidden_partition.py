@@ -25,10 +25,11 @@ print(f"universe n = {n}, hidden parts k = {k}")
 print(f"recovered exactly: {exact}")
 print(f"rank queries: {oracle.ledger.rank_count}  ({oracle.ledger.rank_count / n:.2f} per element)")
 print(f"survivors after the size-class phase: {run.survivors_after_phase1}")
-for record in run.phase_records:
+for record in run.phases:
+    merges = [s for s in run.merge_stats if s.phase == record.label]
     print(
-        f"  phase {record.phase}: {record.merges} merges "
-        f"({record.thick_merges} thick), {record.rank_queries} rank queries"
+        f"  phase {record.label}: {len(merges)} merges "
+        f"({sum(s.thick for s in merges)} thick), {record.rank_queries} rank queries"
     )
 
 # the representative forest is the learned object: every removed element

@@ -31,7 +31,7 @@ oracle = RankOracle(hidden)
 run = learn_partition_matroid_run(n, oracle)
 print(f"rank-query learner correct: {run.matroid.matches(hidden)}")
 for stage in run.stages:
-    print(f"  stage {stage.stage}: {stage.rank_queries} rank queries")
+    print(f"  stage {stage.label}: {stage.rank_queries} rank queries")
 print(f"total rank queries: {oracle.ledger.rank_count}")
 
 base_oracle = RankOracle(CapacitatedPartition(parts, caps))

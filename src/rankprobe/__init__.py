@@ -27,14 +27,11 @@ from .model import (
 )
 from .weighing import (
     DetectingMatrix,
-    MatchingResult,
-    SparseRecovery,
     build_detecting_matrix,
     recover_matching,
     recover_sparse,
 )
 from .partition import (
-    MergeOutcome,
     RepForest,
     components,
     find_partition,
@@ -44,7 +41,6 @@ from .partition import (
 from .matroid import (
     Basis,
     LearnedMatroid,
-    RepresentativePair,
     baseline_independence_learner,
     baseline_independence_learner_run,
     find_basis,
@@ -60,7 +56,7 @@ from .bench import (
     run_learner,
     sweep,
 )
-from .regression import RegressionConfig, load_regression_config
+from .regression import load_regression_config
 
 __version__ = "0.1.0"
 
@@ -81,18 +77,14 @@ __all__ = [
     "write_instance",
     "DetectingMatrix",
     "build_detecting_matrix",
-    "SparseRecovery",
     "recover_sparse",
-    "MatchingResult",
     "recover_matching",
     "merge",
-    "MergeOutcome",
     "RepForest",
     "components",
     "find_partition",
     "find_partition_run",
     "Basis",
-    "RepresentativePair",
     "LearnedMatroid",
     "find_basis",
     "find_representatives",
@@ -106,6 +98,5 @@ __all__ = [
     "run_learner",
     "RunReport",
     "sweep",
-    "RegressionConfig",
     "load_regression_config",
 ]

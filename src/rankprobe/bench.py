@@ -27,7 +27,6 @@ from .model import (
     instance_from_bytes,
 )
 from .partition import find_partition_run
-from .regression import RegressionConfig, load_regression_config
 
 __all__ = [
     "FAMILIES",
@@ -40,8 +39,6 @@ __all__ = [
     "run_instance",
     "sweep",
     "sweep_rows_to_csv",
-    "RegressionConfig",
-    "load_regression_config",
 ]
 
 FAMILIES = (
@@ -245,12 +242,12 @@ def _run_partition(structure, audit):
     correct = _canonical_parts_list(run.parts) == _canonical_parts_list(structure.parts)
     phases = [
         {
-            "phase": r.phase,
-            "merges": r.merges,
-            "thick_merges": r.thick_merges,
-            "rank_queries": r.rank_queries,
+            "phase": p.label,
+            "merges": sum(s.phase == p.label for s in run.merge_stats),
+            "thick_merges": sum(s.thick for s in run.merge_stats if s.phase == p.label),
+            "rank_queries": p.rank_queries,
         }
-        for r in run.phase_records
+        for p in run.phases
     ]
     return oracle, wall, run.parts, None, correct, phases
 
@@ -266,7 +263,7 @@ def _run_matroid(target, learner, audit):
     wall = time.perf_counter() - t0
     phases = [
         {
-            "stage": s.stage,
+            "stage": s.label,
             "rank_queries": s.rank_queries,
             "independence_queries": s.independence_queries,
         }
@@ -383,7 +380,7 @@ def _sweep_row(spec, learner):
     return row
 
 
-def sweep(family, n_values, reps, learner, base_seed=0, k=None, capacity_rule="uniform-random"):
+def sweep(family, n_values, reps, learner, base_seed=0, k=None):
     """Run the sweep grid; returns (rows, summary_rows).
 
     Runs execute serially and rows come out in (n, seed) order.  The work is
@@ -395,15 +392,7 @@ def sweep(family, n_values, reps, learner, base_seed=0, k=None, capacity_rule="u
     specs = []
     for n in sorted(n_values):
         for rep in range(reps):
-            specs.append(
-                InstanceSpec(
-                    family=family,
-                    n=int(n),
-                    k=k,
-                    seed=base_seed + rep,
-                    capacity_rule=capacity_rule,
-                )
-            )
+            specs.append(InstanceSpec(family=family, n=int(n), k=k, seed=base_seed + rep))
     rows = [_sweep_row(s, learner) for s in specs]
     summaries = []
     for n in sorted({r["n"] for r in rows}):

@@ -14,7 +14,6 @@ binary search.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "Basis",
     "RepresentativePair",
     "LearnedMatroid",
-    "StageRecord",
     "MatroidRun",
     "find_basis",
     "find_representatives",
@@ -96,35 +94,19 @@ class LearnedMatroid:
 
 
 @dataclass
-class StageRecord:
-    stage: str
-    rank_queries: int
-    independence_queries: int
-
-
-@dataclass
 class MatroidRun:
+    """One matroid learner run.
+
+    ``stages`` are the ledger phase records the run opened, in order; a run
+    started inside an open phase opens no outermost phase, so it lists none.
+    """
+
     matroid: LearnedMatroid
     stages: list
     basis: Basis = None
     reps: RepresentativePair = None
     inside_run: object = field(default=None, repr=False)
     outside_run: object = field(default=None, repr=False)
-
-
-@contextmanager
-def _stage(ledger, stages, label):
-    """Append the queries charged inside the block to ``stages`` as one StageRecord."""
-    rank0, independence0 = ledger.rank_count, ledger.independence_count
-    yield
-    if stages is not None:
-        stages.append(
-            StageRecord(
-                stage=label,
-                rank_queries=ledger.rank_count - rank0,
-                independence_queries=ledger.independence_count - independence0,
-            )
-        )
 
 
 def _rank_test(oracle):
@@ -256,32 +238,33 @@ class _OutsideOracle:
         return self.base.audit_rank(self._probe(pos)) - self._offset
 
 
-def learn_matroid_with_reps(n, oracle, basis, reps, stages=None, audit=False):
+def learn_matroid_with_reps(n, oracle, basis, reps, audit=False):
     """Learn partition and capacities given a basis and representative pair.
 
     Runs the simple-partition learner twice over simulated oracles (inside the
     basis and outside it), reads capacities off the inside parts, and stitches
-    the two partitions through phi.  ``stages`` collects per-stage ledger
-    records when provided.
+    the two partitions through phi.  Each step runs as a ledger phase
+    (``inside-basis``, ``outside-basis``, ``stitch``); the stitch asks nothing,
+    so its record reads zero.
     """
     _check_universe(n, oracle)
     b = basis.members
     outside = side_complement(n, b)
     ledger = oracle.ledger
 
-    with _stage(ledger, stages, "inside-basis"), ledger.phase("inside-basis"):
+    with ledger.phase("inside-basis"):
         inside_run = find_partition_run(
             int(b.size), _InsideOracle(oracle, b, reps.outside), audit=audit
         )
     parts1 = [b[p] for p in inside_run.parts]
 
-    with _stage(ledger, stages, "outside-basis"), ledger.phase("outside-basis"):
+    with ledger.phase("outside-basis"):
         outside_run = find_partition_run(
             int(outside.size), _OutsideOracle(oracle, b, outside, reps.inside), audit=audit
         )
     parts2 = [outside[p] for p in outside_run.parts]
 
-    with _stage(ledger, stages, "stitch"), ledger.phase("stitch"):
+    with ledger.phase("stitch"):
         part1_of = {}
         for i, p in enumerate(parts1):
             for e in p.tolist():
@@ -312,20 +295,18 @@ def learn_matroid_with_reps(n, oracle, basis, reps, stages=None, audit=False):
 
 
 def learn_partition_matroid_run(n, oracle, audit=False):
-    """Full pipeline with per-stage ledger records."""
+    """Full pipeline; its stages are the ledger phases it opens, in order."""
     _check_universe(n, oracle)
     ledger = oracle.ledger
-    stages = []
-    with _stage(ledger, stages, "basis"):
-        basis = find_basis(n, oracle)
+    start = len(ledger.phases)
+    basis = find_basis(n, oracle)
     if audit and oracle.audit_rank(basis.members) != basis.size:
         raise InvariantViolation("greedy scan did not return an independent set")
-    with _stage(ledger, stages, "representatives"):
-        reps = find_representatives(n, oracle, basis)
+    reps = find_representatives(n, oracle, basis)
     matroid, inside_run, outside_run = learn_matroid_with_reps(
-        n, oracle, basis, reps, stages, audit=audit
+        n, oracle, basis, reps, audit=audit
     )
-    return MatroidRun(matroid, stages, basis, reps, inside_run, outside_run)
+    return MatroidRun(matroid, ledger.phases[start:], basis, reps, inside_run, outside_run)
 
 
 def learn_partition_matroid(n, oracle):
@@ -344,12 +325,10 @@ def baseline_independence_learner_run(n, oracle):
     """
     _check_universe(n, oracle)
     ledger = oracle.ledger
-    stages = []
+    start = len(ledger.phases)
     independent = oracle.is_independent
-    with _stage(ledger, stages, "basis"):
-        basis = _find_basis(n, ledger, independent)
-    with _stage(ledger, stages, "representatives"):
-        reps = _find_representatives(n, ledger, independent, basis)
+    basis = _find_basis(n, ledger, independent)
+    reps = _find_representatives(n, ledger, independent, basis)
 
     b = basis.members
     t1 = reps.inside
@@ -358,7 +337,7 @@ def baseline_independence_learner_run(n, oracle):
     rest = np.setdiff1d(b, t1, assume_unique=True)  # B - T1
 
     # B - T1[lo:mid] + e is built as T1[:lo] + T1[mid:] + (B - T1 + e)
-    with _stage(ledger, stages, "outside-basis"), ledger.phase("outside-basis"):
+    with ledger.phase("outside-basis"):
         t2_set = set(reps.outside.tolist())
         for e in side_complement(n, b).tolist():
             if e in t2_set:
@@ -374,7 +353,7 @@ def baseline_independence_learner_run(n, oracle):
             groups[int(t1[lo])]["outside"].append(e)
 
     # B - rest[lo:hi] + t2 is built as (T1 + t2) + rest[:lo] + rest[hi:]
-    with _stage(ledger, stages, "inside-basis"), ledger.phase("inside-basis"):
+    with ledger.phase("inside-basis"):
         for t in t1_list:
             if not rest.size:
                 continue
@@ -395,7 +374,7 @@ def baseline_independence_learner_run(n, oracle):
 
             sweep(0, rest.size)
 
-    with _stage(ledger, stages, "stitch"):
+    with ledger.phase("stitch"):
         parts = []
         capacities = []
         for t in t1_list:
@@ -404,7 +383,7 @@ def baseline_independence_learner_run(n, oracle):
             )
             capacities.append(len(groups[t]["basis"]))
     matroid = LearnedMatroid(parts, capacities)
-    return MatroidRun(matroid, stages, basis, reps)
+    return MatroidRun(matroid, ledger.phases[start:], basis, reps)
 
 
 def baseline_independence_learner(n, oracle):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .errors import UsageError
 __all__ = [
     "HiddenPartition",
     "CapacitatedPartition",
+    "Phase",
     "QueryLedger",
     "RankOracle",
     "as_element_array",
@@ -250,16 +252,34 @@ class CapacitatedPartition:
         return f"CapacitatedPartition(n={self.n}, k={self.k}, r={self.rank_total})"
 
 
+@dataclass
+class Phase:
+    """Queries charged while one ``QueryLedger.phase`` block was open.
+
+    The counts are zero while the block runs and are filled in when it closes.
+    """
+
+    label: str
+    rank_queries: int = 0
+    independence_queries: int = 0
+
+
 class QueryLedger:
     """Exact per-kind query counters.
 
     Every oracle call increments exactly one of ``rank_count``,
     ``independence_count`` or ``audit_count``.  Simulated sum/add queries have
     no counter of their own: they charge ``rank_count`` through the rank calls
-    they issue.  ``per_phase`` maps each phase label to the charged
-    (non-audit) calls made while it was open; a phase adds its calls when it
-    closes, so ``per_phase`` is settled only outside open phases.  Labels that
-    charged nothing are absent.
+    they issue.
+
+    ``phase(label)`` opens a block and yields its :class:`Phase` record, which
+    receives the block's charged (non-audit) calls of each kind when it
+    closes, even if the body raises.  ``phases`` lists the records of the
+    outermost blocks in the order they opened; a nested block's record goes
+    only to the code that opened it.  The learners' stage and phase rows are
+    these records.  ``per_phase`` maps each label to the total charged calls
+    of all its blocks, nested ones included; it is settled only outside open
+    blocks, and labels that charged nothing are absent.
     """
 
     def __init__(self):
@@ -267,14 +287,23 @@ class QueryLedger:
         self.independence_count = 0
         self.audit_count = 0
         self.per_phase = {}
+        self.phases = []
+        self._depth = 0
 
     @contextmanager
     def phase(self, label):
-        start = self.rank_count + self.independence_count
+        record = Phase(label)
+        if not self._depth:
+            self.phases.append(record)
+        rank0, independence0 = self.rank_count, self.independence_count
+        self._depth += 1
         try:
-            yield self
+            yield record
         finally:
-            spent = self.rank_count + self.independence_count - start
+            self._depth -= 1
+            record.rank_queries = self.rank_count - rank0
+            record.independence_queries = self.independence_count - independence0
+            spent = record.rank_queries + record.independence_queries
             if spent:
                 self.per_phase[label] = self.per_phase.get(label, 0) + spent
 

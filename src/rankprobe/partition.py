@@ -23,7 +23,6 @@ __all__ = [
     "MergeOutcome",
     "MergeStat",
     "RepForest",
-    "PhaseRecord",
     "PartitionRun",
     "merge",
     "find_partition",
@@ -76,20 +75,16 @@ class RepForest:
 
 
 @dataclass
-class PhaseRecord:
-    phase: str
-    merges: int
-    thick_merges: int
-    rank_queries: int
-
-
-@dataclass
 class PartitionRun:
-    """Full record of one find_partition execution."""
+    """Full record of one find_partition execution.
+
+    ``phases`` holds the ledger's ``pairwise-merge`` and ``final-fold`` phase
+    records (empty for n = 0); ``merge_stats`` has one entry per merge.
+    """
 
     parts: list
     forest: RepForest
-    phase_records: list
+    phases: list
     merge_stats: list = field(repr=False)
     survivors_after_phase1: int = 0
 
@@ -190,7 +185,7 @@ def find_partition_run(n, oracle, audit=False):
     for e in range(n):
         buckets[0].append(np.asarray([e], dtype=np.int64))
 
-    with ledger.phase("pairwise-merge"):
+    with ledger.phase("pairwise-merge") as pairwise:
         for t in range(len(buckets)):
             stack = buckets[t]
             while len(stack) >= 2:
@@ -206,7 +201,7 @@ def find_partition_run(n, oracle, audit=False):
         )
     survivors_after_phase1 = len(survivors)
 
-    with ledger.phase("final-fold"):
+    with ledger.phase("final-fold") as fold:
         current = survivors[0]
         for nxt in survivors[1:]:
             current = run_merge(nxt, current, "final-fold").merged
@@ -216,18 +211,7 @@ def find_partition_run(n, oracle, audit=False):
     if removed.size + current.size != n or np.intersect1d(removed, current).size:
         raise InvariantViolation("representative forest and final basis do not cover V exactly")
     parts = components(forest)
-    records = []
-    for phase in ("pairwise-merge", "final-fold"):
-        rows = [s for s in stats if s.phase == phase]
-        records.append(
-            PhaseRecord(
-                phase=phase,
-                merges=len(rows),
-                thick_merges=sum(1 for s in rows if s.thick),
-                rank_queries=sum(s.rank_queries for s in rows),
-            )
-        )
-    return PartitionRun(parts, forest, records, stats, survivors_after_phase1)
+    return PartitionRun(parts, forest, [pairwise, fold], stats, survivors_after_phase1)
 
 
 def find_partition(n, oracle, audit=False):

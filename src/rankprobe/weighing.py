@@ -319,12 +319,12 @@ class SparseRecovery:
     strategy: str
 
 
-def recover_sparse(N, sum_oracle, *, split_threshold=SPLIT_THRESHOLD, known_total=None):
+def recover_sparse(N, sum_oracle, *, known_total=None):
     """Recover the support of an unknown x in {0,1}^N from a sum-query callback.
 
     Adaptive halving (lower-index half first, odd splits give the extra
     element to the lower half) with a switch to detecting-design recovery on
-    any sub-universe of size s <= split_threshold * (ones remaining in it),
+    any sub-universe of size s <= SPLIT_THRESHOLD * (ones remaining in it),
     provided s is large enough for a non-identity design to pay off.
 
     ``known_total`` skips the root query when the caller already knows the
@@ -351,7 +351,7 @@ def recover_sparse(N, sum_oracle, *, split_threshold=SPLIT_THRESHOLD, known_tota
         if ones == size:
             support.extend(range(lo, hi))
             return
-        if size >= MATRIX_MIN_SIZE and size <= split_threshold * ones:
+        if size >= MATRIX_MIN_SIZE and size <= SPLIT_THRESHOLD * ones:
             state["matrix_used"] = True
             matrix = build_detecting_matrix(size)
             meas = [ask(row) for row in matrix.iter_rows(lo)]

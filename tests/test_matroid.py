@@ -160,10 +160,11 @@ class TestLearnPartitionMatroid:
         st, _ = generate(InstanceSpec("capacitated-random", 256, seed=3))
         o = RankOracle(st)
         run = learn_partition_matroid_run(256, o)
-        stages = [s.stage for s in run.stages]
+        stages = [s.label for s in run.stages]
         assert stages == ["basis", "representatives", "inside-basis", "outside-basis", "stitch"]
         assert run.stages[0].rank_queries == 256
         assert sum(s.rank_queries for s in run.stages) == o.ledger.rank_count
+        assert run.stages == o.ledger.phases
 
     def test_query_bound(self):
         config = load_regression_config()
@@ -227,7 +228,7 @@ class TestPinnedLedgers:
         return st
 
     def stage_counts(self, run):
-        return [(s.stage, s.rank_queries + s.independence_queries) for s in run.stages]
+        return [(s.label, s.rank_queries + s.independence_queries) for s in run.stages]
 
     def test_rank_learner(self, structure):
         o = RankOracle(structure)

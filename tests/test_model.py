@@ -15,7 +15,7 @@ from rankprobe import (
     sum_query_sim,
 )
 from rankprobe import model
-from rankprobe.model import instance_from_bytes, instance_to_bytes
+from rankprobe.model import Phase, instance_from_bytes, instance_to_bytes
 
 from _bruteforce import brute_rank, brute_sum_query, enumerate_set_partitions
 
@@ -448,6 +448,40 @@ class TestLedger:
             with o.ledger.phase("inner"):
                 o.rank([1])
         assert o.ledger.per_phase == {"outer": 2, "inner": 1}
+
+    def test_phases_list_outermost_records_in_open_order(self):
+        o = oracle([[0, 1], [2]])
+        ledger = o.ledger
+        with ledger.phase("first") as first:
+            o.rank([0])
+            with ledger.phase("inner") as inner:
+                o.is_independent([1, 2])
+        with ledger.phase("second"):
+            o.rank([2])
+        assert ledger.phases == [Phase("first", 1, 1), Phase("second", 1, 0)]
+        assert ledger.phases[0] is first
+        assert inner == Phase("inner", 0, 1)
+        assert ledger.per_phase == {"first": 2, "inner": 1, "second": 1}
+
+    def test_phase_charging_nothing_listed_but_not_in_per_phase(self):
+        o = oracle([[0, 1], [2]])
+        with o.ledger.phase("idle"):
+            o.audit_rank([0, 1])
+        assert o.ledger.phases == [Phase("idle", 0, 0)]
+        assert o.ledger.per_phase == {}
+        assert o.ledger.snapshot()["per_phase"] == {}
+
+    def test_raising_body_closes_its_phase(self):
+        o = oracle([[0, 1], [2]])
+        with pytest.raises(UsageError):
+            with o.ledger.phase("broken") as broken:
+                o.rank([0])
+                o.rank([5])  # out of range: raises and charges nothing
+        with o.ledger.phase("next"):
+            o.rank([1])
+        assert broken == Phase("broken", 1, 0)
+        assert [p.label for p in o.ledger.phases] == ["broken", "next"]
+        assert o.ledger.per_phase == {"broken": 1, "next": 1}
 
     def test_audit_kept_separate(self):
         o = oracle([[0, 1], [2]])

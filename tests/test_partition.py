@@ -118,9 +118,10 @@ class TestFindPartition:
     def test_phase_records(self):
         o = oracle(random_partition(128, 16, seed=2))
         run = find_partition_run(128, o)
-        phases = [r.phase for r in run.phase_records]
+        phases = [r.label for r in run.phases]
         assert phases == ["pairwise-merge", "final-fold"]
-        assert sum(r.rank_queries for r in run.phase_records) == o.ledger.rank_count
+        assert sum(r.rank_queries for r in run.phases) == o.ledger.rank_count
+        assert run.phases == o.ledger.phases
         assert run.survivors_after_phase1 <= math.floor(math.log2(128)) + 1
 
     def test_determinism(self):

@@ -6,6 +6,10 @@ are merged until every class holds at most one set; the survivors are then
 folded sequentially.  Every element removed along the way records a
 representative edge to a friend that is still held, so the parts are exactly
 the connected components of the representative forest plus the final basis.
+
+Most merges find no common part.  A merge asks the sum query of I1 against
+I2 itself, before any sparse recovery: an answer of 0 means the union is
+independent and ends the merge after that one query.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InternalConsistencyError, InvariantViolation
+from .errors import DecodeFailure, InternalConsistencyError, InvariantViolation
 from .model import _add_query, _check_universe, _sum_query
 from .weighing import recover_matching, recover_sparse
 
@@ -92,31 +96,38 @@ class PartitionRun:
 def merge(i1, i2, oracle):
     """Merge two disjoint independent sets, learning com(I1,I2) and the rep pairs.
 
-    com discovery runs sparse recovery over sum queries in both directions;
-    the second direction reuses |com(I1,I2)| as its known total, since both
-    sides of the common set have equal size.  The friend pairing is then a
-    hidden perfect matching between the two common sets, reconstructed from
-    add queries (skipped for d <= 1 where the outcome is forced).  The merged
-    set keeps I2's copies of the common parts.
+    The root query is merge's own: one sum query over I1 against I2 gives
+    d = |com(I1,I2)|, and d = 0 (an independent union) ends the merge there
+    with the sorted union, so such a merge costs exactly one query (none when
+    I1 is empty).  Otherwise com discovery runs sparse recovery over sum
+    queries in both directions, each with d as its known total, since both
+    sides of the common set have size d.  The friend pairing is then a hidden
+    perfect matching between the two common sets, reconstructed from add
+    queries (skipped for d <= 1 where the outcome is forced).  The merged set
+    keeps I2's copies of the common parts.  A root sum outside
+    [0, min(|I1|, |I2|)] cannot come from an honest oracle: DecodeFailure.
     """
     i1 = np.asarray(i1, dtype=np.int64)
     i2 = np.asarray(i2, dtype=np.int64)
     ledger = oracle.ledger
     with ledger.phase("com-discovery"):
-        rec1 = recover_sparse(i1.size, lambda idx: _sum_query(oracle, i1[idx], i2))
+        d = int(_sum_query(oracle, i1, i2)) if i1.size else 0
+        if not 0 <= d <= min(i1.size, i2.size):
+            raise DecodeFailure(
+                f"sum oracle reported {d} common parts between sets of sizes "
+                f"{i1.size} and {i2.size}"
+            )
+        if d == 0:
+            # I1 and I2 are disjoint: their sorted concatenation is the union
+            merged = np.concatenate((i1, i2))
+            merged.sort()
+            return MergeOutcome(merged, [])
+        rec1 = recover_sparse(i1.size, lambda idx: _sum_query(oracle, i1[idx], i2), known_total=d)
         com12 = i1[rec1.support]
-        rec2 = recover_sparse(
-            i2.size, lambda idx: _sum_query(oracle, i2[idx], i1), known_total=com12.size
-        )
+        rec2 = recover_sparse(i2.size, lambda idx: _sum_query(oracle, i2[idx], i1), known_total=d)
         com21 = i2[rec2.support]
-    if com12.size != com21.size:
-        raise InternalConsistencyError(
-            f"|com(I1,I2)|={com12.size} but |com(I2,I1)|={com21.size}"
-        )
-    d = int(com12.size)
-    if d == 0:
-        pairs = []
-    elif d == 1:
+    # recover_sparse returns exactly known_total ones or raises, so |com21| = d
+    if d == 1:
         pairs = [(int(com12[0]), int(com21[0]))]
     else:
         with ledger.phase("matching"):
@@ -220,24 +231,31 @@ def find_partition(n, oracle, audit=False):
 
 
 def components(forest):
-    """Connected components of the representative forest, as canonical parts."""
+    """Connected components of the representative forest, as canonical parts.
+
+    Pointer jumping: every element starts at its parent (a root at itself)
+    and replaces its pointer by its pointer's pointer until nothing changes,
+    which takes at most ceil(log2 n) + 1 rounds on a forest of n elements.
+    Elements are then grouped by root.  A parent cycle raises
+    InvariantViolation: its elements only ever point at one another, so
+    whether or not the rounds settle, some pointer ends on an element that
+    has a parent.
+    """
     parent = forest.parent
     n = parent.size
-    uf = np.arange(n, dtype=np.int64)
-
-    def find(u):
-        root = u
-        while uf[root] != root:
-            root = uf[root]
-        while uf[u] != root:
-            uf[u], u = root, uf[u]
-        return root
-
-    for e in range(n):
-        if parent[e] >= 0:
-            uf[find(e)] = find(int(parent[e]))
-    groups = {}
-    for e in range(n):
-        groups.setdefault(find(e), []).append(e)
-    parts = sorted(groups.values(), key=lambda p: p[0])
-    return [np.asarray(p, dtype=np.int64) for p in parts]
+    if n == 0:
+        return []
+    root = np.where(parent >= 0, parent, np.arange(n, dtype=np.int64))
+    for _ in range(math.ceil(math.log2(n)) + 1):
+        jumped = root[root]
+        if np.array_equal(jumped, root):
+            break
+        root = jumped
+    if (parent[root] >= 0).any():
+        raise InvariantViolation("the representative forest has a parent cycle")
+    # a stable sort keeps each part ascending; its first element orders the parts
+    order = np.argsort(root, kind="stable")
+    starts = np.flatnonzero(np.diff(root[order])) + 1
+    groups = np.split(order, starts)
+    firsts = order[np.concatenate(([0], starts))]
+    return [groups[i] for i in np.argsort(firsts)]

@@ -85,3 +85,22 @@ def random_partition(n, k, seed):
     assign = np.concatenate((np.arange(k), rng.integers(0, k, n - k)))
     rng.shuffle(assign)
     return [np.flatnonzero(assign == i).tolist() for i in range(k)]
+
+
+def brute_components(parent):
+    """Parts of a parent-array forest (-1 marks roots) by union-find, first element order."""
+    n = len(parent)
+    uf = list(range(n))
+
+    def find(u):
+        while uf[u] != u:
+            u = uf[u]
+        return u
+
+    for e in range(n):
+        if parent[e] >= 0:
+            uf[find(e)] = find(int(parent[e]))
+    groups = {}
+    for e in range(n):
+        groups.setdefault(find(e), []).append(e)
+    return sorted(groups.values(), key=lambda p: p[0])

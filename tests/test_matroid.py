@@ -19,6 +19,7 @@ from rankprobe.bench import InstanceSpec, generate
 from rankprobe.regression import load_regression_config
 
 from _bruteforce import brute_rank, canonical, enumerate_capacitated
+from _recording import RecordingOracle
 
 
 def cap_oracle(parts, caps):
@@ -255,6 +256,26 @@ class TestPinnedLedgers:
             ("inside-basis", 11778),
             ("stitch", 0),
         ]
+
+    @pytest.mark.parametrize(
+        "learner,digest",
+        [
+            (
+                learn_partition_matroid_run,
+                "6e77fcc56fffa0e8e15ed9ba9b65b1401e1a0eb04aa1a0983f2431fc4595ac8e",
+            ),
+            (
+                baseline_independence_learner_run,
+                "ad96b66e874c201477be4d276c1da82d77138e983bcc084c054a22de782a58da",
+            ),
+        ],
+        ids=["rank-learner", "baseline"],
+    )
+    def test_query_stream(self, structure, learner, digest):
+        # equal counts can hide a changed query set; hash every query in order
+        o = RecordingOracle(structure)
+        learner(2**11, o)
+        assert o.digest.hexdigest() == digest
 
 
 def _small_oracle():

@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import numpy as np
@@ -7,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankprobe import (
+    DecodeFailure,
     HiddenPartition,
-    InternalConsistencyError,
     InvariantViolation,
     QueryLedger,
     RankOracle,
@@ -18,11 +17,13 @@ from rankprobe import (
     find_partition_run,
     merge,
 )
+from rankprobe import partition
 from rankprobe.bench import InstanceSpec, generate
 from rankprobe.partition import RepForest
 from rankprobe.regression import load_regression_config
 
-from _bruteforce import canonical, enumerate_set_partitions, random_partition
+from _bruteforce import brute_components, canonical, enumerate_set_partitions, random_partition
+from _recording import RecordingOracle
 
 
 def oracle(parts):
@@ -49,9 +50,18 @@ class TestMerge:
         merge(np.array([0, 1, 2]), np.array([3, 4, 5]), o)
         assert o.ledger.per_phase.get("matching", 0) == 0
 
-    def test_lying_oracle_detected(self):
-        from rankprobe import DecodeFailure, ProtocolError, QueryLedger
-
+    @pytest.mark.parametrize(
+        "answer,i1,i2",
+        [
+            (0, [0], [1, 2, 3]),  # every sum query reports everything common
+            (1, [0, 1, 2], [3]),  # root sum 3 exceeds |I2| = 1
+            (2, [0, 1, 2], [3]),  # root sum 2 exceeds |I2| = 1
+        ],
+        ids=["rank-0", "rank-1", "rank-2"],
+    )
+    def test_lying_oracle_detected(self, answer, i1, i2):
+        # an honest root sum lies in [0, min(|I1|, |I2|)]; outside it the
+        # oracle is at fault, not the caller
         class Lying:
             n = 4
 
@@ -60,10 +70,31 @@ class TestMerge:
 
             def rank(self, s):
                 self.ledger.charge_rank()
-                return 0  # every sum query reports everything common
+                return answer
 
-        with pytest.raises((InternalConsistencyError, DecodeFailure, ProtocolError)):
-            merge(np.array([0]), np.array([1, 2, 3]), Lying())
+        with pytest.raises(DecodeFailure):
+            merge(np.array(i1), np.array(i2), Lying())
+
+    def test_independent_union_ends_after_one_query(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an independent union needs no recovery")
+
+        monkeypatch.setattr(partition, "recover_sparse", unreachable)
+        monkeypatch.setattr(partition, "recover_matching", unreachable)
+        o = oracle([[0, 1], [2, 3], [4], [5], [6], [7]])
+        out = merge(np.array([4, 6, 0]), np.array([7, 2, 5]), o)
+        assert out.merged.tolist() == [0, 2, 4, 5, 6, 7]
+        assert out.removed_with_reps == []
+        assert o.ledger.rank_count == 1
+        assert o.ledger.per_phase == {"com-discovery": 1}
+
+    @pytest.mark.parametrize("i1,i2,queries", [([], [1, 3], 0), ([1, 3], [], 1)])
+    def test_empty_side(self, i1, i2, queries):
+        o = oracle([[0, 1], [2, 3]])
+        out = merge(np.array(i1, dtype=np.int64), np.array(i2, dtype=np.int64), o)
+        assert out.merged.tolist() == [1, 3]
+        assert out.removed_with_reps == []
+        assert o.ledger.rank_count == queries
 
 
 class TestFindPartition:
@@ -194,21 +225,7 @@ class TestFindPartition:
 
 
 SMALL_PARTS_STREAM_SHA256 = "b9a033949d3a1575ed1f821b9b059036768ba178e394abdf5453f713ef0a6f7f"
-
-
-class _RecordingOracle(RankOracle):
-    """A rank oracle that hashes (|S|, answer, S as int64 bytes) per query."""
-
-    def __init__(self, structure):
-        super().__init__(structure)
-        self.digest = hashlib.sha256()
-
-    def rank(self, s):
-        value = super().rank(s)
-        arr = np.asarray(s, dtype=np.int64)
-        self.digest.update(np.array([arr.size, value], dtype=np.int64).tobytes())
-        self.digest.update(arr.tobytes())
-        return value
+LARGE_PARTS_STREAM_SHA256 = "f3a4ea42f7216052294633edf3e1dc965edce5cba3e1982fa5e569c0eedd8d95"
 
 
 class TestPinnedLedgers:
@@ -242,9 +259,16 @@ class TestPinnedLedgers:
         # equal counts can hide a changed query set, so hash every set and
         # answer in order; this instance's designs all have at most 64 columns
         structure, _ = generate(InstanceSpec("uniform-k", 2**13, seed=1))
-        o = _RecordingOracle(structure)
+        o = RecordingOracle(structure)
         find_partition(structure.n, o)
         assert o.digest.hexdigest() == SMALL_PARTS_STREAM_SHA256
+
+    def test_large_parts_query_stream(self):
+        # the dense regime: family-block designs and bit-plane matchings
+        structure, _ = generate(InstanceSpec("uniform-k", 2**12, k=2**10, seed=1))
+        o = RecordingOracle(structure)
+        find_partition(structure.n, o)
+        assert o.digest.hexdigest() == LARGE_PARTS_STREAM_SHA256
 
 
 class TestComponents:
@@ -259,6 +283,40 @@ class TestComponents:
     def test_chain(self):
         forest = RepForest.from_edges(3, [(0, 1), (1, 2)], [2])
         assert canonical(components(forest)) == ((0, 1, 2),)
+
+    def test_empty(self):
+        assert components(RepForest.from_edges(0, [], [])) == []
+
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_deep_chain(self, step):
+        n = 10_000
+        parent = np.arange(n, dtype=np.int64) + step  # depth n - 1
+        parent[n - 1 if step == 1 else 0] = -1
+        parts = components(RepForest(parent, np.flatnonzero(parent < 0)))
+        assert len(parts) == 1
+        assert parts[0].tolist() == list(range(n))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_forests_match_union_find(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        order = rng.permutation(n)
+        parent = np.full(n, -1, dtype=np.int64)
+        for j in range(1, n):
+            if rng.random() < 0.8:  # attach below an element placed earlier
+                parent[order[j]] = order[rng.integers(0, j)]
+        parts = components(RepForest(parent, np.flatnonzero(parent < 0)))
+        assert [p.tolist() for p in parts] == brute_components(parent)
+
+    @pytest.mark.parametrize(
+        "n,edges,roots",
+        [(3, [(0, 1), (1, 0)], [2]), (4, [(0, 1), (1, 2), (2, 0)], [3])],
+        ids=["2-cycle", "3-cycle"],
+    )
+    def test_parent_cycle_rejected(self, n, edges, roots):
+        # a 2-cycle settles to fixed points under pointer jumping, a 3-cycle never does
+        with pytest.raises(InvariantViolation):
+            components(RepForest.from_edges(n, edges, roots))
 
     def test_two_outgoing_edges_rejected(self):
         with pytest.raises(InvariantViolation):

@@ -26,21 +26,17 @@ from .model import (
     write_instance,
 )
 from .weighing import (
-    DetectingMatrix,
     build_detecting_matrix,
     recover_matching,
     recover_sparse,
 )
 from .partition import (
-    RepForest,
     components,
     find_partition,
     find_partition_run,
     merge,
 )
 from .matroid import (
-    Basis,
-    LearnedMatroid,
     baseline_independence_learner,
     baseline_independence_learner_run,
     find_basis,
@@ -51,12 +47,10 @@ from .matroid import (
 )
 from .bench import (
     InstanceSpec,
-    RunReport,
     generate,
     run_learner,
     sweep,
 )
-from .regression import load_regression_config
 
 __version__ = "0.1.0"
 
@@ -75,17 +69,13 @@ __all__ = [
     "instance_digest",
     "read_instance",
     "write_instance",
-    "DetectingMatrix",
     "build_detecting_matrix",
     "recover_sparse",
     "recover_matching",
     "merge",
-    "RepForest",
     "components",
     "find_partition",
     "find_partition_run",
-    "Basis",
-    "LearnedMatroid",
     "find_basis",
     "find_representatives",
     "learn_matroid_with_reps",
@@ -96,7 +86,5 @@ __all__ = [
     "InstanceSpec",
     "generate",
     "run_learner",
-    "RunReport",
     "sweep",
-    "load_regression_config",
 ]

@@ -24,7 +24,7 @@ from .model import (
     HiddenPartition,
     RankOracle,
     instance_digest,
-    instance_from_bytes,
+    read_instance,
 )
 from .partition import find_partition_run
 
@@ -320,8 +320,7 @@ def run_learner(structure, learner, audit=False):
 
 def run_instance(path, learner, audit=False):
     """File-based entry point mirroring the CLI run subcommand."""
-    with open(path, "rb") as fh:
-        structure, _meta = instance_from_bytes(fh.read())
+    structure, _meta = read_instance(path)
     return run_learner(structure, learner, audit=audit)
 
 

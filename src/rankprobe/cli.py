@@ -11,6 +11,7 @@ import json
 import sys
 
 from .bench import (
+    CAPACITY_RULES,
     FAMILIES,
     LEARNERS,
     InstanceSpec,
@@ -37,7 +38,7 @@ def _build_parser():
     gen.add_argument("--n", required=True, type=int)
     gen.add_argument("--k", type=int, default=None, help="family parameter (part count or block size)")
     gen.add_argument("--capacitated", action="store_true", help="attach capacities (parts must have >= 2 elements)")
-    gen.add_argument("--capacity-rule", default="uniform-random", choices=("uniform-random", "ones", "max"))
+    gen.add_argument("--capacity-rule", default="uniform-random", choices=CAPACITY_RULES)
     gen.add_argument("--seed", required=True, type=int)
     gen.add_argument("-o", "--output", required=True)
 

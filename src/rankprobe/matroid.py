@@ -2,25 +2,27 @@
 
 The pipeline finds a basis greedily (exactly n rank queries), extracts two
 transversal representative sets T1 inside the basis and T2 outside it with a
-halving search, then simulates simple-partition rank oracles on B and on
-V setminus B to reuse the partition learner, stitching the two learned
-partitions through the representative map.
+halving search (``weighing._halve``), then runs the partition learner twice
+on one simulated simple-partition rank oracle, ``_SimulatedOracle``: over B
+with probes B - S + T2, and over V setminus B with probes (B - T1) + S.  The
+two learned partitions are stitched through the representative map.
 
 An independence-oracle-only baseline learner is included for the query-count
 comparison; it shares the basis and representative machinery (those tests
-need only independence answers) and classifies the remaining elements by
-binary search.
+need only independence answers) and classifies the remaining elements with
+the same halving search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantViolation
 from .model import _check_universe, canonical_parts
-from .partition import find_partition_run
+from .partition import find_partition
+from .weighing import _halve
 
 __all__ = [
     "Basis",
@@ -95,7 +97,7 @@ class LearnedMatroid:
 
 @dataclass
 class MatroidRun:
-    """One matroid learner run.
+    """One matroid learner run: the learned matroid and its stages.
 
     ``stages`` are the ledger phase records the run opened, in order; a run
     started inside an open phase opens no outermost phase, so it lists none.
@@ -103,10 +105,6 @@ class MatroidRun:
 
     matroid: LearnedMatroid
     stages: list
-    basis: Basis = None
-    reps: RepresentativePair = None
-    inside_run: object = field(default=None, repr=False)
-    outside_run: object = field(default=None, repr=False)
 
 
 def _rank_test(oracle):
@@ -138,27 +136,24 @@ def _find_representatives(n, ledger, independent, basis):
     t1, t2, phi = [], [], {}
     in_cur = np.ones(b.size, dtype=bool)  # B - T1 as a mask over B
     cur = b
-    outside = side_complement(n, b)
     with ledger.phase("representatives"):
-        for e in outside.tolist():
+        for e in _side_complement(n, b).tolist():
             # B - T1 + e is independent iff e's part still has a hole in
             # B - T1, i.e. a member in T1: the part is already discovered.
             if independent(np.append(cur, e)):
                 continue
             t2.append(e)
-            xlo, xhi = 0, b.size
-            while xhi - xlo > 1:
-                mid = xlo + (xhi - xlo + 1) // 2
-                # query Y + X1 + e where X = B[xlo:xhi] is the search window,
-                # X1 its lower half, and Y = B minus X the settled remainder.
-                if independent(np.concatenate((b[:mid], b[xhi:], [e]))):
-                    xlo = mid  # X2 holds at least one friend
-                else:
-                    xhi = mid  # X2 holds no friend of e
-            x = int(b[xlo])
-            t1.append(x)
-            phi[x] = e
-            in_cur[xlo] = False
+
+            def in_upper(lo, mid, hi):
+                # Y + X1 + e, where X = B[lo:hi] is the search window, X1 its
+                # lower half and Y = B minus X, is independent iff X2 holds a
+                # friend of e
+                return independent(np.concatenate((b[:mid], b[hi:], [e])))
+
+            x = _halve(0, b.size, in_upper)
+            t1.append(int(b[x]))
+            phi[t1[-1]] = e
+            in_cur[x] = False
             cur = b[in_cur]
     return RepresentativePair(
         np.asarray(sorted(t1), dtype=np.int64),
@@ -179,63 +174,56 @@ def find_representatives(n, oracle, basis):
     return _find_representatives(n, oracle.ledger, _rank_test(oracle), basis)
 
 
-def side_complement(n, side):
+def _side_complement(n, side):
     return np.setdiff1d(np.arange(n, dtype=np.int64), side, assume_unique=True)
 
 
-class _InsideOracle:
-    """Simulated simple rank over basis positions: rank(B - S + T2) - rank(B - S).
+class _SimulatedOracle:
+    """A simple-partition rank oracle over n positions, simulated on a base oracle.
 
-    Positions come from find_partition_run and are trusted; the base oracle
-    validates each probe it is asked.
+    ``probe(pos)`` gives the base query set for positions S and an offset;
+    rank(S) is the base rank of that set minus the offset, one base query per
+    call.  Positions come from find_partition_run and are trusted; the base
+    oracle validates each probe it is asked.
     """
 
-    def __init__(self, base_oracle, basis_members, t2):
-        self.base = base_oracle
-        self.ledger = base_oracle.ledger
-        self.b = basis_members
-        self.t2 = t2
-        self.n = int(basis_members.size)
-        self._keep = np.ones(self.n, dtype=bool)  # all True between probes
+    def __init__(self, base, n, probe):
+        self.base = base
+        self.ledger = base.ledger
+        self.n = n
+        self._probe = probe
 
-    def _probe(self, pos):
-        keep = self._keep
+    def rank(self, pos):
+        query, offset = self._probe(pos)
+        return self.base.rank(query) - offset
+
+    def audit_rank(self, pos):
+        query, offset = self._probe(pos)
+        return self.base.audit_rank(query) - offset
+
+
+def _inside_oracle(base, b, t2):
+    """Simple rank over basis positions: rank(B - S + T2) - rank(B - S)."""
+    keep = np.ones(b.size, dtype=bool)  # all True between probes
+
+    def probe(pos):
         keep[pos] = False
-        probe = np.concatenate((self.b[keep], self.t2))
+        query = np.concatenate((b[keep], t2))
         keep[pos] = True
-        return probe, self.n - len(pos)
+        return query, b.size - len(pos)
 
-    def rank(self, pos):
-        probe, offset = self._probe(pos)
-        return self.base.rank(probe) - offset
-
-    def audit_rank(self, pos):
-        probe, offset = self._probe(pos)
-        return self.base.audit_rank(probe) - offset
+    return _SimulatedOracle(base, int(b.size), probe)
 
 
-class _OutsideOracle:
-    """Simulated simple rank over non-basis positions: rank(B + S - T1) - rank(B - T1).
+def _outside_oracle(base, b, outside, t1):
+    """Simple rank over non-basis positions: rank((B - T1) + S) - rank(B - T1)."""
+    rest = np.setdiff1d(b, t1, assume_unique=True)
+    offset = int(rest.size)  # rank(B - T1), a run constant
 
-    Positions are trusted as in _InsideOracle.
-    """
+    def probe(pos):
+        return np.concatenate((rest, outside[pos])), offset
 
-    def __init__(self, base_oracle, basis_members, outside_elements, t1):
-        self.base = base_oracle
-        self.ledger = base_oracle.ledger
-        self.outside = outside_elements
-        self.n = int(outside_elements.size)
-        self._b_minus_t1 = np.setdiff1d(basis_members, t1, assume_unique=True)
-        self._offset = int(self._b_minus_t1.size)  # = rank(B - T1), a run constant
-
-    def _probe(self, pos):
-        return np.concatenate((self._b_minus_t1, self.outside[pos]))
-
-    def rank(self, pos):
-        return self.base.rank(self._probe(pos)) - self._offset
-
-    def audit_rank(self, pos):
-        return self.base.audit_rank(self._probe(pos)) - self._offset
+    return _SimulatedOracle(base, int(outside.size), probe)
 
 
 def learn_matroid_with_reps(n, oracle, basis, reps, audit=False):
@@ -243,55 +231,43 @@ def learn_matroid_with_reps(n, oracle, basis, reps, audit=False):
 
     Runs the simple-partition learner twice over simulated oracles (inside the
     basis and outside it), reads capacities off the inside parts, and stitches
-    the two partitions through phi.  Each step runs as a ledger phase
-    (``inside-basis``, ``outside-basis``, ``stitch``); the stitch asks nothing,
-    so its record reads zero.
+    the two partitions through phi.  Returns the LearnedMatroid.  Each step
+    runs as a ledger phase (``inside-basis``, ``outside-basis``, ``stitch``);
+    the stitch asks nothing, so its record reads zero.
     """
     _check_universe(n, oracle)
     b = basis.members
-    outside = side_complement(n, b)
+    outside = _side_complement(n, b)
     ledger = oracle.ledger
 
     with ledger.phase("inside-basis"):
-        inside_run = find_partition_run(
-            int(b.size), _InsideOracle(oracle, b, reps.outside), audit=audit
-        )
-    parts1 = [b[p] for p in inside_run.parts]
-
+        parts1 = find_partition(int(b.size), _inside_oracle(oracle, b, reps.outside), audit=audit)
     with ledger.phase("outside-basis"):
-        outside_run = find_partition_run(
-            int(outside.size), _OutsideOracle(oracle, b, outside, reps.inside), audit=audit
+        parts2 = find_partition(
+            int(outside.size), _outside_oracle(oracle, b, outside, reps.inside), audit=audit
         )
-    parts2 = [outside[p] for p in outside_run.parts]
 
     with ledger.phase("stitch"):
-        part1_of = {}
-        for i, p in enumerate(parts1):
-            for e in p.tolist():
-                part1_of[e] = i
-        part2_of = {}
-        for j, p in enumerate(parts2):
-            for e in p.tolist():
-                part2_of[e] = j
         if len(parts1) != reps.k or len(parts2) != reps.k:
             raise InvariantViolation(
                 "representative sets do not form transversals of the learned partitions"
             )
-        used2 = set()
-        final_parts = []
-        capacities = []
-        for t in reps.inside.tolist():
-            i = part1_of[t]
-            j = part2_of[reps.phi[t]]
-            if j in used2:
-                raise InvariantViolation("two inside parts stitched to one outside part")
-            used2.add(j)
-            final_parts.append(np.concatenate((parts1[i], parts2[j])))
-            capacities.append(int(parts1[i].size))
-        if len(used2) != len(parts2):
-            raise InvariantViolation("an outside part received no representative image")
-    matroid = LearnedMatroid(final_parts, capacities)
-    return matroid, inside_run, outside_run
+        # part1_of[e] / part2_of[e]: the index of e's learned part on its side
+        part1_of = np.empty(n, dtype=np.int64)
+        part2_of = np.empty(n, dtype=np.int64)
+        for i, p in enumerate(parts1):
+            part1_of[b[p]] = i
+        for j, p in enumerate(parts2):
+            part2_of[outside[p]] = j
+        i_of = part1_of[reps.inside]
+        j_of = part2_of[[reps.phi[t] for t in reps.inside.tolist()]]
+        # k distinct images among k outside parts: every outside part gets one
+        if np.unique(j_of).size != reps.k:
+            raise InvariantViolation("two inside parts stitched to one outside part")
+    return LearnedMatroid(
+        [np.concatenate((b[parts1[i]], outside[parts2[j]])) for i, j in zip(i_of, j_of)],
+        [parts1[i].size for i in i_of],
+    )
 
 
 def learn_partition_matroid_run(n, oracle, audit=False):
@@ -303,10 +279,8 @@ def learn_partition_matroid_run(n, oracle, audit=False):
     if audit and oracle.audit_rank(basis.members) != basis.size:
         raise InvariantViolation("greedy scan did not return an independent set")
     reps = find_representatives(n, oracle, basis)
-    matroid, inside_run, outside_run = learn_matroid_with_reps(
-        n, oracle, basis, reps, audit=audit
-    )
-    return MatroidRun(matroid, ledger.phases[start:], basis, reps, inside_run, outside_run)
+    matroid = learn_matroid_with_reps(n, oracle, basis, reps, audit=audit)
+    return MatroidRun(matroid, ledger.phases[start:])
 
 
 def learn_partition_matroid(n, oracle):
@@ -333,28 +307,29 @@ def baseline_independence_learner_run(n, oracle):
     b = basis.members
     t1 = reps.inside
     t1_list = t1.tolist()
-    groups = {t: {"basis": [t], "outside": [reps.phi[t]]} for t in t1_list}
+    # inside[x] / outside[x]: the members, in B and outside it, of the part
+    # of T1's x-th element
+    inside = [[t] for t in t1_list]
+    outside = [[reps.phi[t]] for t in t1_list]
     rest = np.setdiff1d(b, t1, assume_unique=True)  # B - T1
 
-    # B - T1[lo:mid] + e is built as T1[:lo] + T1[mid:] + (B - T1 + e)
     with ledger.phase("outside-basis"):
         t2_set = set(reps.outside.tolist())
-        for e in side_complement(n, b).tolist():
+        for e in _side_complement(n, b).tolist():
             if e in t2_set:
                 continue
             rest_e = np.append(rest, e)
-            lo, hi = 0, t1.size
-            while hi - lo > 1:
-                mid = lo + (hi - lo + 1) // 2
-                if independent(np.concatenate((t1[:lo], t1[mid:], rest_e))):
-                    hi = mid  # removing X1 freed e's part: friend inside X1
-                else:
-                    lo = mid
-            groups[int(t1[lo])]["outside"].append(e)
+
+            def in_upper(lo, mid, hi):
+                # B - T1[lo:mid] + e, built as T1[:lo] + T1[mid:] + (B - T1 + e),
+                # is independent iff removing X1 freed e's part: friend in X1
+                return not independent(np.concatenate((t1[:lo], t1[mid:], rest_e)))
+
+            outside[_halve(0, t1.size, in_upper)].append(e)
 
     # B - rest[lo:hi] + t2 is built as (T1 + t2) + rest[:lo] + rest[hi:]
     with ledger.phase("inside-basis"):
-        for t in t1_list:
+        for members, t in zip(inside, t1_list):
             if not rest.size:
                 continue
             t1_t2 = np.append(t1, reps.phi[t])
@@ -366,7 +341,7 @@ def baseline_independence_learner_run(n, oracle):
                 if not hits(lo, hi):
                     return
                 if hi - lo == 1:
-                    groups[t]["basis"].append(int(rest[lo]))
+                    members.append(int(rest[lo]))
                     return
                 mid = lo + (hi - lo + 1) // 2
                 sweep(lo, mid)
@@ -375,15 +350,9 @@ def baseline_independence_learner_run(n, oracle):
             sweep(0, rest.size)
 
     with ledger.phase("stitch"):
-        parts = []
-        capacities = []
-        for t in t1_list:
-            parts.append(
-                np.asarray(sorted(groups[t]["basis"] + groups[t]["outside"]), dtype=np.int64)
-            )
-            capacities.append(len(groups[t]["basis"]))
-    matroid = LearnedMatroid(parts, capacities)
-    return MatroidRun(matroid, ledger.phases[start:], basis, reps)
+        parts = [a + c for a, c in zip(inside, outside)]
+        capacities = [len(a) for a in inside]
+    return MatroidRun(LearnedMatroid(parts, capacities), ledger.phases[start:])
 
 
 def baseline_independence_learner(n, oracle):

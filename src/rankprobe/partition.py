@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecodeFailure, InternalConsistencyError, InvariantViolation
+from .errors import DecodeFailure, InternalConsistencyError, InvariantViolation, UsageError
 from .model import _add_query, _check_universe, _sum_query
 from .weighing import recover_matching, recover_sparse
 
@@ -65,12 +65,18 @@ class RepForest:
 
     @classmethod
     def from_edges(cls, n, edges, roots):
+        """Build the parent array; an edge end or root outside [0, n) is a UsageError."""
         parent = np.full(n, -1, dtype=np.int64)
+        roots = sorted(roots)
         for e, rep in edges:
+            if not (0 <= e < n and 0 <= rep < n):
+                raise UsageError(f"representative edge ({e}, {rep}) leaves [0, {n})")
             if parent[e] != -1:
                 raise InvariantViolation(f"element {e} has two outgoing representative edges")
             parent[e] = rep
-        return cls(parent, np.asarray(sorted(roots), dtype=np.int64))
+        if roots and not (0 <= roots[0] and roots[-1] < n):
+            raise UsageError(f"a root lies outside [0, {n})")
+        return cls(parent, np.asarray(roots, dtype=np.int64))
 
     @property
     def edges(self):
@@ -239,12 +245,14 @@ def components(forest):
     Elements are then grouped by root.  A parent cycle raises
     InvariantViolation: its elements only ever point at one another, so
     whether or not the rounds settle, some pointer ends on an element that
-    has a parent.
+    has a parent.  A parent entry outside [-1, n) is a UsageError.
     """
     parent = forest.parent
     n = parent.size
     if n == 0:
         return []
+    if parent.min() < -1 or parent.max() >= n:
+        raise UsageError(f"a parent entry lies outside [-1, {n})")
     root = np.where(parent >= 0, parent, np.arange(n, dtype=np.int64))
     for _ in range(math.ceil(math.log2(n)) + 1):
         jumped = root[root]

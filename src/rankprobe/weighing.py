@@ -67,9 +67,6 @@ __all__ = [
     "recover_sparse",
     "MatchingResult",
     "recover_matching",
-    "SPLIT_THRESHOLD",
-    "MATRIX_MIN_SIZE",
-    "MATCHING_SEARCH_CUTOFF",
 ]
 
 # Below this size an identity design is used: the smallest base only pays off
@@ -382,6 +379,23 @@ def recover_sparse(N, sum_oracle, *, known_total=None):
     return SparseRecovery(np.asarray(support, dtype=np.int64), state["queries"], strategy)
 
 
+def _halve(lo, hi, in_upper):
+    """The one index of the window [lo, hi) that a halving search singles out.
+
+    Each step splits the window at ``mid = lo + (hi - lo + 1) // 2``, so the
+    lower half gets the extra element of an odd window, and asks
+    ``in_upper(lo, mid, hi)`` whether the index lies in [mid, hi).  A window
+    of width w costs ceil(log2 w) questions; a 1-wide window costs none.
+    """
+    while hi - lo > 1:
+        mid = lo + (hi - lo + 1) // 2
+        if in_upper(lo, mid, hi):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 @dataclass
 class MatchingResult:
     """A learned perfect matching, as a map from X-elements to Y-elements."""
@@ -426,16 +440,12 @@ def recover_matching(x_side, y_side, add_oracle):
     if d < MATCHING_SEARCH_CUTOFF:
         pool = ys.tolist()
         for x in xs.tolist():
-            if len(pool) == 1:
-                pairs[x] = pool[0]
-                break
-            cands = pool
-            while len(cands) > 1:
-                half = cands[: (len(cands) + 1) // 2]
-                inside = ask(np.asarray([x] + half, dtype=np.int64))
-                cands = half if inside else cands[len(half) :]
-            pairs[x] = cands[0]
-            pool.remove(cands[0])
+
+            def in_upper(lo, mid, hi):
+                # x's partner is in pool[lo:mid] iff x and that half hold a pair
+                return not ask(np.asarray([x] + pool[lo:mid], dtype=np.int64))
+
+            pairs[x] = pool.pop(_halve(0, len(pool), in_upper))
         return MatchingResult(pairs, state["queries"])
 
     planes = max(1, math.ceil(math.log2(d)))

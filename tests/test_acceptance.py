@@ -23,7 +23,7 @@ from rankprobe import (
     recover_matching,
 )
 from rankprobe.bench import InstanceSpec, generate, run_learner, sweep, sweep_rows_to_csv
-from rankprobe.matroid import _InsideOracle, _OutsideOracle, side_complement
+from rankprobe.matroid import _inside_oracle, _outside_oracle, _side_complement
 from rankprobe.regression import load_regression_config
 
 from _bruteforce import brute_rank, canonical, enumerate_capacitated, enumerate_set_partitions
@@ -264,18 +264,18 @@ def test_criterion_09_simulated_rank_property():
         basis = find_basis(n, o)
         reps = find_representatives(n, o, basis)
         b = basis.members
-        outside = side_complement(n, b)
+        outside = _side_complement(n, b)
         assert b.size <= 10 and outside.size <= 10
         b_set = set(b.tolist())
         restricted_b = [[e for e in p if e in b_set] for p in parts]
         out_set = set(outside.tolist())
         restricted_out = [[e for e in p if e in out_set] for p in parts]
-        inside_oracle = _InsideOracle(o, b, reps.outside)
+        inside_oracle = _inside_oracle(o, b, reps.outside)
         for code in range(2 ** b.size):
             pos = [i for i in range(b.size) if (code >> i) & 1]
             assert inside_oracle.rank(pos) == brute_rank(restricted_b, None, b[pos].tolist())
             subsets_checked += 1
-        outside_oracle = _OutsideOracle(o, b, outside, reps.inside)
+        outside_oracle = _outside_oracle(o, b, outside, reps.inside)
         for code in range(2 ** outside.size):
             pos = [i for i in range(outside.size) if (code >> i) & 1]
             assert outside_oracle.rank(pos) == brute_rank(restricted_out, None, outside[pos].tolist())

@@ -99,12 +99,12 @@ class TestLearnWithReps:
         o = cap_oracle([[0, 1]], [1])
         basis = find_basis(2, o)
         reps = find_representatives(2, o, basis)
-        matroid, _, _ = learn_matroid_with_reps(2, o, basis, reps)
+        matroid = learn_matroid_with_reps(2, o, basis, reps)
         assert matroid.as_tuples() == (((0, 1),), (1,))
 
     def test_simulated_simple_ranks_match_brute_force(self):
         # exhaustive over all subsets of both sides (sizes <= 10)
-        from rankprobe.matroid import _InsideOracle, _OutsideOracle, side_complement
+        from rankprobe.matroid import _inside_oracle, _outside_oracle, _side_complement
 
         cases = [
             ([[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]], [2, 1, 2]),
@@ -116,19 +116,24 @@ class TestLearnWithReps:
             basis = find_basis(n, o)
             reps = find_representatives(n, o, basis)
             b = basis.members
-            outside = side_complement(n, b)
+            outside = _side_complement(n, b)
             restricted_b = [[e for e in p if e in set(b.tolist())] for p in parts]
             restricted_out = [[e for e in p if e in set(outside.tolist())] for p in parts]
-            ins = _InsideOracle(o, b, reps.outside)
-            for code in range(2 ** b.size):
-                pos = [i for i in range(b.size) if (code >> i) & 1]
-                expected = brute_rank(restricted_b, None, b[pos].tolist())
-                assert ins.rank(pos) == expected
-            outs = _OutsideOracle(o, b, outside, reps.inside)
-            for code in range(2 ** outside.size):
-                pos = [i for i in range(outside.size) if (code >> i) & 1]
-                expected = brute_rank(restricted_out, None, outside[pos].tolist())
-                assert outs.rank(pos) == expected
+            sides = [
+                (_inside_oracle(o, b, reps.outside), b, restricted_b),
+                (_outside_oracle(o, b, outside, reps.inside), outside, restricted_out),
+            ]
+            for sim, side, restricted in sides:
+                for code in range(2**side.size):
+                    pos = [i for i in range(side.size) if (code >> i) & 1]
+                    expected = brute_rank(restricted, None, side[pos].tolist())
+                    assert sim.rank(pos) == expected
+                    # audit_rank agrees and is charged to the audit counter alone
+                    ledger = o.ledger
+                    before = (ledger.rank_count, ledger.independence_count, ledger.audit_count)
+                    assert sim.audit_rank(pos) == expected
+                    after = (ledger.rank_count, ledger.independence_count, ledger.audit_count)
+                    assert after == (before[0], before[1], before[2] + 1)
 
     def test_random_instance(self):
         st, _ = generate(InstanceSpec("capacitated-random", 2048, seed=7))

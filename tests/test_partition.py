@@ -318,6 +318,19 @@ class TestComponents:
         with pytest.raises(InvariantViolation):
             components(RepForest.from_edges(n, edges, roots))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: components(RepForest.from_edges(3, [(0, 5)], [1, 2])),
+            lambda: RepForest.from_edges(3, [(7, 1)], [1, 2]),
+            lambda: components(RepForest(np.array([-1, -2, 0]), np.array([0]))),
+        ],
+        ids=["edge-rep-out-of-range", "edge-source-out-of-range", "parent-below-minus-one"],
+    )
+    def test_malformed_forest_rejected(self, build):
+        with pytest.raises(UsageError):
+            build()
+
     def test_two_outgoing_edges_rejected(self):
         with pytest.raises(InvariantViolation):
             RepForest.from_edges(3, [(0, 1), (0, 2)], [1, 2])

@@ -15,7 +15,7 @@ from rankprobe import (
     recover_sparse,
 )
 from rankprobe.regression import load_regression_config
-from rankprobe.weighing import _B16, _level
+from rankprobe.weighing import _B16, _halve, _level
 
 
 # 2*1346 + 2*98 + 2*16 + 5 columns: two blocks of each of three tiers (block
@@ -308,6 +308,23 @@ def matching_oracle(partner):
         return sum(1 for a, b in partner.items() if a in ss and b in ss)
 
     return add
+
+
+class TestHalve:
+    @pytest.mark.parametrize("lo", [0, 5])
+    def test_exhaustive_windows(self, lo):
+        for size in range(1, 66):
+            for target in range(lo, lo + size):
+                asked = []
+
+                def in_upper(a, mid, b):
+                    assert a < mid < b and mid - a == (b - a + 1) // 2
+                    asked.append((a, mid, b))
+                    return target >= mid
+
+                assert _halve(lo, lo + size, in_upper) == target
+                assert len(asked) <= math.ceil(math.log2(size))
+        assert _halve(7, 8, None) == 7  # a 1-wide window asks nothing
 
 
 class TestRecoverMatching:

@@ -21,20 +21,24 @@ measurements = design.measure(x)
 recovered = design.decode(measurements)
 print(f"decode round trip exact: {np.array_equal(recovered, x)} (|x| = {int(x.sum())})")
 
-# --- adaptive sparse recovery from a sum-query callback ---
+# --- adaptive sparse recovery from a block sum-query callback ---
+# Each call answers one block of rows: a whole detecting design at once, or a
+# single halving query.  Row i is cols[bounds[i]:bounds[i + 1]].
 support = set(rng.choice(4096, size=64, replace=False).tolist())
+hidden = np.zeros(4096, dtype=np.int64)
+hidden[list(support)] = 1
 calls = {"n": 0}
 
 
-def sum_oracle(indices):
+def sum_oracle(cols, bounds):
     calls["n"] += 1
-    return sum(1 for i in np.asarray(indices).tolist() if i in support)
+    return [int(hidden[cols[a:b]].sum()) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 result = recover_sparse(4096, sum_oracle)
 print(
     f"sparse recovery: found {result.support.size} of 64 ones in 4096 columns "
-    f"using {result.queries_used} sum queries ({result.strategy})"
+    f"using {result.queries_used} sum queries in {calls['n']} blocks ({result.strategy})"
 )
 assert set(result.support.tolist()) == support
 

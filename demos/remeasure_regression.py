@@ -116,8 +116,11 @@ for n, d in ((4096, 64), (1024, 32), (256, 16)):
     worst = 0
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        support = set(rng.choice(n, size=d, replace=False).tolist())
-        rec = recover_sparse(n, lambda idx: sum(1 for i in idx.tolist() if i in support))
+        hidden = np.zeros(n, dtype=np.int64)
+        hidden[rng.choice(n, size=d, replace=False)] = 1
+        rec = recover_sparse(
+            n, lambda cols, bounds: np.add.reduceat(hidden[cols], bounds[:-1])
+        )
         worst = max(worst, rec.queries_used)
     print(f"B({n},{d}): observed {worst}")
 print(f"done {elapsed()}")

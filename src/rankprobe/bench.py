@@ -224,7 +224,7 @@ class RunReport:
 
 
 def _canonical_parts_list(parts):
-    return [[int(e) for e in p] for p in parts]
+    return [p.tolist() for p in parts]
 
 
 def _is_all_ones(structure):

@@ -26,7 +26,6 @@ from .weighing import _halve
 
 __all__ = [
     "Basis",
-    "RepresentativePair",
     "LearnedMatroid",
     "MatroidRun",
     "find_basis",

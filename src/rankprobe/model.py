@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +80,7 @@ def _check_universe(n, oracle):
         raise UsageError(f"n={n} does not match the oracle's universe size {oracle.n}")
 
 
-def as_element_array(s, n, mark=None):
+def as_element_array(s, n, mark=None, order=None):
     """Validate an element set over {0..n-1}; return it as a 1-D int64 array.
 
     Raises UsageError unless ``s`` holds distinct integer ids in [0, n).  Sets
@@ -94,7 +93,9 @@ def as_element_array(s, n, mark=None):
     * sparse: after one ``min``, each id's position is written into ``mark``,
       an int64 array of size n that the caller owns, and read back; a
       position that does not survive is a repeated id, and an id >= n fails
-      the write; O(|S|).  Without ``mark`` a temporary one is allocated.
+      the write; O(|S|).  The positions are a prefix of ``order``, the
+      caller's int64 array 0..n-1.  Without ``mark`` or ``order`` a temporary
+      one is allocated.
     """
     arr = _int_array(s, "element ids")
     size = arr.size
@@ -120,17 +121,17 @@ def as_element_array(s, n, mark=None):
         if np.count_nonzero(counts) != size:
             raise UsageError("element sets must not repeat an id")
         return arr
-    lo = int(arr.min())
+    lo = int(np.minimum.reduce(arr))
     if lo < 0:
         raise _out_of_range(n, lo)
     if mark is None:
         mark = np.empty(n, dtype=np.int64)
-    order = np.arange(size)
+    order = np.arange(size) if order is None else order[:size]
     try:
         mark[arr] = order  # an id >= n is the only index left that can fail
     except IndexError:
         raise _out_of_range(n, int(arr.max())) from None
-    if not (mark.take(arr) == order).all():
+    if np.count_nonzero(mark.take(arr) == order) != size:
         raise UsageError("element sets must not repeat an id")
     return arr
 
@@ -264,6 +265,34 @@ class Phase:
     independence_queries: int = 0
 
 
+class _PhaseBlock:
+    """The context manager ``QueryLedger.phase`` returns (see there)."""
+
+    __slots__ = ("ledger", "record", "rank0", "independence0")
+
+    def __init__(self, ledger, label):
+        self.ledger = ledger
+        self.record = Phase(label)
+
+    def __enter__(self):
+        ledger = self.ledger
+        if not ledger._depth:
+            ledger.phases.append(self.record)
+        self.rank0, self.independence0 = ledger.rank_count, ledger.independence_count
+        ledger._depth += 1
+        return self.record
+
+    def __exit__(self, *exc):
+        ledger, record = self.ledger, self.record
+        ledger._depth -= 1
+        record.rank_queries = ledger.rank_count - self.rank0
+        record.independence_queries = ledger.independence_count - self.independence0
+        spent = record.rank_queries + record.independence_queries
+        if spent:
+            ledger.per_phase[record.label] = ledger.per_phase.get(record.label, 0) + spent
+        return False
+
+
 class QueryLedger:
     """Exact per-kind query counters.
 
@@ -290,22 +319,8 @@ class QueryLedger:
         self.phases = []
         self._depth = 0
 
-    @contextmanager
     def phase(self, label):
-        record = Phase(label)
-        if not self._depth:
-            self.phases.append(record)
-        rank0, independence0 = self.rank_count, self.independence_count
-        self._depth += 1
-        try:
-            yield record
-        finally:
-            self._depth -= 1
-            record.rank_queries = self.rank_count - rank0
-            record.independence_queries = self.independence_count - independence0
-            spent = record.rank_queries + record.independence_queries
-            if spent:
-                self.per_phase[label] = self.per_phase.get(label, 0) + spent
+        return _PhaseBlock(self, label)
 
     def charge_rank(self):
         self.rank_count += 1
@@ -349,7 +364,7 @@ class RankOracle:
         self._simple = bool(np.all(caps == 1))
         self._mark = np.empty(self.n, dtype=np.int64)  # as_element_array's duplicate check
         self._part_mark = np.empty(caps.size, dtype=np.int64)  # distinct-part count
-        self._order = np.arange(self.n, dtype=np.int64)
+        self._order = np.arange(self.n, dtype=np.int64)  # positions for both marks
 
     def _evaluate(self, s):
         """Rank of a set already known to hold distinct ids in [0, n) (array or list)."""
@@ -374,20 +389,20 @@ class RankOracle:
 
     def rank(self, s):
         """Number of parts hit, capped per part at r_i (r_i = 1 for a simple partition)."""
-        value = self._evaluate(as_element_array(s, self.n, self._mark))
+        value = self._evaluate(as_element_array(s, self.n, self._mark, self._order))
         self.ledger.charge_rank()
         return value
 
     def is_independent(self, s):
         """True iff |S ∩ P_i| <= r_i for every part; charged as one independence query."""
-        arr = as_element_array(s, self.n, self._mark)
+        arr = as_element_array(s, self.n, self._mark, self._order)
         value = self._evaluate(arr) == arr.size
         self.ledger.charge_independence()
         return value
 
     def audit_rank(self, s):
         """Rank evaluated for audit checks only; charged to the audit counter."""
-        value = self._evaluate(as_element_array(s, self.n, self._mark))
+        value = self._evaluate(as_element_array(s, self.n, self._mark, self._order))
         self.ledger.charge_audit()
         return value
 

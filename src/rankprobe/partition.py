@@ -9,7 +9,9 @@ the connected components of the representative forest plus the final basis.
 
 Most merges find no common part.  A merge asks the sum query of I1 against
 I2 itself, before any sparse recovery: an answer of 0 means the union is
-independent and ends the merge after that one query.
+independent and ends the merge after that one query.  Otherwise sparse
+recovery hands merge each detecting design as one block, and merge builds the
+block's query sets, row ∪ I2, with ``weighing._row_sets``.
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DecodeFailure, InternalConsistencyError, InvariantViolation, UsageError
-from .model import _add_query, _check_universe, _sum_query
-from .weighing import recover_matching, recover_sparse
+from .model import _add_query, _check_universe, _int_array, _sum_query
+from .weighing import _row_sets, recover_matching, recover_sparse
 
 __all__ = [
-    "MergeOutcome",
-    "MergeStat",
     "RepForest",
     "PartitionRun",
     "merge",
@@ -65,18 +65,22 @@ class RepForest:
 
     @classmethod
     def from_edges(cls, n, edges, roots):
-        """Build the parent array; an edge end or root outside [0, n) is a UsageError."""
+        """Build the parent array; an edge end or root that is not an integer
+        in [0, n) is a UsageError."""
+        edges = list(edges)
+        src = _int_array([e for e, _ in edges], "representative edge ends")
+        dst = _int_array([rep for _, rep in edges], "representative edge ends")
+        roots = np.sort(_int_array(roots, "roots"))
         parent = np.full(n, -1, dtype=np.int64)
-        roots = sorted(roots)
-        for e, rep in edges:
+        for e, rep in zip(src.tolist(), dst.tolist()):
             if not (0 <= e < n and 0 <= rep < n):
                 raise UsageError(f"representative edge ({e}, {rep}) leaves [0, {n})")
             if parent[e] != -1:
                 raise InvariantViolation(f"element {e} has two outgoing representative edges")
             parent[e] = rep
-        if roots and not (0 <= roots[0] and roots[-1] < n):
+        if roots.size and not (0 <= roots[0] and roots[-1] < n):
             raise UsageError(f"a root lies outside [0, {n})")
-        return cls(parent, np.asarray(roots, dtype=np.int64))
+        return cls(parent, roots)
 
     @property
     def edges(self):
@@ -128,9 +132,15 @@ def merge(i1, i2, oracle):
             merged = np.concatenate((i1, i2))
             merged.sort()
             return MergeOutcome(merged, [])
-        rec1 = recover_sparse(i1.size, lambda idx: _sum_query(oracle, i1[idx], i2), known_total=d)
+        def sums(src, other):
+            # sum(S, other) = add(S ∪ other), the same array _sum_query asks
+            return lambda cols, bounds: [
+                _add_query(oracle, s) for s in _row_sets(src, cols, bounds, other)
+            ]
+
+        rec1 = recover_sparse(i1.size, sums(i1, i2), known_total=d)
         com12 = i1[rec1.support]
-        rec2 = recover_sparse(i2.size, lambda idx: _sum_query(oracle, i2[idx], i1), known_total=d)
+        rec2 = recover_sparse(i2.size, sums(i2, i1), known_total=d)
         com21 = i2[rec2.support]
     # recover_sparse returns exactly known_total ones or raises, so |com21| = d
     if d == 1:
@@ -245,9 +255,10 @@ def components(forest):
     Elements are then grouped by root.  A parent cycle raises
     InvariantViolation: its elements only ever point at one another, so
     whether or not the rounds settle, some pointer ends on an element that
-    has a parent.  A parent entry outside [-1, n) is a UsageError.
+    has a parent.  A parent entry that is not an integer in [-1, n) is a
+    UsageError.
     """
-    parent = forest.parent
+    parent = _int_array(forest.parent, "parent entries")
     n = parent.size
     if n == 0:
         return []

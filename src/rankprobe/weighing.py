@@ -4,8 +4,14 @@ Three capabilities back the partition learners:
 
 * non-adaptive detecting designs with a constructive decoder — full recovery
   of a binary vector from subset-sum measurements;
-* adaptive recovery of a sparse binary vector from a sum-query callback;
+* adaptive recovery of a sparse binary vector from a block sum-query callback;
 * reconstruction of a hidden perfect matching from an additive-query callback.
+
+Every query ``recover_sparse`` asks belongs to a block: a design's rows are
+all known before the first answer, so the callback gets them as one block
+(flat column ids plus row bounds) and answers them together; a root or
+halving query is a one-row block.  ``_row_sets`` turns a block into the query
+sets its callers ask, ``src[row] ++ fixed`` per row.
 
 Detecting designs
 -----------------
@@ -42,15 +48,18 @@ identity columns with the fewest rows, found by one dynamic program over N
 shared by every design (ties go to B16 and identity columns).  Levels start
 at 98 columns: smaller family blocks save a few rows over B16 but decode
 several times slower per design, so every design of up to 97 columns is B16
-blocks plus an identity tail.  A design is a list of (block, count) pairs;
-each block's row-index list is built once, on first use, and a design's rows
-are generated as they are asked for.  Decoding hands all blocks of one kind
-to it as one batch.  The row count is about 0.31*N at N = 1440 and 0.28*N at
-N = 4096.
+blocks plus an identity tail.  A design is a list of (block, count) pairs.
+Each block kind keeps its row-index lists, built once, on first use, and the
+same rows as one flat array of column ids with row bounds, built the first
+time a design asks for them; ``DetectingMatrix.flat_rows`` tiles those into
+one flat block per call and caches nothing per design.  Decoding hands
+all blocks of one kind to that kind as one batch.  The row count is about
+0.31*N at N = 1440 and 0.28*N at N = 4096.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -100,8 +109,24 @@ _B16 = np.array(
 _BITS = np.arange(16, dtype=np.int64)
 _POW6 = 6 ** np.arange(10, dtype=np.int64)  # base-6 code of a B16 measurement (entries <= 5)
 
+# _row_sets fills each buffer with query sets of at most this many ids in all
+# (a single larger set gets a buffer of its own), so a large block never holds
+# every query set at once
+_CHUNK_IDS = 1 << 15
 
-class _BinaryBase:
+
+class _Block:
+    """A design block kind: ``n_cols`` columns and ``rows``, one column-id array per row."""
+
+    @functools.cached_property
+    def flat(self):
+        """Every row's column ids as one array, and the R + 1 row bounds; built once."""
+        bounds = np.zeros(len(self.rows) + 1, dtype=np.int64)
+        np.cumsum([r.size for r in self.rows], out=bounds[1:])
+        return np.concatenate(self.rows), bounds
+
+
+class _BinaryBase(_Block):
     """Decoder for the 10 x 16 binary base via a sorted table of all 2^16 codes."""
 
     n_cols = 16
@@ -128,7 +153,7 @@ class _BinaryBase:
         return (patterns[idx][:, None] >> _BITS[None, :]) & 1
 
 
-class _Level:
+class _Level(_Block):
     """Family block D_k: the rows of D'_k except its top all-ones row.
 
     ``halves`` lists the row count of D'_j for j = k-1 down to 1, the size of
@@ -244,6 +269,27 @@ class DetectingMatrix:
         for j in range(base, lo + self.n_cols):
             yield np.array([j], dtype=np.int64)
 
+    def flat_rows(self, lo=0):
+        """Every row's column ids plus ``lo`` as one block: (cols, bounds).
+
+        ``cols`` is one flat int64 array and row i is
+        ``cols[bounds[i]:bounds[i + 1]]``, in ``iter_rows`` order.  Built per
+        call from each block kind's flat rows; nothing is kept per design.
+        """
+        cols, bounds = [], [np.zeros(1, dtype=np.int64)]
+        base, end = lo, 0
+        for block, count in self._blocks:
+            flat, starts = block.flat
+            copies = np.arange(count, dtype=np.int64)
+            cols.append((flat + (base + block.n_cols * copies)[:, None]).ravel())
+            bounds.append((starts[1:] + (end + flat.size * copies)[:, None]).ravel())
+            base += count * block.n_cols
+            end += count * flat.size
+        tail = lo + self.n_cols - base
+        cols.append(np.arange(base, base + tail, dtype=np.int64))
+        bounds.append(np.arange(end + 1, end + tail + 1, dtype=np.int64))
+        return np.concatenate(cols), np.concatenate(bounds)
+
     @property
     def rows(self):
         """Every row's column ids, as a new list."""
@@ -317,7 +363,14 @@ class SparseRecovery:
 
 
 def recover_sparse(N, sum_oracle, *, known_total=None):
-    """Recover the support of an unknown x in {0,1}^N from a sum-query callback.
+    """Recover the support of an unknown x in {0,1}^N from a block sum-query callback.
+
+    ``sum_oracle(cols, bounds)`` answers one block of R sum queries: ``cols``
+    is one flat int64 array of column ids in [0, N), row i is
+    ``cols[bounds[i]:bounds[i + 1]]``, and it returns the R integer sums of x
+    over the rows, in row order.  Each row counts as one query.  A detecting
+    design is one block, asked in one call; the root query and each halving
+    query are one-row blocks.
 
     Adaptive halving (lower-index half first, odd splits give the extra
     element to the lower half) with a switch to detecting-design recovery on
@@ -331,9 +384,10 @@ def recover_sparse(N, sum_oracle, *, known_total=None):
     """
     state = {"queries": 0, "matrix_used": False}
 
-    def ask(indices):
+    def ask(lo, hi):
         state["queries"] += 1
-        return int(sum_oracle(indices))
+        row = np.arange(lo, hi, dtype=np.int64)
+        return int(sum_oracle(row, np.array([0, row.size], dtype=np.int64))[0])
 
     support = []
 
@@ -351,14 +405,14 @@ def recover_sparse(N, sum_oracle, *, known_total=None):
         if size >= MATRIX_MIN_SIZE and size <= SPLIT_THRESHOLD * ones:
             state["matrix_used"] = True
             matrix = build_detecting_matrix(size)
-            meas = [ask(row) for row in matrix.iter_rows(lo)]
-            bits = matrix.decode(meas)
+            state["queries"] += matrix.n_rows
+            bits = matrix.decode(sum_oracle(*matrix.flat_rows(lo)))
             if int(bits.sum()) != ones:
                 raise DecodeFailure("decoded weight disagrees with the known sub-universe sum")
             support.extend((lo + np.flatnonzero(bits)).tolist())
             return
         mid = lo + (size + 1) // 2
-        left = ask(np.arange(lo, mid, dtype=np.int64))
+        left = ask(lo, mid)
         solve(lo, mid, left)
         solve(mid, hi, ones - left)
 
@@ -373,10 +427,42 @@ def recover_sparse(N, sum_oracle, *, known_total=None):
     elif N == 0:
         total = 0
     else:
-        total = ask(np.arange(N, dtype=np.int64))
+        total = ask(0, N)
     solve(0, N, total)
     strategy = "hybrid" if state["matrix_used"] else "binary-split"
     return SparseRecovery(np.asarray(support, dtype=np.int64), state["queries"], strategy)
+
+
+def _row_sets(src, cols, bounds, fixed):
+    """The query set ``src[row] ++ fixed`` of each row of a block, in row order.
+
+    Row i is ``cols[bounds[i]:bounds[i + 1]]`` (the block contract of
+    ``recover_sparse``).  A one-row block is one concatenate.  Otherwise the
+    rows go in chunks of about ``_CHUNK_IDS`` ids: one gather
+    ``src[cols[...]]`` per chunk fills a buffer, row by row with ``fixed``
+    after each row, and the sets are views of it.
+    """
+    if len(bounds) == 2:
+        yield np.concatenate((src[cols], fixed))
+        return
+    b = bounds.tolist()
+    width = fixed.size
+    # starts[i]: where row i's set starts in a buffer that begins at row 0
+    starts = [end + width * i for i, end in enumerate(b)]
+    r = 0
+    while r < len(b) - 1:
+        e = max(r + 1, bisect.bisect_right(starts, starts[r] + _CHUNK_IDS) - 1)
+        ids = src[cols[b[r] : b[e]]]
+        buf = np.empty(starts[e] - starts[r], dtype=np.int64)
+        pos = 0
+        for i in range(r, e):
+            row = b[i + 1] - b[i]
+            out = buf[pos : pos + row + width]
+            out[:row] = ids[b[i] - b[r] : b[i + 1] - b[r]]
+            out[row:] = fixed
+            pos += row + width
+            yield out
+        r = e
 
 
 def _halve(lo, hi, in_upper):
@@ -457,7 +543,7 @@ def recover_matching(x_side, y_side, add_oracle):
         try:
             rec = recover_sparse(
                 d,
-                lambda idx: ask(np.concatenate((ys[idx], x_b))),
+                lambda cols, bounds: [ask(s) for s in _row_sets(ys, cols, bounds, x_b)],
                 known_total=count_b,
             )
         except DecodeFailure as exc:

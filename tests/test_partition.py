@@ -12,6 +12,7 @@ from rankprobe import (
     QueryLedger,
     RankOracle,
     UsageError,
+    build_detecting_matrix,
     components,
     find_partition,
     find_partition_run,
@@ -87,6 +88,39 @@ class TestMerge:
         assert out.removed_with_reps == []
         assert o.ledger.rank_count == 1
         assert o.ledger.per_phase == {"com-discovery": 1}
+
+    def test_design_rows_are_one_query_and_one_rank_call_each(self, monkeypatch):
+        # 40 of I1's 64 elements share a part with one of I2's 70, so com
+        # discovery asks a 64-column and then a 70-column design block
+        blocks = []
+        real = partition.recover_sparse
+
+        def recording(n, sum_oracle, **kwargs):
+            def block(cols, bounds):
+                sums = sum_oracle(cols, bounds)
+                assert len(sums) == bounds.size - 1
+                blocks.append(bounds.size - 1)
+                return sums
+
+            return real(n, block, **kwargs)
+
+        class Counting(RankOracle):
+            calls = 0
+
+            def rank(self, s):
+                self.calls += 1
+                return super().rank(s)
+
+        monkeypatch.setattr(partition, "recover_sparse", recording)
+        parts = [[j, 64 + j] for j in range(40)] + [[j] for j in range(40, 64)]
+        parts += [[64 + j] for j in range(40, 70)]
+        o = Counting(HiddenPartition(parts))
+        out = merge(np.arange(64), np.arange(64, 134), o)
+        assert sorted(out.removed_with_reps) == [(j, 64 + j) for j in range(40)]
+        designs = [build_detecting_matrix(64).n_rows, build_detecting_matrix(70).n_rows]
+        assert [rows for rows in blocks if rows > 1] == designs
+        assert o.ledger.per_phase["com-discovery"] == 1 + sum(blocks)
+        assert o.calls == o.ledger.rank_count
 
     @pytest.mark.parametrize("i1,i2,queries", [([], [1, 3], 0), ([1, 3], [], 1)])
     def test_empty_side(self, i1, i2, queries):
@@ -329,6 +363,20 @@ class TestComponents:
     )
     def test_malformed_forest_rejected(self, build):
         with pytest.raises(UsageError):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RepForest.from_edges(3, [(0.5, 1)], [2]),
+            lambda: components(RepForest(np.array([-1.0, 0.0, 1.0]), np.array([0]))),
+            lambda: RepForest.from_edges(3, [], [0.5]),
+        ],
+        ids=["float-edge-end", "float-parent", "float-root"],
+    )
+    def test_non_integer_forest_rejected(self, build):
+        # the first two raised a bare IndexError; a 0.5 root was truncated to 0
+        with pytest.raises(UsageError, match="integers"):
             build()
 
     def test_two_outgoing_edges_rejected(self):

@@ -14,8 +14,9 @@ from rankprobe import (
     recover_matching,
     recover_sparse,
 )
+from rankprobe import weighing
 from rankprobe.regression import load_regression_config
-from rankprobe.weighing import _B16, _halve, _level
+from rankprobe.weighing import _B16, _halve, _level, _row_sets
 
 
 # 2*1346 + 2*98 + 2*16 + 5 columns: two blocks of each of three tiers (block
@@ -134,6 +135,16 @@ class TestBuild:
         assert [r.tolist() for r in shifted] == [(1000 + r).tolist() for r in m.rows]
         assert all(r.dtype == np.int64 for r in shifted)
 
+    @pytest.mark.parametrize("lo", [0, 1000])
+    def test_flat_rows_concatenate_iter_rows(self, lo):
+        for n in list(range(1, 301)) + [MULTI_BLOCK_N]:
+            m = build_detecting_matrix(n)
+            cols, bounds = m.flat_rows(lo)
+            rows = list(m.iter_rows(lo))
+            assert cols.dtype == bounds.dtype == np.int64
+            assert bounds.tolist() == [0] + np.cumsum([r.size for r in rows]).tolist()
+            assert np.array_equal(cols, np.concatenate(rows))
+
     def test_deterministic(self):
         a = build_detecting_matrix(100)
         b = build_detecting_matrix(100)
@@ -231,11 +242,13 @@ class TestDecode:
         assert np.array_equal(m.decode(m.measure(x)), x)
 
 
-def counting_oracle(support, counter=None):
+def counting_oracle(support):
+    """A block sum callback: each row's count of ids in ``support``."""
     sup = set(int(v) for v in support)
 
-    def ask(indices):
-        return sum(1 for i in np.asarray(indices).tolist() if i in sup)
+    def ask(cols, bounds):
+        ids, b = cols.tolist(), bounds.tolist()
+        return [sum(1 for i in ids[b[r] : b[r + 1]] if i in sup) for r in range(len(b) - 1)]
 
     return ask
 
@@ -284,6 +297,34 @@ class TestRecoverSparse:
         assert rec.support.tolist() == [5]
         assert rec.queries_used <= 6
 
+    @pytest.mark.parametrize("n,d", [(64, 40), (1024, 300), (4096, 1100), (MULTI_BLOCK_N, 900)])
+    def test_one_callback_per_design(self, n, d, monkeypatch):
+        # a design's rows reach the callback as one block, in iter_rows order;
+        # every other block is one halving or root row
+        designs = []
+
+        def counting_build(size):
+            designs.append(size)
+            return build_detecting_matrix(size)
+
+        monkeypatch.setattr(weighing, "build_detecting_matrix", counting_build)
+        blocks = []
+        ask = counting_oracle(np.random.default_rng(n).choice(n, size=d, replace=False))
+
+        def block(cols, bounds):
+            blocks.append((cols.copy(), bounds.copy()))
+            return ask(cols, bounds)
+
+        rec = recover_sparse(n, block)
+        designs_asked = [(c, b) for c, b in blocks if b.size > 2]
+        assert len(designs_asked) == len(designs) > 0
+        for (cols, bounds), size in zip(designs_asked, designs):
+            m = build_detecting_matrix(size)
+            rows = list(m.iter_rows(int(cols.min())))
+            assert bounds.size == m.n_rows + 1
+            assert np.array_equal(cols, np.concatenate(rows))
+        assert rec.queries_used == sum(b.size - 1 for _, b in blocks)
+
     def test_query_count_monotone_in_d(self):
         n = 1024
         ds = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
@@ -300,6 +341,54 @@ class TestRecoverSparse:
         yr = np.argsort(np.argsort(means)).astype(float)
         rho = np.corrcoef(xr, yr)[0, 1]
         assert rho > 0.9
+
+
+class TestRowSets:
+    @staticmethod
+    def expected(src, cols, bounds, fixed):
+        return [np.concatenate((src[cols[a:b]], fixed)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def check(self, src, cols, bounds, fixed):
+        got = list(_row_sets(src, cols, np.asarray(bounds, dtype=np.int64), fixed))
+        want = self.expected(src, cols, bounds, fixed)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64 and g.tobytes() == w.tobytes()
+
+    def random_block(self, rng, rows, max_row, n_fixed):
+        ids = rng.permutation(4 * (max_row + n_fixed) + 8).astype(np.int64)
+        src, fixed = ids[: 2 * max_row + 4], ids[-n_fixed:] if n_fixed else ids[:0]
+        lens = rng.integers(1, max_row + 1, rows)
+        cols = np.concatenate([rng.choice(src.size, size=k, replace=False) for k in lens])
+        bounds = np.concatenate(([0], np.cumsum(lens)))
+        return src, cols.astype(np.int64), bounds, fixed
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        for n_fixed in (0, 1, 37, 900):
+            self.check(*self.random_block(rng, int(rng.integers(2, 60)), 400, n_fixed))
+
+    def test_one_row_blocks(self):
+        rng = np.random.default_rng(1)
+        for n_fixed in (0, 5, 2000):
+            self.check(*self.random_block(rng, 1, 3000, n_fixed))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50, 301])
+    def test_rows_straddle_chunk_boundaries(self, chunk, monkeypatch):
+        # sets larger than a chunk, and chunk limits that fall inside a set
+        monkeypatch.setattr(weighing, "_CHUNK_IDS", chunk)
+        rng = np.random.default_rng(chunk)
+        for n_fixed in (0, 3, 60):
+            self.check(*self.random_block(rng, 40, 90, n_fixed))
+
+    def test_large_block_uses_several_buffers(self):
+        rng = np.random.default_rng(2)
+        src, cols, bounds, fixed = self.random_block(rng, 200, 400, 500)
+        self.check(src, cols, bounds, fixed)
+        sets = list(_row_sets(src, cols, bounds, fixed))
+        buffers = {id(s.base) for s in sets}
+        assert 1 < len(buffers) < len(sets)
 
 
 def matching_oracle(partner):
@@ -419,7 +508,7 @@ class TestIntegerSizes:
     def test_recover_sparse_rejects_non_integer_n(self, N):
         asked = []
         with pytest.raises(UsageError, match="integer"):
-            recover_sparse(N, lambda idx: asked.append(idx) or 0)
+            recover_sparse(N, lambda cols, bounds: asked.append(cols) or [0])
         assert asked == []
 
     @pytest.mark.parametrize("N", [40.0, True, np.float64(40)])
@@ -440,7 +529,7 @@ class TestIntegerSizes:
         # raised DecodeFailure, which blames the oracle for a caller error
         asked = []
         with pytest.raises(UsageError, match="known_total"):
-            recover_sparse(N, lambda idx: asked.append(idx) or 0, known_total=total)
+            recover_sparse(N, lambda cols, bounds: asked.append(cols) or [0], known_total=total)
         assert asked == []
 
     def test_recover_sparse_integer_known_total_accepted(self):

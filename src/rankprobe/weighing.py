@@ -41,7 +41,8 @@ reproduces the measurements exactly (each pass reproduces its rows from exact
 halves), or the decode raises DecodeFailure.
 
 ``_B16`` is a 10x16 binary detecting base (checked exhaustively by the test
-suite), decoded through a sorted table of all 2^16 codes.
+suite), decoded through a sorted table of all 2^16 codes built from its 16
+column weights.
 
 ``build_detecting_matrix(N)`` packs family blocks D_5..D_9, B16 blocks and
 identity columns with the fewest rows, found by one dynamic program over N
@@ -49,12 +50,12 @@ shared by every design (ties go to B16 and identity columns).  Levels start
 at 98 columns: smaller family blocks save a few rows over B16 but decode
 several times slower per design, so every design of up to 97 columns is B16
 blocks plus an identity tail.  A design is a list of (block, count) pairs.
-Each block kind keeps its row-index lists, built once, on first use, and the
-same rows as one flat array of column ids with row bounds, built the first
-time a design asks for them; ``DetectingMatrix.flat_rows`` tiles those into
-one flat block per call and caches nothing per design.  Decoding hands
-all blocks of one kind to that kind as one batch.  The row count is about
-0.31*N at N = 1440 and 0.28*N at N = 4096.
+Each block kind keeps its rows in one form only, one flat array of column ids
+with row bounds, built once, on first use, from its 0/1 matrix;
+``DetectingMatrix.flat_rows`` tiles those into one flat block per call and
+caches nothing per design.  Decoding hands all blocks of one kind to that
+kind as one batch.  The row count is about 0.31*N at N = 1440 and 0.28*N at
+N = 4096.
 """
 
 from __future__ import annotations
@@ -115,31 +116,30 @@ _POW6 = 6 ** np.arange(10, dtype=np.int64)  # base-6 code of a B16 measurement (
 _CHUNK_IDS = 1 << 15
 
 
-class _Block:
-    """A design block kind: ``n_cols`` columns and ``rows``, one column-id array per row."""
-
-    @functools.cached_property
-    def flat(self):
-        """Every row's column ids as one array, and the R + 1 row bounds; built once."""
-        bounds = np.zeros(len(self.rows) + 1, dtype=np.int64)
-        np.cumsum([r.size for r in self.rows], out=bounds[1:])
-        return np.concatenate(self.rows), bounds
+def _flat(mat):
+    """The rows of a 0/1 matrix as one block: flat column ids and the R + 1 row bounds."""
+    cols = np.flatnonzero(mat)
+    cols %= mat.shape[1]
+    bounds = np.zeros(mat.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(mat, axis=1), out=bounds[1:])
+    return cols, bounds
 
 
-class _BinaryBase(_Block):
+class _BinaryBase:
     """Decoder for the 10 x 16 binary base via a sorted table of all 2^16 codes."""
 
-    n_cols = 16
-
-    def __init__(self):
-        self.rows = [np.flatnonzero(r) for r in _B16]
+    n_rows, n_cols = _B16.shape
+    cols, bounds = _flat(_B16)
 
     @functools.cached_property
     def _table(self):
-        x = ((np.arange(1 << 16)[:, None] >> _BITS[None, :]) & 1).astype(np.int64)
-        codes = (x @ _B16.T) @ _POW6
+        # pattern i's code is the sum of the column weights over i's set bits
+        w = _POW6 @ _B16
+        codes = np.zeros(1, dtype=np.int64)
+        for b in range(self.n_cols):
+            codes = np.concatenate((codes, codes + w[b]))
         order = np.argsort(codes, kind="stable")
-        return codes[order], np.arange(1 << 16, dtype=np.int64)[order]
+        return codes[order], order
 
     def decode(self, meas):
         """Decode a (b, 10) batch of measurements to a (b, 16) batch of 0/1 vectors."""
@@ -153,16 +153,16 @@ class _BinaryBase(_Block):
         return (patterns[idx][:, None] >> _BITS[None, :]) & 1
 
 
-class _Level(_Block):
-    """Family block D_k: the rows of D'_k except its top all-ones row.
+class _Level:
+    """Family block D_k: the rows ``mat`` of D'_k except its top all-ones row.
 
     ``halves`` lists the row count of D'_j for j = k-1 down to 1, the size of
     the top and of the middle row group that each decoding pass splits.
     """
 
-    def __init__(self, n_cols, rows, halves):
-        self.n_cols = n_cols
-        self.rows = rows
+    def __init__(self, mat, halves):
+        self.n_rows, self.n_cols = mat.shape
+        self.cols, self.bounds = _flat(mat)
         self.halves = halves
 
     def decode(self, meas):
@@ -196,7 +196,7 @@ class _Level(_Block):
 
 @functools.cache
 def _level(k):
-    """D_k, built on first use; only its row-index lists are kept."""
+    """D_k, built on first use; only its flat rows are kept."""
     d = np.array([[1, 0], [1, 1]], dtype=bool)  # D'_1
     halves = []
     for _ in range(k - 1):
@@ -205,7 +205,7 @@ def _level(k):
         ones = np.ones((1, 2 * n + m - 1), dtype=bool)
         d = np.block([[d, d, eye], [d, ~d, np.zeros_like(eye)], [ones]])
         halves.insert(0, m)
-    return _Level(d.shape[1], [np.flatnonzero(r) for r in d[:-1]], halves)
+    return _Level(d[:-1], halves)
 
 
 def _block_kinds():
@@ -256,57 +256,40 @@ class DetectingMatrix:
 
     @property
     def n_rows(self):
-        return self.n_cols - sum(count * (b.n_cols - len(b.rows)) for b, count in self._blocks)
-
-    def iter_rows(self, lo=0):
-        """Each row's column ids plus ``lo``, built as it is asked for."""
-        base = lo
-        for block, count in self._blocks:
-            for _ in range(count):
-                for row in block.rows:
-                    yield base + row
-                base += block.n_cols
-        for j in range(base, lo + self.n_cols):
-            yield np.array([j], dtype=np.int64)
+        return self.n_cols - sum(count * (b.n_cols - b.n_rows) for b, count in self._blocks)
 
     def flat_rows(self, lo=0):
         """Every row's column ids plus ``lo`` as one block: (cols, bounds).
 
         ``cols`` is one flat int64 array and row i is
-        ``cols[bounds[i]:bounds[i + 1]]``, in ``iter_rows`` order.  Built per
-        call from each block kind's flat rows; nothing is kept per design.
+        ``cols[bounds[i]:bounds[i + 1]]``: each block's rows in turn, then
+        one row per identity column.  Built per call from each block kind's
+        flat rows; nothing is kept per design.
         """
         cols, bounds = [], [np.zeros(1, dtype=np.int64)]
         base, end = lo, 0
         for block, count in self._blocks:
-            flat, starts = block.flat
             copies = np.arange(count, dtype=np.int64)
-            cols.append((flat + (base + block.n_cols * copies)[:, None]).ravel())
-            bounds.append((starts[1:] + (end + flat.size * copies)[:, None]).ravel())
+            cols.append((block.cols + (base + block.n_cols * copies)[:, None]).ravel())
+            bounds.append((block.bounds[1:] + (end + block.cols.size * copies)[:, None]).ravel())
             base += count * block.n_cols
-            end += count * flat.size
+            end += count * block.cols.size
         tail = lo + self.n_cols - base
         cols.append(np.arange(base, base + tail, dtype=np.int64))
         bounds.append(np.arange(end + 1, end + tail + 1, dtype=np.int64))
         return np.concatenate(cols), np.concatenate(bounds)
 
-    @property
-    def rows(self):
-        """Every row's column ids, as a new list."""
-        return list(self.iter_rows())
-
-    def as_dense(self):
-        m = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
-        for i, r in enumerate(self.iter_rows()):
-            m[i, r] = 1
-        return m
-
     def measure(self, x):
-        """Forward map: one subset sum per row (the test-side oracle)."""
-        x = np.asarray(x, dtype=np.int64)
+        """Forward map: one subset sum per row (the test-side oracle).
+
+        ``x`` must be an integer vector of length ``n_cols`` (UsageError
+        otherwise).
+        """
+        x = _int_array(x, "x")
         if x.shape != (self.n_cols,):
             raise UsageError(f"expected a vector of length {self.n_cols}")
-        return np.array([int(x[r].sum()) for r in self.iter_rows()], dtype=np.int64)
+        cols, bounds = self.flat_rows()
+        return np.add.reduceat(x[cols], bounds[:-1])  # no design row is empty
 
     def decode(self, measurements):
         """Invert the measurement map; raises DecodeFailure on inconsistent input.
@@ -321,7 +304,7 @@ class DetectingMatrix:
         out = np.empty(self.n_cols, dtype=np.int64)
         pos = col = 0
         for block, count in self._blocks:
-            n_rows, width = count * len(block.rows), count * block.n_cols
+            n_rows, width = count * block.n_rows, count * block.n_cols
             batch = meas[pos : pos + n_rows].reshape(count, -1)
             out[col : col + width] = block.decode(batch).ravel()
             pos += n_rows

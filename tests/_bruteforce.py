@@ -4,7 +4,11 @@ Everything here computes from ground truth by direct definition, never
 through the query machinery under test.
 """
 
+import functools
+
 import numpy as np
+
+from rankprobe.weighing import _B16
 
 
 def brute_rank(parts, capacities, subset):
@@ -104,3 +108,46 @@ def brute_components(parent):
     for e in range(n):
         groups.setdefault(find(e), []).append(e)
     return sorted(groups.values(), key=lambda p: p[0])
+
+
+@functools.cache
+def family_block(n_cols):
+    """Family block D_k of ``n_cols`` columns, from the recursion on D'_j.
+
+    D'_1 = [[1, 0], [1, 1]]; D'_{j+1} stacks [D'_j, D'_j, I'], [D'_j, 1 - D'_j, 0]
+    and an all-ones row, where I' has a 1 at (i, i) for every row i of D'_j
+    but its last (all-ones) row.  D_k is D'_k without that last row.
+    """
+    d = np.array([[1, 0], [1, 1]], dtype=np.uint8)
+    while d.shape[1] < n_cols:
+        m, n = d.shape
+        nxt = np.zeros((2 * m + 1, 2 * n + m - 1), dtype=np.uint8)
+        nxt[:m, :n] = d
+        nxt[:m, n : 2 * n] = d
+        nxt[np.arange(m - 1), 2 * n + np.arange(m - 1)] = 1
+        nxt[m : 2 * m, :n] = d
+        nxt[m : 2 * m, n : 2 * n] = 1 - d
+        nxt[2 * m] = 1
+        d = nxt
+    assert d.shape[1] == n_cols, f"no family block has {n_cols} columns"
+    return d[:-1]
+
+
+def as_dense(design):
+    """A detecting design's 0/1 matrix by definition (int64).
+
+    The blocks of ``design._blocks`` (B16 for 16 columns, D_k otherwise) sit
+    side by side on the diagonal, each repeated ``count`` times, then one
+    identity row per remaining column.
+    """
+    mats = []
+    for block, count in design._blocks:
+        mats += [_B16 if block.n_cols == 16 else family_block(block.n_cols)] * count
+    tail = design.n_cols - sum(b.shape[1] for b in mats)
+    dense = np.zeros((sum(b.shape[0] for b in mats) + tail, design.n_cols), dtype=np.int64)
+    r = c = 0
+    for b in mats:
+        dense[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    dense[r + np.arange(tail), c + np.arange(tail)] = 1
+    return dense

@@ -26,7 +26,13 @@ from rankprobe.bench import InstanceSpec, generate, run_learner, sweep, sweep_ro
 from rankprobe.matroid import _inside_oracle, _outside_oracle, _side_complement
 from rankprobe.regression import load_regression_config
 
-from _bruteforce import brute_rank, canonical, enumerate_capacitated, enumerate_set_partitions
+from _bruteforce import (
+    as_dense,
+    brute_rank,
+    canonical,
+    enumerate_capacitated,
+    enumerate_set_partitions,
+)
 
 SIMPLE_FAMILIES = ("uniform-k", "geometric-sizes", "equal-blocks", "singleton-heavy")
 
@@ -197,7 +203,7 @@ def test_criterion_07_baseline_separation():
 def test_criterion_08_weighing_correctness():
     # exhaustive injectivity for every N <= 12
     for n in range(1, 13):
-        dense = build_detecting_matrix(n).as_dense()
+        dense = as_dense(build_detecting_matrix(n))
         x = ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int64)
         assert len(np.unique(x @ dense.T, axis=0)) == 1 << n
 
@@ -206,7 +212,7 @@ def test_criterion_08_weighing_correctness():
     for n in (64, 512, 4096):
         m = build_detecting_matrix(n)
         assert m.n_rows <= max(n, math.ceil(4 * n / math.log2(n)))
-        dense = m.as_dense().astype(np.float64)
+        dense = as_dense(m).astype(np.float64)
         xs = (rng.random((1000, n)) < rng.random((1000, 1))).astype(np.int64)
         meas = np.rint(xs.astype(np.float64) @ dense.T).astype(np.int64)
         for i in range(1000):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,9 @@ from rankprobe import (
 )
 from rankprobe import weighing
 from rankprobe.regression import load_regression_config
-from rankprobe.weighing import _B16, _halve, _level, _row_sets
+from rankprobe.weighing import _B16, _POW6, _BinaryBase, _halve, _level, _row_sets
+
+from _bruteforce import as_dense
 
 
 # 2*1346 + 2*98 + 2*16 + 5 columns: two blocks of each of three tiers (block
@@ -32,9 +38,14 @@ def all_binary(n):
     return ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int64)
 
 
+def rows_of(cols, bounds):
+    """A block's rows, one column-id array each: row i is ``cols[bounds[i]:bounds[i + 1]]``."""
+    return np.split(cols, bounds[1:-1])
+
+
 def block_measure(block, x):
-    """Row sums of a (b, n_cols) batch under a block's row-index lists."""
-    return np.stack([x[:, r].sum(axis=1) for r in block.rows], axis=1)
+    """Row sums of a (b, n_cols) batch under a block kind's rows."""
+    return np.stack([x[:, r].sum(axis=1) for r in rows_of(block.cols, block.bounds)], axis=1)
 
 
 class TestFrozenBases:
@@ -44,14 +55,26 @@ class TestFrozenBases:
         assert len(np.unique(meas, axis=0)) == 1 << 16
         assert int(_B16.sum(axis=1).max()) <= 5
 
+    def test_b16_table_decodes_every_pattern(self):
+        x = all_binary(16)
+        assert np.array_equal(_BinaryBase().decode(x @ _B16.T), x)
+
+    def test_b16_table_is_the_sorted_codes(self):
+        # the codes of every 16-bit pattern, encoded row by row
+        codes, patterns = _BinaryBase()._table
+        want = (all_binary(16) @ _B16.T) @ _POW6
+        assert np.array_equal(codes, np.sort(want))
+        assert np.array_equal(want[patterns], codes)
+
 
 class TestFamily:
     def test_sizes(self):
         # D'_1 has 2 rows for 2 columns; a block D_k drops the top all-ones row
-        sizes = [(_level(k).n_cols, len(_level(k).rows)) for k in range(1, 10)]
+        sizes = [(_level(k).n_cols, _level(k).n_rows) for k in range(1, 10)]
         assert sizes == [
             (2, 1), (5, 4), (14, 10), (38, 22), (98, 46), (242, 94), (578, 190), (1346, 382), (3074, 766)
         ]
+        assert all(_level(k).bounds.size == _level(k).n_rows + 1 for k in range(1, 10))
 
     def test_d1_with_its_all_ones_row_exhaustive(self):
         # D_1 = [[1, 0]] alone is not detecting; with its all-ones row it is
@@ -82,8 +105,9 @@ class TestFamily:
         block = _level(k)
         rng = np.random.default_rng(k)
         meas = block_measure(block, (rng.random((1, block.n_cols)) < 0.5).astype(np.int64))
-        for r in range(len(block.rows)):
-            for bad in (-1, len(block.rows[r]) + 1, meas[0, r] - 1, meas[0, r] + 1):
+        sizes = np.diff(block.bounds)
+        for r in range(block.n_rows):
+            for bad in (-1, sizes[r] + 1, meas[0, r] - 1, meas[0, r] + 1):
                 corrupt = meas.copy()
                 corrupt[0, r] = bad
                 try:
@@ -97,15 +121,15 @@ class TestFamily:
 class TestBuild:
     def test_n1_single_row(self):
         m = build_detecting_matrix(1)
-        assert [r.tolist() for r in m.rows] == [[0]]
+        assert [r.tolist() for r in rows_of(*m.flat_rows())] == [[0]]
 
     def test_n2_identity(self):
         m = build_detecting_matrix(2)
-        assert [r.tolist() for r in m.rows] == [[0], [1]]
+        assert [r.tolist() for r in rows_of(*m.flat_rows())] == [[0], [1]]
 
     def test_n12_exhaustive_injectivity(self):
         m = build_detecting_matrix(12)
-        dense = m.as_dense()
+        dense = as_dense(m)
         x = ((np.arange(1 << 12)[:, None] >> np.arange(12)[None, :]) & 1).astype(np.int64)
         meas = x @ dense.T
         assert len(np.unique(meas, axis=0)) == 1 << 12
@@ -115,7 +139,7 @@ class TestBuild:
         m = build_detecting_matrix(n)
         assert m.n_rows <= row_budget(n)
         covered = np.zeros(n, dtype=bool)
-        for r in m.rows:
+        for r in rows_of(*m.flat_rows()):
             covered[r] = True
         assert covered.all()
 
@@ -131,24 +155,51 @@ class TestBuild:
 
     def test_rows_built_as_asked(self):
         m = build_detecting_matrix(200)
-        shifted = list(m.iter_rows(lo=1000))
-        assert [r.tolist() for r in shifted] == [(1000 + r).tolist() for r in m.rows]
+        shifted = rows_of(*m.flat_rows(lo=1000))
+        assert [r.tolist() for r in shifted] == [(1000 + r).tolist() for r in rows_of(*m.flat_rows())]
         assert all(r.dtype == np.int64 for r in shifted)
 
     @pytest.mark.parametrize("lo", [0, 1000])
-    def test_flat_rows_concatenate_iter_rows(self, lo):
+    def test_flat_rows_match_definition(self, lo):
+        # against the dense design built from the D'_k recursion and B16
         for n in list(range(1, 301)) + [MULTI_BLOCK_N]:
             m = build_detecting_matrix(n)
             cols, bounds = m.flat_rows(lo)
-            rows = list(m.iter_rows(lo))
+            rows = [lo + np.flatnonzero(r) for r in as_dense(m)]
             assert cols.dtype == bounds.dtype == np.int64
             assert bounds.tolist() == [0] + np.cumsum([r.size for r in rows]).tolist()
             assert np.array_equal(cols, np.concatenate(rows))
+            assert (np.diff(bounds) > 0).all()  # np.add.reduceat needs nonempty rows
+            assert m.n_rows == len(rows)
+
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 100, 300, 1440, MULTI_BLOCK_N, 4096])
+    def test_measure_is_the_dense_product(self, n):
+        m = build_detecting_matrix(n)
+        dense = as_dense(m)
+        rng = np.random.default_rng(n)
+        for density in (0.0, 0.3, 1.0):
+            x = (rng.random(n) < density).astype(np.int64)
+            got = m.measure(x)
+            assert got.dtype == np.int64 and np.array_equal(got, dense @ x)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[0.7] * 20, np.full(20, 1.0), np.ones(20, dtype=bool)],
+        ids=["float-list", "float-array", "bool-array"],
+    )
+    def test_measure_rejects_non_integers(self, bad):
+        # a float list once measured as zeros, and a bool vector was accepted
+        with pytest.raises(UsageError, match="integers"):
+            build_detecting_matrix(20).measure(bad)
+
+    def test_measure_rejects_wrong_length(self):
+        with pytest.raises(UsageError, match="length 20"):
+            build_detecting_matrix(20).measure([0] * 19)
 
     def test_deterministic(self):
         a = build_detecting_matrix(100)
         b = build_detecting_matrix(100)
-        assert a is b or [r.tolist() for r in a.rows] == [r.tolist() for r in b.rows]
+        assert a is b or all(np.array_equal(u, v) for u, v in zip(a.flat_rows(), b.flat_rows()))
 
 
 class TestDecode:
@@ -158,13 +209,13 @@ class TestDecode:
 
     def test_all_ones(self):
         m = build_detecting_matrix(40)
-        sizes = np.array([len(r) for r in m.rows])
+        sizes = np.diff(m.flat_rows()[1])
         assert m.decode(sizes).tolist() == [1] * 40
 
     @pytest.mark.parametrize("n", [16, 31, 98, 160, 200, 1440, 1600])
     def test_round_trips(self, n):
         m = build_detecting_matrix(n)
-        dense = m.as_dense()
+        dense = as_dense(m)
         rng = np.random.default_rng(n)
         for _ in range(60):
             x = (rng.random(n) < rng.random()).astype(np.int64)
@@ -186,7 +237,7 @@ class TestDecode:
         # D @ x + 0.4 used to truncate to the right answer
         m = build_detecting_matrix(n)
         x = (np.random.default_rng(n).random(n) < 0.5).astype(np.int64)
-        meas = m.as_dense() @ x
+        meas = as_dense(m) @ x
         for bad in (meas + 0.4, meas.astype(np.float64), meas.astype(bool)):
             with pytest.raises(UsageError, match="integers"):
                 m.decode(bad)
@@ -204,13 +255,14 @@ class TestDecode:
     @pytest.mark.parametrize("tier", [0, 1, 2], ids=["t3", "t2", "t1"])
     def test_corrupt_second_block_fails(self, tier):
         m = build_detecting_matrix(MULTI_BLOCK_N)
-        start = sum(len(t.rows) * count for t, count in m._blocks[:tier])
-        block_rows = len(m._blocks[tier][0].rows)
+        start = sum(t.n_rows * count for t, count in m._blocks[:tier])
+        block_rows = m._blocks[tier][0].n_rows
+        sizes = np.diff(m.flat_rows()[1])
         x = (np.random.default_rng(tier).random(MULTI_BLOCK_N) < 0.5).astype(np.int64)
         meas = m.measure(x)
         for r in (start + block_rows, start + block_rows + block_rows // 2, start + 2 * block_rows - 1):
             # no 0/1 vector measures -1 or more than the row's size
-            for bad in (-1, len(m.rows[r]) + 1):
+            for bad in (-1, sizes[r] + 1):
                 corrupt = meas.copy()
                 corrupt[r] = bad
                 with pytest.raises(DecodeFailure):
@@ -299,7 +351,7 @@ class TestRecoverSparse:
 
     @pytest.mark.parametrize("n,d", [(64, 40), (1024, 300), (4096, 1100), (MULTI_BLOCK_N, 900)])
     def test_one_callback_per_design(self, n, d, monkeypatch):
-        # a design's rows reach the callback as one block, in iter_rows order;
+        # a design's rows reach the callback as one block, in flat_rows order;
         # every other block is one halving or root row
         designs = []
 
@@ -320,9 +372,9 @@ class TestRecoverSparse:
         assert len(designs_asked) == len(designs) > 0
         for (cols, bounds), size in zip(designs_asked, designs):
             m = build_detecting_matrix(size)
-            rows = list(m.iter_rows(int(cols.min())))
+            want_cols, want_bounds = m.flat_rows(int(cols.min()))
             assert bounds.size == m.n_rows + 1
-            assert np.array_equal(cols, np.concatenate(rows))
+            assert np.array_equal(cols, want_cols) and np.array_equal(bounds, want_bounds)
         assert rec.queries_used == sum(b.size - 1 for _, b in blocks)
 
     def test_query_count_monotone_in_d(self):
@@ -536,3 +588,30 @@ class TestIntegerSizes:
         for total in (2, np.int64(2), np.uint8(2)):
             rec = recover_sparse(8, counting_oracle([3, 5]), known_total=total)
             assert rec.support.tolist() == [3, 5]
+
+
+# Build and decode a 1440-column design in a fresh interpreter, as the
+# benchmark's warm-up does, and print the growth of peak RSS (KiB on Linux).
+_WARM_UP = """
+import resource
+import rankprobe
+
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+m = rankprobe.build_detecting_matrix(1440)
+m.decode(m.measure([0] * 1440))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+class TestMemory:
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+    def test_design_warm_up_peak_rss(self):
+        # encoding all 2^16 B16 patterns as a 65,536 x 16 int64 matrix would add ~13 MB
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", _WARM_UP], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 8 * 1024

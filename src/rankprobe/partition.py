@@ -116,9 +116,11 @@ def merge(i1, i2, oracle):
     queries (skipped for d <= 1 where the outcome is forced).  The merged set
     keeps I2's copies of the common parts.  A root sum outside
     [0, min(|I1|, |I2|)] cannot come from an honest oracle: DecodeFailure.
+    I1 and I2 must be one-dimensional integer ids (UsageError before any
+    query otherwise).
     """
-    i1 = np.asarray(i1, dtype=np.int64)
-    i2 = np.asarray(i2, dtype=np.int64)
+    i1 = _int_array(i1, "I1")
+    i2 = _int_array(i2, "I2")
     ledger = oracle.ledger
     with ledger.phase("com-discovery"):
         d = int(_sum_query(oracle, i1, i2)) if i1.size else 0

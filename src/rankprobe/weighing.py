@@ -16,18 +16,22 @@ sets its callers ask, ``src[row] ++ fixed`` per row.
 Detecting designs
 -----------------
 A design is *detecting* if x -> (row sums of x) is injective on {0,1}^n.
-Large designs are built from a weight-carrying recursive family in the line
-of Lindström (1964) and Cantor & Mills (1966):
+Large designs are built from two weight-carrying recursive families in the
+line of Lindström (1964) and Cantor & Mills (1966), which share one
+recursion:
 
-    D'_1 = [[1, 0], [1, 1]],
     D'_{j+1} = [[D'_j, D'_j,       I'],
                 [D'_j, J - D'_j,   0 ],
                 [1  ...              1]],
 
 with columns (x1, x2, z).  I' is the identity on every row of D'_j except its
 all-ones row (so z has one entry fewer than D'_j has rows), and J is all
-ones.  A design block D_k is D'_k without its top all-ones row: 98, 242, 578,
-1346 and 3074 columns in 46, 94, 190, 382 and 766 rows for k = 5..9.
+ones.  The families differ in their seed D'_1: [[1, 0], [1, 1]], or the
+10 x 16 base ``_B16`` with an all-ones row below it (11 x 16).  A design
+block D_k is D'_k without its top all-ones row: 98, 242, 578, 1346 and 3074
+columns in 46, 94, 190, 382 and 766 rows for k = 5..9 of the first family,
+and 106, 258, 610, 1410 and 3202 columns in the same rows for k = 3..7 of the
+B16-seeded one, 4-8% more columns for the same rows.
 
 Decode needs no input beyond the block's measurements.  The all-ones rows of
 the two copies of D'_j one level down give |x1| and |x2|; on every other row
@@ -35,27 +39,35 @@ the top and middle measurements add up to 2*(D'_j x1) + z, so parity gives
 z, and with s = top - z and t = middle - |x2| the halves measure
 y1 = (s + t)/2 and y2 = (s - t)/2, which recurse with |x1| and |x2| as their
 all-ones rows.  Each pass splits every block of a batch at once.  A pass
-below the top also requires the all-ones row to equal |x1| + |x2| + |z|, and
-the leaves of D'_1 must be 0/1; with those checks every decoded vector
-reproduces the measurements exactly (each pass reproduces its rows from exact
-halves), or the decode raises DecodeFailure.
+below the top also requires the all-ones row to equal |x1| + |x2| + |z|.
+The leaves of D'_1 = [[1, 0], [1, 1]] must be 0/1; a leaf of the seeded
+family is decoded by the B16 table and its weight must equal its all-ones
+row.  With those checks every decoded vector reproduces the measurements
+exactly (each pass reproduces its rows from exact halves), or the decode
+raises DecodeFailure.
 
 ``_B16`` is a 10x16 binary detecting base (checked exhaustively by the test
 suite), decoded through a sorted table of all 2^16 codes built from its 16
-column weights.
+column weights.  One decoder, and so one table, serves B16 blocks and the
+seeded family's leaves.
 
-``build_detecting_matrix(N)`` packs family blocks D_5..D_9, B16 blocks and
+``build_detecting_matrix(N)`` packs blocks of both families, B16 blocks and
 identity columns with the fewest rows, found by one dynamic program over N
-shared by every design (ties go to B16 and identity columns).  Levels start
-at 98 columns: smaller family blocks save a few rows over B16 but decode
-several times slower per design, so every design of up to 97 columns is B16
-blocks plus an identity tail.  A design is a list of (block, count) pairs.
-Each block kind keeps its rows in one form only, one flat array of column ids
-with row bounds, built once, on first use, from its 0/1 matrix;
+shared by every design (ties go to the smaller block, identity columns
+first).  Choosing from both families is never worse than either alone: the
+seeded family alone needs more rows than the first at 606 of N = 1..4096, up
+to 120 more at N = 3074, just below its own 3202.  Blocks start at 98
+columns, the seeded family's at 106: smaller blocks save a few rows over B16
+but decode several times slower per design.  The seeded 42-column block, for
+one, saves 2 rows at N = 48 and 64 but decodes in about twice the time of
+the B16 blocks it replaces, and with it small-parts runs lost wall time.  So
+every design of up to 97 columns is B16 blocks plus an identity tail.  A design is a list of (block, count) pairs.  Each block kind
+keeps its rows in one form only, one flat array of column ids with row
+bounds, built once, on first use, from its 0/1 matrix;
 ``DetectingMatrix.flat_rows`` tiles those into one flat block per call and
 caches nothing per design.  Decoding hands all blocks of one kind to that
-kind as one batch.  The row count is about 0.31*N at N = 1440 and 0.28*N at
-N = 4096.
+kind as one batch.  The row count is 406 (about 0.28*N) at N = 1440 and 1070
+(about 0.26*N) at N = 4096.
 """
 
 from __future__ import annotations
@@ -153,17 +165,39 @@ class _BinaryBase:
         return (patterns[idx][:, None] >> _BITS[None, :]) & 1
 
 
+# the one B16 decoder (and 2^16 table) behind B16 blocks and seeded-family leaves
+_B16_BASE = _BinaryBase()
+
+
+def _pair_leaf(y):
+    """Leaves of D'_1 = [[1, 0], [1, 1]]: a (b, 2) batch measures x0 and x0 + x1."""
+    x = np.column_stack((y[:, 0], y[:, 1] - y[:, 0]))
+    if np.any((x < 0) | (x > 1)):
+        raise DecodeFailure("no binary vector matches the measurements")
+    return x
+
+
+def _b16_leaf(y):
+    """Leaves of D'_1 = [B16; all-ones]: the B16 table, checked against the all-ones row."""
+    x = _B16_BASE.decode(y[:, :10])
+    if np.any(x.sum(axis=1) != y[:, 10]):
+        raise DecodeFailure("a leaf's all-ones row disagrees with its B16 weight")
+    return x
+
+
 class _Level:
     """Family block D_k: the rows ``mat`` of D'_k except its top all-ones row.
 
     ``halves`` lists the row count of D'_j for j = k-1 down to 1, the size of
-    the top and of the middle row group that each decoding pass splits.
+    the top and of the middle row group that each decoding pass splits;
+    ``leaf`` decodes the (b, rows of D'_1) batch the last pass leaves.
     """
 
-    def __init__(self, mat, halves):
+    def __init__(self, mat, halves, leaf):
         self.n_rows, self.n_cols = mat.shape
         self.cols, self.bounds = _flat(mat)
         self.halves = halves
+        self.leaf = leaf
 
     def decode(self, meas):
         """Decode a (b, rows) batch of block measurements to a (b, n_cols) batch."""
@@ -186,18 +220,20 @@ class _Level:
             halves[:, 1, -1] = w2
             y = halves.reshape(-1, m)
             zs.append(z)
-        x = np.column_stack((y[:, 0], y[:, 1] - y[:, 0]))  # D'_1 = [[1, 0], [1, 1]]
-        if np.any((x < 0) | (x > 1)):
-            raise DecodeFailure("no binary vector matches the measurements")
+        x = self.leaf(y)
         for z in reversed(zs):
             x = np.concatenate((x.reshape(z.shape[0], -1), z), axis=1)
         return x
 
 
 @functools.cache
-def _level(k):
-    """D_k, built on first use; only its flat rows are kept."""
-    d = np.array([[1, 0], [1, 1]], dtype=bool)  # D'_1
+def _level(k, b16=False):
+    """D_k of the family seeded with [B16; all-ones] if ``b16``, else with
+    [[1, 0], [1, 1]]; built on first use, and only its flat rows are kept."""
+    if b16:
+        d = np.vstack((_B16, np.ones(16, dtype=np.int64))).astype(bool)
+    else:
+        d = np.array([[1, 0], [1, 1]], dtype=bool)
     halves = []
     for _ in range(k - 1):
         m, n = d.shape
@@ -205,18 +241,23 @@ def _level(k):
         ones = np.ones((1, 2 * n + m - 1), dtype=bool)
         d = np.block([[d, d, eye], [d, ~d, np.zeros_like(eye)], [ones]])
         halves.insert(0, m)
-    return _Level(d[:-1], halves)
+    return _Level(d[:-1], halves, _b16_leaf if b16 else _pair_leaf)
 
 
 def _block_kinds():
-    """Each block kind a design may use, by column count: (row count, factory)."""
-    kinds = {16: (10, functools.cache(_BinaryBase))}
-    cols, rows = 2, 1  # D_1
-    for k in range(2, 10):
-        cols, rows = 2 * cols + rows, 2 * rows + 2
-        if k >= 5:
-            kinds[cols] = (rows, functools.partial(_level, k))
-    return kinds
+    """Each block kind a design may use, by column count: (row count, factory).
+
+    Smallest first: the DP stops at the first kind too wide for N and keeps
+    the first of equal row counts.
+    """
+    kinds = {16: (10, lambda: _B16_BASE)}
+    # per family: seed, D_1's (columns, rows), and its first and last level used
+    for b16, (cols, rows), first, last in ((False, (2, 1), 5, 9), (True, (16, 10), 3, 7)):
+        for k in range(2, last + 1):
+            cols, rows = 2 * cols + rows, 2 * rows + 2
+            if k >= first:
+                kinds[cols] = (rows, functools.partial(_level, k, b16))
+    return dict(sorted(kinds.items()))
 
 
 _KINDS = _block_kinds()
@@ -232,7 +273,9 @@ def _plan(N):
     for n in range(len(_fewest), N + 1):
         best, last = _fewest[n - 1] + 1, 1
         for cols, (rows, _) in _KINDS.items():
-            if cols <= n and _fewest[n - cols] + rows < best:
+            if cols > n:
+                break
+            if _fewest[n - cols] + rows < best:
                 best, last = _fewest[n - cols] + rows, cols
         _fewest.append(best)
         _last.append(last)
@@ -326,9 +369,9 @@ def _design(N):
 def build_detecting_matrix(N):
     """Deterministic detecting design for N columns with the fewest rows the packing allows.
 
-    Packs family blocks (98 to 3074 columns), B16 blocks and identity columns
-    (see the module docstring); every N below 98 gets B16 blocks and an
-    identity tail.  Row count is at most N.
+    Packs blocks of both families (98 to 3202 columns), B16 blocks and
+    identity columns (see the module docstring); every N below 98 gets B16
+    blocks and an identity tail.  Row count is at most N.
     """
     _check_int(N, "N")
     if N < 1:

@@ -240,12 +240,12 @@ class TestPinnedLedgers:
         o = RankOracle(structure)
         run = learn_partition_matroid_run(2**11, o)
         assert run.matroid.matches(structure)
-        assert (o.ledger.rank_count, o.ledger.independence_count) == (17281, 0)
+        assert (o.ledger.rank_count, o.ledger.independence_count) == (17075, 0)
         assert self.stage_counts(run) == [
             ("basis", 2048),
             ("representatives", 3579),
-            ("inside-basis", 5829),
-            ("outside-basis", 5825),
+            ("inside-basis", 5709),
+            ("outside-basis", 5739),
             ("stitch", 0),
         ]
 
@@ -267,7 +267,7 @@ class TestPinnedLedgers:
         [
             (
                 learn_partition_matroid_run,
-                "6e77fcc56fffa0e8e15ed9ba9b65b1401e1a0eb04aa1a0983f2431fc4595ac8e",
+                "20f2beeb2c15c0f20141eed1d4d8c9378f82e40d06fa5925f669ef7da85abf89",
             ),
             (
                 baseline_independence_learner_run,

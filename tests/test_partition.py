@@ -122,6 +122,23 @@ class TestMerge:
         assert o.ledger.per_phase["com-discovery"] == 1 + sum(blocks)
         assert o.calls == o.ledger.rank_count
 
+    @pytest.mark.parametrize(
+        "i1,i2,message",
+        [
+            ([0.7, 1.2], [2.9, 3.4], "I1 must be integers"),  # once answered for ids 0..3
+            ([0, 1], np.array([2.0, 3.0]), "I2 must be integers"),
+            (np.array([True, False]), [2, 3], "I1 must be integers"),  # once ids 1 and 0
+            ([[0, 1]], [2, 3], "I1 must be one-dimensional"),  # once a bare ValueError
+            ([0, 1], np.array([[2], [3]]), "I2 must be one-dimensional"),
+        ],
+        ids=["float-lists", "float-array", "bool-array", "2d-list", "2d-array"],
+    )
+    def test_sets_follow_the_integer_rule(self, i1, i2, message):
+        o = oracle([[0, 2], [1, 3]])
+        with pytest.raises(UsageError, match=message):
+            merge(i1, i2, o)
+        assert o.ledger.rank_count == 0
+
     @pytest.mark.parametrize("i1,i2,queries", [([], [1, 3], 0), ([1, 3], [], 1)])
     def test_empty_side(self, i1, i2, queries):
         o = oracle([[0, 1], [2, 3]])
@@ -259,7 +276,7 @@ class TestFindPartition:
 
 
 SMALL_PARTS_STREAM_SHA256 = "b9a033949d3a1575ed1f821b9b059036768ba178e394abdf5453f713ef0a6f7f"
-LARGE_PARTS_STREAM_SHA256 = "f3a4ea42f7216052294633edf3e1dc965edce5cba3e1982fa5e569c0eedd8d95"
+LARGE_PARTS_STREAM_SHA256 = "54510dd7582ce1af51a1a6f662991d479ac621273ee18015145a47e3879c339a"
 
 
 class TestPinnedLedgers:
@@ -275,8 +292,8 @@ class TestPinnedLedgers:
             ),
             (
                 InstanceSpec("uniform-k", 2**12, k=2**10, seed=1),
-                23595,
-                {"com-discovery": 12495, "matching": 11100, "pairwise-merge": 21861, "final-fold": 1734},
+                22783,
+                {"com-discovery": 12247, "matching": 10536, "pairwise-merge": 21161, "final-fold": 1622},
             ),
         ],
         ids=["small-parts", "large-parts"],

@@ -20,14 +20,14 @@ from rankprobe import (
 )
 from rankprobe import weighing
 from rankprobe.regression import load_regression_config
-from rankprobe.weighing import _B16, _POW6, _BinaryBase, _halve, _level, _row_sets
+from rankprobe.weighing import _B16, _POW6, _BinaryBase, _b16_leaf, _halve, _level, _row_sets
 
 from _bruteforce import as_dense
 
 
-# 2*1346 + 2*98 + 2*16 + 5 columns: two blocks of each of three tiers (block
+# 2*3202 + 2*258 + 2*16 + 5 columns: two blocks of each of three tiers (block
 # kinds), then an identity tail
-MULTI_BLOCK_N = 2925
+MULTI_BLOCK_N = 6957
 
 
 def row_budget(n):
@@ -46,6 +46,32 @@ def rows_of(cols, bounds):
 def block_measure(block, x):
     """Row sums of a (b, n_cols) batch under a block kind's rows."""
     return np.stack([x[:, r].sum(axis=1) for r in rows_of(block.cols, block.bounds)], axis=1)
+
+
+def check_round_trips(block, seed):
+    """40 random vectors, all-zero and all-one among them, decode from their measurements."""
+    rng = np.random.default_rng(seed)
+    x = (rng.random((40, block.n_cols)) < rng.random((40, 1))).astype(np.int64)
+    x[0], x[1] = 0, 1
+    assert np.array_equal(block.decode(block_measure(block, x)), x)
+
+
+def check_decodes_exactly_or_fails(block, seed):
+    """One corrupt row: a value no 0/1 vector gives must fail, and a +-1 error
+    decodes only to a vector that has exactly those measurements."""
+    rng = np.random.default_rng(seed)
+    meas = block_measure(block, (rng.random((1, block.n_cols)) < 0.5).astype(np.int64))
+    sizes = np.diff(block.bounds)
+    for r in range(block.n_rows):
+        for bad in (-1, sizes[r] + 1, meas[0, r] - 1, meas[0, r] + 1):
+            corrupt = meas.copy()
+            corrupt[0, r] = bad
+            try:
+                x = block.decode(corrupt)
+            except DecodeFailure:
+                continue
+            assert set(np.unique(x).tolist()) <= {0, 1}
+            assert np.array_equal(block_measure(block, x), corrupt)
 
 
 class TestFrozenBases:
@@ -92,30 +118,50 @@ class TestFamily:
 
     @pytest.mark.parametrize("k", range(2, 10))
     def test_level_round_trips(self, k):
-        block = _level(k)
-        rng = np.random.default_rng(k)
-        x = (rng.random((40, block.n_cols)) < rng.random((40, 1))).astype(np.int64)
-        x[0], x[1] = 0, 1
-        assert np.array_equal(block.decode(block_measure(block, x)), x)
+        check_round_trips(_level(k), k)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_level_decodes_exactly_or_fails(self, k):
-        # one corrupt row: a value no 0/1 vector gives must fail, and a +-1
-        # error decodes only to a vector that has exactly those measurements
-        block = _level(k)
-        rng = np.random.default_rng(k)
-        meas = block_measure(block, (rng.random((1, block.n_cols)) < 0.5).astype(np.int64))
-        sizes = np.diff(block.bounds)
-        for r in range(block.n_rows):
-            for bad in (-1, sizes[r] + 1, meas[0, r] - 1, meas[0, r] + 1):
-                corrupt = meas.copy()
-                corrupt[0, r] = bad
-                try:
-                    x = block.decode(corrupt)
-                except DecodeFailure:
-                    continue
-                assert set(np.unique(x).tolist()) <= {0, 1}
-                assert np.array_equal(block_measure(block, x), corrupt)
+        check_decodes_exactly_or_fails(_level(k), k)
+
+
+class TestSeededFamily:
+    """The family seeded with D'_1 = [B16; all-ones], whose leaves decode through B16."""
+
+    def test_sizes(self):
+        sizes = [(_level(k, True).n_cols, _level(k, True).n_rows) for k in range(1, 8)]
+        assert sizes == [(16, 10), (42, 22), (106, 46), (258, 94), (610, 190), (1410, 382), (3202, 766)]
+        assert all(_level(k, True).bounds.size == _level(k, True).n_rows + 1 for k in range(1, 8))
+
+    def test_designs_use_it_from_106_columns(self):
+        assert [(b.n_cols, c) for b, c in build_detecting_matrix(106)._blocks] == [(106, 1)]
+        assert [(b.n_cols, c) for b, c in build_detecting_matrix(204)._blocks] == [(106, 1), (98, 1)]
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_level_round_trips(self, k):
+        check_round_trips(_level(k, True), k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_level_decodes_exactly_or_fails(self, k):
+        check_decodes_exactly_or_fails(_level(k, True), k)
+
+    @pytest.mark.parametrize("extra", [0, 1, -1])
+    def test_leaf_weight_must_match_its_b16_vector(self, extra):
+        # D_2 rows that hand the pass's first leaf (B16 x1, |x1| + extra): B16
+        # alone decodes x1, so only the leaf's all-ones row can catch extra
+        rng = np.random.default_rng(1)
+        x1, x2, z = rng.integers(0, 2, 16), rng.integers(0, 2, 16), rng.integers(0, 2, 10)
+        w1, w2 = x1.sum() + extra, x2.sum()
+        top = np.append(_B16 @ (x1 + x2) + z, w1 + w2)  # D'_1 x1 + D'_1 x2 + I' z
+        mid = np.append(_B16 @ (x1 - x2) + w2, w1)  # D'_1 x1 + (J - D'_1) x2
+        meas = np.concatenate((top, mid))[None, :]
+        if extra:
+            with pytest.raises(DecodeFailure, match="B16 weight"):
+                _level(2, True).decode(meas)
+            with pytest.raises(DecodeFailure, match="B16 weight"):
+                _b16_leaf(np.append(_B16 @ x1, w1)[None, :])
+        else:
+            assert np.array_equal(_level(2, True).decode(meas)[0], np.concatenate((x1, x2, z)))
 
 
 class TestBuild:
@@ -144,8 +190,20 @@ class TestBuild:
         assert covered.all()
 
     def test_sublinear_at_scale(self):
-        assert build_detecting_matrix(1440).n_rows <= 446
-        assert build_detecting_matrix(4096).n_rows <= 1148
+        assert build_detecting_matrix(1440).n_rows <= 406
+        assert build_detecting_matrix(4096).n_rows <= 1070
+
+    def test_never_more_rows_than_the_unseeded_family(self):
+        # the fewest rows from identity columns, B16 and D_5..D_9 alone; the
+        # seeded family starts at 106 columns, so below that nothing changes
+        kinds = {16: 10} | {_level(k).n_cols: _level(k).n_rows for k in range(5, 10)}
+        fewest = [0]
+        for n in range(1, 4097):
+            fewest.append(min([fewest[n - 1] + 1] + [fewest[n - c] + r for c, r in kinds.items() if c <= n]))
+            rows = build_detecting_matrix(n).n_rows
+            assert rows <= fewest[n]
+            if n < 106:
+                assert rows == fewest[n]
 
     def test_below_98_columns_b16_and_identity_only(self):
         for n in range(1, 98):
@@ -172,7 +230,8 @@ class TestBuild:
             assert (np.diff(bounds) > 0).all()  # np.add.reduceat needs nonempty rows
             assert m.n_rows == len(rows)
 
-    @pytest.mark.parametrize("n", [1, 15, 16, 17, 100, 300, 1440, MULTI_BLOCK_N, 4096])
+    # 2925 columns mix both families: 2 x 1410 seeded and one 98-column block
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 100, 300, 1440, 2925, MULTI_BLOCK_N, 4096])
     def test_measure_is_the_dense_product(self, n):
         m = build_detecting_matrix(n)
         dense = as_dense(m)
@@ -246,7 +305,7 @@ class TestDecode:
         # every tier decodes a batch of several blocks, then the identity tail
         m = build_detecting_matrix(MULTI_BLOCK_N)
         blocks = [(tier.n_cols, count) for tier, count in m._blocks]
-        assert blocks == [(1346, 2), (98, 2), (16, 2)]
+        assert blocks == [(3202, 2), (258, 2), (16, 2)]
         rng = np.random.default_rng(MULTI_BLOCK_N)
         for density in (0.0, 0.05, 0.3, 0.5, 0.8, 1.0):
             x = (rng.random(MULTI_BLOCK_N) < density).astype(np.int64)
@@ -349,7 +408,9 @@ class TestRecoverSparse:
         assert rec.support.tolist() == [5]
         assert rec.queries_used <= 6
 
-    @pytest.mark.parametrize("n,d", [(64, 40), (1024, 300), (4096, 1100), (MULTI_BLOCK_N, 900)])
+    @pytest.mark.parametrize(
+        "n,d", [(64, 40), (1024, 300), (4096, 1100), (2925, 900), (MULTI_BLOCK_N, 1800)]
+    )
     def test_one_callback_per_design(self, n, d, monkeypatch):
         # a design's rows reach the callback as one block, in flat_rows order;
         # every other block is one halving or root row

@@ -89,6 +89,13 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
+    # n doubles from --n-min, so it must start at 1 or more to reach --n-max
+    if args.n_min < 1:
+        raise UsageError(f"--n-min must be at least 1, got {args.n_min}")
+    if args.n_max < args.n_min:
+        raise UsageError(f"--n-max ({args.n_max}) must be at least --n-min ({args.n_min})")
+    if args.reps < 1:
+        raise UsageError(f"--reps must be at least 1, got {args.reps}")
     n_values = []
     n = args.n_min
     while n <= args.n_max:

@@ -346,8 +346,8 @@ class RankOracle:
     Answers are pure functions of (structure, query set).  With the
     element-to-part index precomputed, counting costs O(|S|) on a simple
     partition: a Python set up to ``_SMALL_SET`` ids, position marks over the
-    k parts above.  On a capacitated one it costs O(|S| + k) (one bincount)
-    from |S| >= k/4 on and O(|S| log |S|) (a sort) below.  Validation adds
+    k parts above.  On a capacitated one it costs O(|S| + k): one bincount
+    over the k parts, faster than a sort even for small sets.  Validation adds
     O(|S|), or O(n) for a dense set (see :func:`as_element_array`).
     Each public query validates its set once (see the module docstring) and
     charges only after it is accepted.  An oracle and its ledger belong to one
@@ -381,11 +381,8 @@ class RankOracle:
             marks = self._part_mark
             marks[parts] = order
             return int(np.count_nonzero(marks.take(parts) == order))
-        if size >= self._caps.size // 4:
-            counts = np.bincount(parts, minlength=self._caps.size)
-            return int(np.minimum(counts, self._caps).sum())
-        uniq, counts = np.unique(parts, return_counts=True)
-        return int(np.minimum(counts, self._caps[uniq]).sum())
+        counts = np.bincount(parts, minlength=self._caps.size)
+        return int(np.minimum(counts, self._caps).sum())
 
     def rank(self, s):
         """Number of parts hit, capped per part at r_i (r_i = 1 for a simple partition)."""

@@ -11,7 +11,7 @@ Every query ``recover_sparse`` asks belongs to a block: a design's rows are
 all known before the first answer, so the callback gets them as one block
 (flat column ids plus row bounds) and answers them together; a root or
 halving query is a one-row block.  ``_row_sets`` turns a block into the query
-sets its callers ask, ``src[row] ++ fixed`` per row.
+sets its callers ask, one concatenate ``src[row] ++ fixed`` per row.
 
 Detecting designs
 -----------------
@@ -47,32 +47,34 @@ exactly (each pass reproduces its rows from exact halves), or the decode
 raises DecodeFailure.
 
 ``_B16`` is a 10x16 binary detecting base (checked exhaustively by the test
-suite), decoded through a sorted table of all 2^16 codes built from its 16
-column weights.  One decoder, and so one table, serves B16 blocks and the
-seeded family's leaves.
+suite) and the seeded family's D_1: the B16 block kind is ``_level(1, True)``.
+``_b16_decode`` looks measurements up in one sorted table of all 2^16 codes,
+built on first use from the base's 16 column weights.  It decodes B16 blocks
+directly and, behind the weight check, the seeded family's deeper leaves.
 
 ``build_detecting_matrix(N)`` packs blocks of both families, B16 blocks and
 identity columns with the fewest rows, found by one dynamic program over N
 shared by every design (ties go to the smaller block, identity columns
 first).  Choosing from both families is never worse than either alone: the
 seeded family alone needs more rows than the first at 606 of N = 1..4096, up
-to 120 more at N = 3074, just below its own 3202.  Blocks start at 98
-columns, the seeded family's at 106: smaller blocks save a few rows over B16
-but decode several times slower per design.  The seeded 42-column block, for
-one, saves 2 rows at N = 48 and 64 but decodes in about twice the time of
-the B16 blocks it replaces, and with it small-parts runs lost wall time.  So
-every design of up to 97 columns is B16 blocks plus an identity tail.  A design is a list of (block, count) pairs.  Each block kind
-keeps its rows in one form only, one flat array of column ids with row
-bounds, built once, on first use, from its 0/1 matrix;
-``DetectingMatrix.flat_rows`` tiles those into one flat block per call and
-caches nothing per design.  Decoding hands all blocks of one kind to that
-kind as one batch.  The row count is 406 (about 0.28*N) at N = 1440 and 1070
+to 120 more at N = 3074, just below its own 3202.  Above B16, blocks start
+at 98 columns, the seeded family's at 106: smaller blocks save a few rows
+over B16 but decode several times slower per design.  The seeded 42-column
+block, for one, saves 2 rows at N = 48 and 64 but decodes in about twice
+the time of the B16 blocks it replaces, and with it small-parts runs lost
+wall time.  So every design of up to 97 columns is B16 blocks plus an
+identity tail.  The row count is 406 (about 0.28*N) at N = 1440 and 1070
 (about 0.26*N) at N = 4096.
+
+A design is a list of (block, count) pairs.  Each block kind keeps its rows
+in one form only, one flat array of column ids with row bounds, built once,
+on first use, from its 0/1 matrix; ``DetectingMatrix.flat_rows`` tiles those
+into one flat block per call and caches nothing per design.  Decoding hands
+all blocks of one kind to that kind as one batch.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -91,8 +93,9 @@ __all__ = [
     "recover_matching",
 ]
 
-# Below this size an identity design is used: the smallest base only pays off
-# once it replaces 16 columns.
+# recover_sparse takes a detecting design only for a sub-universe of at least
+# this many columns and keeps halving below it: a smaller design holds no B16
+# block, so it would be the identity, one query per column.
 MATRIX_MIN_SIZE = 16
 
 # recover_sparse switches from halving to a detecting design once the
@@ -122,11 +125,6 @@ _B16 = np.array(
 _BITS = np.arange(16, dtype=np.int64)
 _POW6 = 6 ** np.arange(10, dtype=np.int64)  # base-6 code of a B16 measurement (entries <= 5)
 
-# _row_sets fills each buffer with query sets of at most this many ids in all
-# (a single larger set gets a buffer of its own), so a large block never holds
-# every query set at once
-_CHUNK_IDS = 1 << 15
-
 
 def _flat(mat):
     """The rows of a 0/1 matrix as one block: flat column ids and the R + 1 row bounds."""
@@ -137,36 +135,28 @@ def _flat(mat):
     return cols, bounds
 
 
-class _BinaryBase:
-    """Decoder for the 10 x 16 binary base via a sorted table of all 2^16 codes."""
-
-    n_rows, n_cols = _B16.shape
-    cols, bounds = _flat(_B16)
-
-    @functools.cached_property
-    def _table(self):
-        # pattern i's code is the sum of the column weights over i's set bits
-        w = _POW6 @ _B16
-        codes = np.zeros(1, dtype=np.int64)
-        for b in range(self.n_cols):
-            codes = np.concatenate((codes, codes + w[b]))
-        order = np.argsort(codes, kind="stable")
-        return codes[order], order
-
-    def decode(self, meas):
-        """Decode a (b, 10) batch of measurements to a (b, 16) batch of 0/1 vectors."""
-        codes, patterns = self._table
-        if np.any(meas < 0) or np.any(meas > 5):
-            raise DecodeFailure("binary-base measurements out of range")
-        keys = meas @ _POW6
-        idx = np.searchsorted(codes, keys).clip(max=codes.size - 1)
-        if np.any(codes[idx] != keys):
-            raise DecodeFailure("no binary vector matches the measurements")
-        return (patterns[idx][:, None] >> _BITS[None, :]) & 1
+@functools.cache
+def _b16_table():
+    """The one table behind every B16 decode: all 2^16 codes sorted, and each code's pattern."""
+    # pattern i's code is the sum of the column weights over i's set bits
+    w = _POW6 @ _B16
+    codes = np.zeros(1, dtype=np.int64)
+    for b in range(16):
+        codes = np.concatenate((codes, codes + w[b]))
+    order = np.argsort(codes, kind="stable")
+    return codes[order], order
 
 
-# the one B16 decoder (and 2^16 table) behind B16 blocks and seeded-family leaves
-_B16_BASE = _BinaryBase()
+def _b16_decode(meas):
+    """Decode a (b, 10) batch of B16 measurements to a (b, 16) batch of 0/1 vectors."""
+    codes, patterns = _b16_table()
+    if np.any(meas < 0) or np.any(meas > 5):
+        raise DecodeFailure("binary-base measurements out of range")
+    keys = meas @ _POW6
+    idx = np.searchsorted(codes, keys).clip(max=codes.size - 1)
+    if np.any(codes[idx] != keys):
+        raise DecodeFailure("no binary vector matches the measurements")
+    return (patterns[idx][:, None] >> _BITS[None, :]) & 1
 
 
 def _pair_leaf(y):
@@ -179,7 +169,7 @@ def _pair_leaf(y):
 
 def _b16_leaf(y):
     """Leaves of D'_1 = [B16; all-ones]: the B16 table, checked against the all-ones row."""
-    x = _B16_BASE.decode(y[:, :10])
+    x = _b16_decode(y[:, :10])
     if np.any(x.sum(axis=1) != y[:, 10]):
         raise DecodeFailure("a leaf's all-ones row disagrees with its B16 weight")
     return x
@@ -229,11 +219,14 @@ class _Level:
 @functools.cache
 def _level(k, b16=False):
     """D_k of the family seeded with [B16; all-ones] if ``b16``, else with
-    [[1, 0], [1, 1]]; built on first use, and only its flat rows are kept."""
+    [[1, 0], [1, 1]]; built on first use, and only its flat rows are kept.
+    The seeded D_1 is B16 itself, so its leaf is the bare table."""
     if b16:
         d = np.vstack((_B16, np.ones(16, dtype=np.int64))).astype(bool)
+        leaf = _b16_leaf if k > 1 else _b16_decode
     else:
         d = np.array([[1, 0], [1, 1]], dtype=bool)
+        leaf = _pair_leaf
     halves = []
     for _ in range(k - 1):
         m, n = d.shape
@@ -241,7 +234,7 @@ def _level(k, b16=False):
         ones = np.ones((1, 2 * n + m - 1), dtype=bool)
         d = np.block([[d, d, eye], [d, ~d, np.zeros_like(eye)], [ones]])
         halves.insert(0, m)
-    return _Level(d[:-1], halves, _b16_leaf if b16 else _pair_leaf)
+    return _Level(d[:-1], halves, leaf)
 
 
 def _block_kinds():
@@ -250,13 +243,15 @@ def _block_kinds():
     Smallest first: the DP stops at the first kind too wide for N and keeps
     the first of equal row counts.
     """
-    kinds = {16: (10, lambda: _B16_BASE)}
-    # per family: seed, D_1's (columns, rows), and its first and last level used
-    for b16, (cols, rows), first, last in ((False, (2, 1), 5, 9), (True, (16, 10), 3, 7)):
-        for k in range(2, last + 1):
-            cols, rows = 2 * cols + rows, 2 * rows + 2
-            if k >= first:
+    kinds = {}
+    # per family: seed, D_1's (columns, rows), and the levels used; the seeded
+    # family's D_1 is the B16 block
+    families = ((False, (2, 1), (5, 6, 7, 8, 9)), (True, (16, 10), (1, 3, 4, 5, 6, 7)))
+    for b16, (cols, rows), levels in families:
+        for k in range(1, levels[-1] + 1):
+            if k in levels:
                 kinds[cols] = (rows, functools.partial(_level, k, b16))
+            cols, rows = 2 * cols + rows, 2 * rows + 2
     return dict(sorted(kinds.items()))
 
 
@@ -393,8 +388,10 @@ def recover_sparse(N, sum_oracle, *, known_total=None):
 
     ``sum_oracle(cols, bounds)`` answers one block of R sum queries: ``cols``
     is one flat int64 array of column ids in [0, N), row i is
-    ``cols[bounds[i]:bounds[i + 1]]``, and it returns the R integer sums of x
-    over the rows, in row order.  Each row counts as one query.  A detecting
+    ``cols[bounds[i]:bounds[i + 1]]``, and it returns a sequence of the R
+    integer sums of x over the rows, in row order.  Each row counts as one
+    query.  Any other number of answers raises ProtocolError and a
+    non-integer answer UsageError, before anything is decoded.  A detecting
     design is one block, asked in one call; the root query and each halving
     query are one-row blocks.
 
@@ -410,10 +407,23 @@ def recover_sparse(N, sum_oracle, *, known_total=None):
     """
     state = {"queries": 0, "matrix_used": False}
 
+    def answer(cols, bounds):
+        rows = len(bounds) - 1
+        state["queries"] += rows
+        got = sum_oracle(cols, bounds)
+        try:
+            count = len(got)
+        except TypeError:  # a scalar
+            raise ProtocolError(f"sum oracle gave a {type(got).__name__}, not {rows} answers") from None
+        if count != rows:
+            raise ProtocolError(f"sum oracle gave {count} answers to a block of {rows} rows")
+        return got
+
     def ask(lo, hi):
-        state["queries"] += 1
         row = np.arange(lo, hi, dtype=np.int64)
-        return int(sum_oracle(row, np.array([0, row.size], dtype=np.int64))[0])
+        value = answer(row, np.array([0, row.size], dtype=np.int64))[0]
+        _check_int(value, "a sum-query answer")
+        return int(value)
 
     support = []
 
@@ -431,8 +441,8 @@ def recover_sparse(N, sum_oracle, *, known_total=None):
         if size >= MATRIX_MIN_SIZE and size <= SPLIT_THRESHOLD * ones:
             state["matrix_used"] = True
             matrix = build_detecting_matrix(size)
-            state["queries"] += matrix.n_rows
-            bits = matrix.decode(sum_oracle(*matrix.flat_rows(lo)))
+            # decode rejects non-integer measurements before decoding any
+            bits = matrix.decode(answer(*matrix.flat_rows(lo)))
             if int(bits.sum()) != ones:
                 raise DecodeFailure("decoded weight disagrees with the known sub-universe sum")
             support.extend((lo + np.flatnonzero(bits)).tolist())
@@ -463,32 +473,14 @@ def _row_sets(src, cols, bounds, fixed):
     """The query set ``src[row] ++ fixed`` of each row of a block, in row order.
 
     Row i is ``cols[bounds[i]:bounds[i + 1]]`` (the block contract of
-    ``recover_sparse``).  A one-row block is one concatenate.  Otherwise the
-    rows go in chunks of about ``_CHUNK_IDS`` ids: one gather
-    ``src[cols[...]]`` per chunk fills a buffer, row by row with ``fixed``
-    after each row, and the sets are views of it.
+    ``recover_sparse``); each set is one concatenate.
     """
     if len(bounds) == 2:
         yield np.concatenate((src[cols], fixed))
         return
     b = bounds.tolist()
-    width = fixed.size
-    # starts[i]: where row i's set starts in a buffer that begins at row 0
-    starts = [end + width * i for i, end in enumerate(b)]
-    r = 0
-    while r < len(b) - 1:
-        e = max(r + 1, bisect.bisect_right(starts, starts[r] + _CHUNK_IDS) - 1)
-        ids = src[cols[b[r] : b[e]]]
-        buf = np.empty(starts[e] - starts[r], dtype=np.int64)
-        pos = 0
-        for i in range(r, e):
-            row = b[i + 1] - b[i]
-            out = buf[pos : pos + row + width]
-            out[:row] = ids[b[i] - b[r] : b[i + 1] - b[r]]
-            out[row:] = fixed
-            pos += row + width
-            yield out
-        r = e
+    for i in range(len(b) - 1):
+        yield np.concatenate((src[cols[b[i] : b[i + 1]]], fixed))
 
 
 def _halve(lo, hi, in_upper):
@@ -526,7 +518,8 @@ def recover_matching(x_side, y_side, add_oracle):
     with known total (the number of ids with bit b set), one add query per
     sum query.  A decode failure or a non-bijective result means the matching
     precondition was violated.  Each side must hold distinct integer ids, the
-    sides disjoint and of equal size, otherwise UsageError.
+    sides disjoint and of equal size, otherwise UsageError; so must each add
+    answer be an integer.
     """
     xs = np.sort(_int_array(x_side, "matching ids"))
     ys = np.sort(_int_array(y_side, "matching ids"))
@@ -546,7 +539,9 @@ def recover_matching(x_side, y_side, add_oracle):
 
     def ask(subset):
         state["queries"] += 1
-        return int(add_oracle(subset))
+        value = add_oracle(subset)
+        _check_int(value, "an add-query answer")
+        return int(value)
 
     pairs = {}
     if d < MATCHING_SEARCH_CUTOFF:

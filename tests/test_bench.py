@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from rankprobe import UsageError, read_instance, write_instance
+from rankprobe import UsageError, bench, read_instance, write_instance
 from rankprobe.bench import (
     FAMILIES,
     InstanceSpec,
@@ -18,6 +18,7 @@ from rankprobe.model import instance_to_bytes
 from rankprobe.regression import ENV_VAR, load_regression_config
 
 from _bruteforce import canonical
+from _recording import RecordingOracle
 
 
 class TestGenerate:
@@ -274,6 +275,23 @@ class TestPinnedReports:
         assert self.digest(sweep_rows_to_csv(rows, summaries)) == want
 
 
+    def test_sweep_grid_query_stream(self, monkeypatch):
+        # perfbench's sweep-grid operation: each run's query stream digest
+        # (see _recording.py), hashed in run order
+        oracles = []
+
+        class Recording(RecordingOracle):
+            def __init__(self, structure):
+                super().__init__(structure)
+                oracles.append(self)
+
+        monkeypatch.setattr(bench, "RankOracle", Recording)
+        rows, _ = bench.sweep("uniform-k", [512, 1024, 2048], 2, "find_partition", base_seed=1)
+        assert len(oracles) == 6 and all(r["correct"] for r in rows)
+        digest = hashlib.sha256(b"".join(o.digest.digest() for o in oracles)).hexdigest()
+        assert digest == "f46854ca0e84ff0c2dccdf257bf2d5d460b2d6eaa9dfe5306f1f27c3c156d3a4"
+
+
 class TestRegressionConfig:
     def test_packaged_defaults_load(self):
         config = load_regression_config()
@@ -326,6 +344,22 @@ class TestCli:
         assert lines[0].startswith("row_kind,n,k,family,seed,learner")
         assert sum(1 for l in lines if l.startswith("data,")) == 4
         assert sum(1 for l in lines if l.startswith("summary,")) == 2
+
+    @pytest.mark.parametrize(
+        "n_min,n_max,reps,message",
+        [(0, 64, 1, "--n-min"), (-4, 64, 1, "--n-min"), (64, 32, 1, "--n-max"), (32, 64, 0, "--reps")],
+        ids=["n-min-0", "n-min-negative", "n-max-below-n-min", "reps-0"],
+    )
+    def test_sweep_rejects_bad_range(self, tmp_path, capsys, n_min, n_max, reps, message):
+        # --n-min 0 kept doubling 0 and grew the n list without bound
+        out = tmp_path / "s.csv"
+        argv = [
+            "sweep", "--family", "equal-blocks", "--n-min", str(n_min), "--n-max", str(n_max),
+            "--reps", str(reps), "--learner", "find_partition", "-o", str(out),
+        ]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_matroid_cycle(self, tmp_path):
         inst = tmp_path / "c.json"

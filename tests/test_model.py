@@ -79,6 +79,22 @@ class TestGeneralRank:
         o = oracle([[0, 1, 2], [3, 4]], [2, 1])
         assert o.rank(range(5)) == 3
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 17, 100, 255])
+    def test_small_sets_many_parts(self, size):
+        # |S| < k/4 at k = 1024: sets spread over the parts, and sets packed
+        # into a few parts so that capacities bind
+        rng = np.random.default_rng(size)
+        part_of = rng.integers(0, 1024, 4096)
+        part_of[:2048] = np.arange(2048) % 1024  # every part holds 2 or more
+        parts = [np.flatnonzero(part_of == i).tolist() for i in range(1024)]
+        caps = [len(p) // 2 for p in parts]
+        o = oracle(parts, caps)
+        few = np.flatnonzero(part_of < 8)
+        for s in (rng.permutation(4096)[:size], rng.permutation(few)[: min(size, few.size)]):
+            expected = brute_rank(parts, caps, s)
+            assert o.rank(s) == expected
+            assert o.is_independent(s) == (expected == s.size)
+
 
 class TestIndependence:
     def test_independent_pair(self):

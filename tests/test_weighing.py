@@ -20,7 +20,7 @@ from rankprobe import (
 )
 from rankprobe import weighing
 from rankprobe.regression import load_regression_config
-from rankprobe.weighing import _B16, _POW6, _BinaryBase, _b16_leaf, _halve, _level, _row_sets
+from rankprobe.weighing import _B16, _POW6, _b16_decode, _b16_leaf, _b16_table, _halve, _level, _row_sets
 
 from _bruteforce import as_dense
 
@@ -83,11 +83,11 @@ class TestFrozenBases:
 
     def test_b16_table_decodes_every_pattern(self):
         x = all_binary(16)
-        assert np.array_equal(_BinaryBase().decode(x @ _B16.T), x)
+        assert np.array_equal(_b16_decode(x @ _B16.T), x)
 
     def test_b16_table_is_the_sorted_codes(self):
         # the codes of every 16-bit pattern, encoded row by row
-        codes, patterns = _BinaryBase()._table
+        codes, patterns = _b16_table()
         want = (all_binary(16) @ _B16.T) @ _POW6
         assert np.array_equal(codes, np.sort(want))
         assert np.array_equal(want[patterns], codes)
@@ -137,11 +137,12 @@ class TestSeededFamily:
         assert [(b.n_cols, c) for b, c in build_detecting_matrix(106)._blocks] == [(106, 1)]
         assert [(b.n_cols, c) for b, c in build_detecting_matrix(204)._blocks] == [(106, 1), (98, 1)]
 
-    @pytest.mark.parametrize("k", range(2, 8))
+    # k = 1 is the B16 block kind itself
+    @pytest.mark.parametrize("k", range(1, 8))
     def test_level_round_trips(self, k):
         check_round_trips(_level(k, True), k)
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_level_decodes_exactly_or_fails(self, k):
         check_decodes_exactly_or_fails(_level(k, True), k)
 
@@ -438,6 +439,37 @@ class TestRecoverSparse:
             assert np.array_equal(cols, want_cols) and np.array_equal(bounds, want_bounds)
         assert rec.queries_used == sum(b.size - 1 for _, b in blocks)
 
+    # (n, support, known_total): the root query is a one-row block; 40 ones
+    # in 64 columns go straight to one design block
+    BLOCKS = {"one-row": (8, [3, 5], None), "design": (64, list(range(24, 64)), 40)}
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda a: a[:-1], lambda a: a + [0], lambda a: np.int64(sum(a))],
+        ids=["missing", "extra", "scalar"],
+    )
+    @pytest.mark.parametrize("kind", BLOCKS)
+    def test_answer_count_is_checked(self, kind, corrupt):
+        # the one-row path read answers[0] (IndexError, or an extra answer
+        # ignored), and a design block failed to decode, blaming the data
+        n, support, total = self.BLOCKS[kind]
+        ask = counting_oracle(support)
+        with pytest.raises(ProtocolError, match="answers"):
+            recover_sparse(n, lambda cols, bounds: corrupt(ask(cols, bounds)), known_total=total)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda a: [v + 0.5 for v in a], lambda a: [float(v) for v in a], lambda a: np.asarray(a, dtype=float)],
+        ids=["fractional", "float", "float-array"],
+    )
+    @pytest.mark.parametrize("kind", BLOCKS)
+    def test_non_integer_answers_rejected(self, kind, corrupt):
+        # the one-row path truncated float answers with int()
+        n, support, total = self.BLOCKS[kind]
+        ask = counting_oracle(support)
+        with pytest.raises(UsageError, match="integer"):
+            recover_sparse(n, lambda cols, bounds: corrupt(ask(cols, bounds)), known_total=total)
+
     def test_query_count_monotone_in_d(self):
         n = 1024
         ds = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
@@ -486,22 +518,6 @@ class TestRowSets:
         rng = np.random.default_rng(1)
         for n_fixed in (0, 5, 2000):
             self.check(*self.random_block(rng, 1, 3000, n_fixed))
-
-    @pytest.mark.parametrize("chunk", [1, 7, 50, 301])
-    def test_rows_straddle_chunk_boundaries(self, chunk, monkeypatch):
-        # sets larger than a chunk, and chunk limits that fall inside a set
-        monkeypatch.setattr(weighing, "_CHUNK_IDS", chunk)
-        rng = np.random.default_rng(chunk)
-        for n_fixed in (0, 3, 60):
-            self.check(*self.random_block(rng, 40, 90, n_fixed))
-
-    def test_large_block_uses_several_buffers(self):
-        rng = np.random.default_rng(2)
-        src, cols, bounds, fixed = self.random_block(rng, 200, 400, 500)
-        self.check(src, cols, bounds, fixed)
-        sets = list(_row_sets(src, cols, bounds, fixed))
-        buffers = {id(s.base) for s in sets}
-        assert 1 < len(buffers) < len(sets)
 
 
 def matching_oracle(partner):
@@ -607,6 +623,17 @@ class TestRecoverMatching:
             with pytest.raises(UsageError, match="repeat"):
                 recover_matching(xs, ys, asked.append)
         assert asked == []
+
+    @pytest.mark.parametrize("d", [8, 40], ids=["search", "bit-planes"])
+    @pytest.mark.parametrize("one", [0.9, 1.0, np.float64(1)], ids=["0.9", "1.0", "float64"])
+    def test_non_integer_add_answers_rejected(self, d, one):
+        # answering 0.9 for 1 was truncated to 0, and d = 8 returned a wrong
+        # matching without an error
+        xs = list(range(d))
+        ys = list(range(100, 100 + d))
+        add = matching_oracle({x: 100 + 3 * x % d for x in xs})
+        with pytest.raises(UsageError, match="add-query answer"):
+            recover_matching(xs, ys, lambda s: one if add(s) == 1 else add(s))
 
     def test_non_integer_ids_rejected(self):
         asked = []

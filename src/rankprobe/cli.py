@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bench import (
@@ -96,6 +97,10 @@ def _cmd_sweep(args):
         raise UsageError(f"--n-max ({args.n_max}) must be at least --n-min ({args.n_min})")
     if args.reps < 1:
         raise UsageError(f"--reps must be at least 1, got {args.reps}")
+    # the frozen C_total gates find_partition sweeps; load it before any run
+    limit = math.inf
+    if args.learner == "find_partition":
+        limit = load_regression_config().value("C_total")
     n_values = []
     n = args.n_min
     while n <= args.n_max:
@@ -113,14 +118,7 @@ def _cmd_sweep(args):
     with open(args.output, "w") as fh:
         fh.write(csv_text)
     failed = [s for s in summaries if not s["all_correct"]]
-    regression_failed = []
-    if args.learner == "find_partition" and summaries:
-        try:
-            limit = load_regression_config().value("C_total")
-        except (OSError, UsageError):
-            limit = None
-        if limit is not None:
-            regression_failed = [s for s in summaries if s["max_queries_per_n"] > limit]
+    regression_failed = [s for s in summaries if s["max_queries_per_n"] > limit]
     for s in summaries:
         print(
             f"n={s['n']}: rows={s['rows']} max_queries/n={s['max_queries_per_n']:.3f} "

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation
-from .model import _check_universe, canonical_parts
+from .errors import InvariantViolation, UsageError
+from .model import CapacitatedPartition, _check_universe
 from .partition import find_partition
 from .weighing import _halve
 
@@ -62,44 +62,36 @@ class RepresentativePair:
         return int(self.inside.size)
 
 
-@dataclass
-class LearnedMatroid:
-    """A learned partition with aligned capacities, stored canonically."""
+class LearnedMatroid(CapacitatedPartition):
+    """A learned partition matroid: a CapacitatedPartition built from learner output.
 
-    parts: list
-    capacities: np.ndarray
+    The learners are its only source, so a structure that fails the
+    partition or capacity checks is their fault: InvariantViolation, not
+    UsageError.  An honest oracle always gives a valid one.
+    """
 
-    def __init__(self, parts, capacities):
-        caps_in = [int(c) for c in capacities]
-        canon, order = canonical_parts(parts)
-        self.parts = canon
-        self.capacities = np.asarray([caps_in[i] for i in order], dtype=np.int64)
-
-    def as_tuples(self):
-        return (
-            tuple(tuple(int(e) for e in p) for p in self.parts),
-            tuple(int(c) for c in self.capacities),
-        )
+    def __init__(self, parts, capacities, n=None):
+        try:
+            super().__init__(parts, capacities, n)
+        except UsageError as exc:
+            raise InvariantViolation(f"learned structure is not a partition matroid: {exc}") from exc
 
     def matches(self, structure):
-        """Ground-truth comparison; capacities are compared when the truth has them."""
-        truth_parts = tuple(tuple(int(e) for e in p) for p in structure.parts)
-        if truth_parts != self.as_tuples()[0]:
-            return False
-        if structure.capacities is None:
-            return True
-        return tuple(int(c) for c in structure.capacities) == self.as_tuples()[1]
+        """Ground-truth comparison; capacities are compared when the truth has them.
 
-    def __eq__(self, other):
-        return isinstance(other, LearnedMatroid) and self.as_tuples() == other.as_tuples()
+        Both partitions are canonical, so equal parts mean equal part_of arrays.
+        """
+        if not np.array_equal(self.part_of, structure.part_of):
+            return False
+        return structure.capacities is None or np.array_equal(self.capacities, structure.capacities)
 
 
 @dataclass
 class MatroidRun:
     """One matroid learner run: the learned matroid and its stages.
 
-    ``stages`` are the ledger phase records the run opened, in order; a run
-    started inside an open phase opens no outermost phase, so it lists none.
+    ``stages`` are the records of the ledger phase blocks the run opened, in
+    order, also when the run is nested in a caller's open phase.
     """
 
     matroid: LearnedMatroid
@@ -111,11 +103,18 @@ def _rank_test(oracle):
     return lambda s: oracle.rank(s) == s.size
 
 
-def _find_basis(n, ledger, independent):
+def _stage(ledger, label, stages):
+    """Open ledger phase ``label`` and list its record in ``stages``."""
+    block = ledger.phase(label)
+    stages.append(block.record)
+    return block
+
+
+def _find_basis(n, ledger, independent, stages):
     """Greedy basis, one ``independent(S)`` test per element (see find_basis)."""
     buf = np.empty(max(n, 1), dtype=np.int64)
     size = 0
-    with ledger.phase("basis"):
+    with _stage(ledger, "basis", stages):
         for v in range(n):
             buf[size] = v
             if independent(buf[: size + 1]):
@@ -126,16 +125,16 @@ def _find_basis(n, ledger, independent):
 def find_basis(n, oracle):
     """Greedy basis in exactly n rank queries; rank(B) is tracked, never re-queried."""
     _check_universe(n, oracle)
-    return _find_basis(n, oracle.ledger, _rank_test(oracle))
+    return _find_basis(n, oracle.ledger, _rank_test(oracle), [])
 
 
-def _find_representatives(n, ledger, independent, basis):
+def _find_representatives(n, ledger, independent, basis, stages):
     """T1, T2 and phi from ``independent(S)`` tests (see find_representatives)."""
     b = basis.members
     t1, t2, phi = [], [], {}
     in_cur = np.ones(b.size, dtype=bool)  # B - T1 as a mask over B
     cur = b
-    with ledger.phase("representatives"):
+    with _stage(ledger, "representatives", stages):
         for e in _side_complement(n, b).tolist():
             # B - T1 + e is independent iff e's part still has a hole in
             # B - T1, i.e. a member in T1: the part is already discovered.
@@ -170,7 +169,7 @@ def find_representatives(n, oracle, basis):
     arithmetically, not queried.
     """
     _check_universe(n, oracle)
-    return _find_representatives(n, oracle.ledger, _rank_test(oracle), basis)
+    return _find_representatives(n, oracle.ledger, _rank_test(oracle), basis, [])
 
 
 def _side_complement(n, side):
@@ -235,18 +234,22 @@ def learn_matroid_with_reps(n, oracle, basis, reps, audit=False):
     the stitch asks nothing, so its record reads zero.
     """
     _check_universe(n, oracle)
+    return _learn_with_reps(n, oracle, basis, reps, audit, [])
+
+
+def _learn_with_reps(n, oracle, basis, reps, audit, stages):
     b = basis.members
     outside = _side_complement(n, b)
     ledger = oracle.ledger
 
-    with ledger.phase("inside-basis"):
+    with _stage(ledger, "inside-basis", stages):
         parts1 = find_partition(int(b.size), _inside_oracle(oracle, b, reps.outside), audit=audit)
-    with ledger.phase("outside-basis"):
+    with _stage(ledger, "outside-basis", stages):
         parts2 = find_partition(
             int(outside.size), _outside_oracle(oracle, b, outside, reps.inside), audit=audit
         )
 
-    with ledger.phase("stitch"):
+    with _stage(ledger, "stitch", stages):
         if len(parts1) != reps.k or len(parts2) != reps.k:
             raise InvariantViolation(
                 "representative sets do not form transversals of the learned partitions"
@@ -266,20 +269,20 @@ def learn_matroid_with_reps(n, oracle, basis, reps, audit=False):
     return LearnedMatroid(
         [np.concatenate((b[parts1[i]], outside[parts2[j]])) for i, j in zip(i_of, j_of)],
         [parts1[i].size for i in i_of],
+        n,
     )
 
 
 def learn_partition_matroid_run(n, oracle, audit=False):
     """Full pipeline; its stages are the ledger phases it opens, in order."""
     _check_universe(n, oracle)
-    ledger = oracle.ledger
-    start = len(ledger.phases)
-    basis = find_basis(n, oracle)
+    ledger, independent, stages = oracle.ledger, _rank_test(oracle), []
+    basis = _find_basis(n, ledger, independent, stages)
     if audit and oracle.audit_rank(basis.members) != basis.size:
         raise InvariantViolation("greedy scan did not return an independent set")
-    reps = find_representatives(n, oracle, basis)
-    matroid = learn_matroid_with_reps(n, oracle, basis, reps, audit=audit)
-    return MatroidRun(matroid, ledger.phases[start:])
+    reps = _find_representatives(n, ledger, independent, basis, stages)
+    matroid = _learn_with_reps(n, oracle, basis, reps, audit, stages)
+    return MatroidRun(matroid, stages)
 
 
 def learn_partition_matroid(n, oracle):
@@ -297,11 +300,9 @@ def baseline_independence_learner_run(n, oracle):
     is independent exactly when X hits the part's basis members.
     """
     _check_universe(n, oracle)
-    ledger = oracle.ledger
-    start = len(ledger.phases)
-    independent = oracle.is_independent
-    basis = _find_basis(n, ledger, independent)
-    reps = _find_representatives(n, ledger, independent, basis)
+    ledger, independent, stages = oracle.ledger, oracle.is_independent, []
+    basis = _find_basis(n, ledger, independent, stages)
+    reps = _find_representatives(n, ledger, independent, basis, stages)
 
     b = basis.members
     t1 = reps.inside
@@ -312,7 +313,7 @@ def baseline_independence_learner_run(n, oracle):
     outside = [[reps.phi[t]] for t in t1_list]
     rest = np.setdiff1d(b, t1, assume_unique=True)  # B - T1
 
-    with ledger.phase("outside-basis"):
+    with _stage(ledger, "outside-basis", stages):
         t2_set = set(reps.outside.tolist())
         for e in _side_complement(n, b).tolist():
             if e in t2_set:
@@ -327,7 +328,7 @@ def baseline_independence_learner_run(n, oracle):
             outside[_halve(0, t1.size, in_upper)].append(e)
 
     # B - rest[lo:hi] + t2 is built as (T1 + t2) + rest[:lo] + rest[hi:]
-    with ledger.phase("inside-basis"):
+    with _stage(ledger, "inside-basis", stages):
         for members, t in zip(inside, t1_list):
             if not rest.size:
                 continue
@@ -348,10 +349,10 @@ def baseline_independence_learner_run(n, oracle):
 
             sweep(0, rest.size)
 
-    with ledger.phase("stitch"):
+    with _stage(ledger, "stitch", stages):
         parts = [a + c for a, c in zip(inside, outside)]
         capacities = [len(a) for a in inside]
-    return MatroidRun(LearnedMatroid(parts, capacities), ledger.phases[start:])
+    return MatroidRun(LearnedMatroid(parts, capacities, n), stages)
 
 
 def baseline_independence_learner(n, oracle):

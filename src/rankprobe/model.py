@@ -10,8 +10,14 @@ ints or integer array is accepted.  Anything else (a float or bool array, an
 id out of range, a repeated id) raises :class:`UsageError` and charges
 nothing.  Each query is validated once, by :func:`as_element_array` at the
 oracle boundary; internal code passes arrays it built itself and does not
-validate them again.  Instance constructors hold part ids and capacities to
-the same integer rule.
+validate them again.  The simulated queries are one rank query each and
+leave the check to it: a sum query asks S ++ I2, so an id that S and I2
+share is a repeated id.
+
+One class family holds a partition: :class:`HiddenPartition` canonicalises
+and checks the parts once, :class:`CapacitatedPartition` adds capacities,
+and ``matroid.LearnedMatroid`` extends that.  Instance constructors hold part
+ids and capacities to the integer rule of queries.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ __all__ = [
     "as_element_array",
     "sum_query_sim",
     "add_query_sim",
-    "canonical_parts",
     "instance_to_bytes",
     "instance_from_bytes",
     "read_instance",
@@ -80,7 +85,7 @@ def _check_universe(n, oracle):
         raise UsageError(f"n={n} does not match the oracle's universe size {oracle.n}")
 
 
-def as_element_array(s, n, mark=None, order=None):
+def as_element_array(s, n, mark, order):
     """Validate an element set over {0..n-1}; return it as a 1-D int64 array.
 
     Raises UsageError unless ``s`` holds distinct integer ids in [0, n).  Sets
@@ -94,8 +99,7 @@ def as_element_array(s, n, mark=None, order=None):
       an int64 array of size n that the caller owns, and read back; a
       position that does not survive is a repeated id, and an id >= n fails
       the write; O(|S|).  The positions are a prefix of ``order``, the
-      caller's int64 array 0..n-1.  Without ``mark`` or ``order`` a temporary
-      one is allocated.
+      caller's int64 array 0..n-1.
     """
     arr = _int_array(s, "element ids")
     size = arr.size
@@ -124,9 +128,7 @@ def as_element_array(s, n, mark=None, order=None):
     lo = int(np.minimum.reduce(arr))
     if lo < 0:
         raise _out_of_range(n, lo)
-    if mark is None:
-        mark = np.empty(n, dtype=np.int64)
-    order = np.arange(size) if order is None else order[:size]
+    order = order[:size]
     try:
         mark[arr] = order  # an id >= n is the only index left that can fail
     except IndexError:
@@ -136,54 +138,46 @@ def as_element_array(s, n, mark=None, order=None):
     return arr
 
 
-def canonical_parts(parts):
-    """Sort each part ascending and order parts by their minimum element.
-
-    Each part must be a nonempty set of integer ids (the rule of queries),
-    otherwise UsageError.
-    """
-    normalised = [np.sort(_int_array(p, "part ids")) for p in parts]
-    if any(p.size == 0 for p in normalised):
-        raise UsageError("parts must be nonempty")
-    order = sorted(range(len(normalised)), key=lambda i: int(normalised[i][0]))
-    return [normalised[i] for i in order], order
-
-
 class HiddenPartition:
     """A partition P_1..P_k of {0..n-1}; the ground truth a simple rank oracle answers from.
 
-    Parts are pairwise disjoint, nonempty, and cover the universe.  The stored
-    order is canonical: each part ascending, parts sorted by minimum element.
+    Parts are pairwise disjoint, nonempty sets of integer ids (the rule of
+    queries) that cover the universe, otherwise UsageError.  The stored order
+    is canonical: each part ascending, parts sorted by minimum element;
+    ``_order`` keeps the input index of each part.  Equality is type-strict:
+    equal structures are of one class and agree in ``as_tuples()``.
     """
+
+    capacities = None
 
     def __init__(self, parts, n=None):
         if len(parts) == 0:
             raise UsageError("a partition needs at least one part")
         if n is not None:
             _check_int(n, "n")
-        self.parts, _ = canonical_parts(parts)
-        total = int(sum(p.size for p in self.parts))
-        self.n = total if n is None else int(n)
-        if total != self.n:
-            raise UsageError(f"parts cover {total} elements, expected n={self.n}")
+        normalised = [np.sort(_int_array(p, "part ids")) for p in parts]
+        if any(p.size == 0 for p in normalised):
+            raise UsageError("parts must be nonempty")
+        self._order = sorted(range(len(normalised)), key=lambda i: int(normalised[i][0]))
+        self.parts = [normalised[i] for i in self._order]
+        ids = np.concatenate(self.parts)
+        self.n = ids.size if n is None else int(n)
+        if ids.size != self.n:
+            raise UsageError(f"parts cover {ids.size} elements, expected n={self.n}")
+        # ids[0] is the least id: the first part holds it, sorted
+        lo, hi = int(ids[0]), int(ids.max())
+        if lo < 0 or hi >= self.n:
+            raise _out_of_range(self.n, lo if lo < 0 else hi)
         part_of = np.full(self.n, -1, dtype=np.int64)
-        for i, p in enumerate(self.parts):
-            if p[0] < 0 or p[-1] >= self.n:
-                raise UsageError("element id out of range")
-            if np.any(part_of[p] != -1):
-                raise UsageError("parts must be disjoint")
-            part_of[p] = i
+        part_of[ids] = np.repeat(np.arange(self.k), [p.size for p in self.parts])
+        # the parts hold n ids in [0, n), so a hole means a repeated id
         if np.any(part_of < 0):
-            raise UsageError("parts must cover the whole universe")
+            raise UsageError("parts must be disjoint: an id is repeated")
         self.part_of = part_of
 
     @property
     def k(self):
         return len(self.parts)
-
-    @property
-    def capacities(self):
-        return None
 
     def effective_capacities(self):
         return np.ones(self.k, dtype=np.int64)
@@ -192,49 +186,30 @@ class HiddenPartition:
         return tuple(tuple(int(e) for e in p) for p in self.parts)
 
     def __eq__(self, other):
-        return isinstance(other, HiddenPartition) and self.as_tuples() == other.as_tuples()
+        return type(other) is type(self) and self.as_tuples() == other.as_tuples()
 
     def __repr__(self):
-        return f"HiddenPartition(n={self.n}, k={self.k})"
+        return f"{type(self).__name__}(n={self.n}, k={self.k})"
 
 
-class CapacitatedPartition:
+class CapacitatedPartition(HiddenPartition):
     """A partition with per-part capacities r_i, 1 <= r_i < |P_i|.
 
-    The strict upper bound is mandatory: with r_i >= |P_i| the rank oracle
-    carries no information that could tell such parts' elements apart, so no
-    learner could succeed.
+    The capacities are aligned with the canonical parts.  The strict upper
+    bound is mandatory: with r_i >= |P_i| the rank oracle carries no
+    information that could tell such parts' elements apart, so no learner
+    could succeed.
     """
 
     def __init__(self, parts, capacities, n=None):
-        if n is not None:
-            _check_int(n, "n")
-        caps_in = _int_array(capacities, "capacities")
-        if caps_in.size != len(parts):
+        caps = _int_array(capacities, "capacities")
+        if caps.size != len(parts):
             raise UsageError("need one capacity per part")
-        canon, order = canonical_parts(parts)
-        self.base = HiddenPartition(canon, n=n)
-        caps = caps_in[order]
-        sizes = np.asarray([p.size for p in self.base.parts], dtype=np.int64)
-        if np.any(caps < 1) or np.any(caps >= sizes):
+        super().__init__(parts, n)
+        self.capacities = caps[self._order]
+        sizes = np.asarray([p.size for p in self.parts], dtype=np.int64)
+        if np.any(self.capacities < 1) or np.any(self.capacities >= sizes):
             raise UsageError("capacities must satisfy 1 <= r_i < |P_i|")
-        self.capacities = caps
-
-    @property
-    def n(self):
-        return self.base.n
-
-    @property
-    def k(self):
-        return self.base.k
-
-    @property
-    def parts(self):
-        return self.base.parts
-
-    @property
-    def part_of(self):
-        return self.base.part_of
 
     @property
     def rank_total(self):
@@ -244,13 +219,7 @@ class CapacitatedPartition:
         return self.capacities
 
     def as_tuples(self):
-        return (self.base.as_tuples(), tuple(int(c) for c in self.capacities))
-
-    def __eq__(self, other):
-        return isinstance(other, CapacitatedPartition) and self.as_tuples() == other.as_tuples()
-
-    def __repr__(self):
-        return f"CapacitatedPartition(n={self.n}, k={self.k}, r={self.rank_total})"
+        return (super().as_tuples(), tuple(int(c) for c in self.capacities))
 
 
 @dataclass
@@ -404,13 +373,8 @@ class RankOracle:
         return value
 
 
-def _sum_query(oracle, s, i2):
-    """sum_query_sim on int64 arrays the caller built: distinct, disjoint, in range."""
-    return s.size + i2.size - oracle.rank(np.concatenate((s, i2)))
-
-
 def _add_query(oracle, s):
-    """add_query_sim on an int64 array of distinct in-range ids the caller built."""
+    """add_query_sim on an int64 array; the oracle's rank call validates it."""
     return s.size - oracle.rank(s)
 
 
@@ -418,14 +382,14 @@ def sum_query_sim(oracle, s, i2):
     """Count elements of S with a friend in the independent set I2, via one rank query.
 
     Identity used: sum = |S| + |I2| - rank(S ∪ I2), valid when S is contained
-    in an independent set disjoint from I2.  S and I2 must be valid element
-    sets and disjoint, otherwise UsageError.
+    in an independent set disjoint from I2.  It is the add query of the
+    concatenation S ++ I2, so the oracle checks that one set once: an id
+    repeated within S or I2, or shared by both, raises UsageError and charges
+    nothing.
     """
-    s = as_element_array(s, oracle.n)
-    i2 = as_element_array(i2, oracle.n)
-    if s.size and i2.size and np.intersect1d(s, i2).size:
-        raise UsageError("sum query requires S and I2 disjoint")
-    return _sum_query(oracle, s, i2)
+    s = _int_array(s, "element ids")
+    i2 = _int_array(i2, "element ids")
+    return _add_query(oracle, np.concatenate((s, i2)))
 
 
 def add_query_sim(oracle, s):
@@ -433,9 +397,10 @@ def add_query_sim(oracle, s):
 
     Meaningful when S is drawn from the union of two independent sets whose
     friendships form a matching; outside that regime the value is well defined
-    but not a pair count.  S must be a valid element set, otherwise UsageError.
+    but not a pair count.  The oracle checks S once, as its rank query:
+    UsageError, and no charge, unless S is a valid element set.
     """
-    return _add_query(oracle, as_element_array(s, oracle.n))
+    return _add_query(oracle, _int_array(s, "element ids"))
 
 
 def _instance_payload(structure, meta=None):

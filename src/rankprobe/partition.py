@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DecodeFailure, InternalConsistencyError, InvariantViolation, UsageError
-from .model import _add_query, _check_universe, _int_array, _sum_query
+from .model import _add_query, _check_universe, _int_array
 from .weighing import _row_sets, recover_matching, recover_sparse
 
 __all__ = [
@@ -123,7 +123,7 @@ def merge(i1, i2, oracle):
     i2 = _int_array(i2, "I2")
     ledger = oracle.ledger
     with ledger.phase("com-discovery"):
-        d = int(_sum_query(oracle, i1, i2)) if i1.size else 0
+        d = int(_add_query(oracle, np.concatenate((i1, i2)))) if i1.size else 0
         if not 0 <= d <= min(i1.size, i2.size):
             raise DecodeFailure(
                 f"sum oracle reported {d} common parts between sets of sizes "
@@ -135,7 +135,7 @@ def merge(i1, i2, oracle):
             merged.sort()
             return MergeOutcome(merged, [])
         def sums(src, other):
-            # sum(S, other) = add(S ∪ other), the same array _sum_query asks
+            # sum(S, other) = add(S ∪ other), as the root query asks it
             return lambda cols, bounds: [
                 _add_query(oracle, s) for s in _row_sets(src, cols, bounds, other)
             ]

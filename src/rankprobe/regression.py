@@ -33,8 +33,8 @@ class RegressionConfig:
     def value(self, name):
         try:
             return float(self.constants[name]["value"])
-        except KeyError as exc:
-            raise UsageError(f"regression config has no constant {name!r}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"regression config has no numeric constant {name!r}") from exc
 
     def note(self, name):
         return self.constants.get(name, {}).get("note", "")
@@ -48,7 +48,17 @@ class RegressionConfig:
 
 
 def load_regression_config(path=None):
-    """Load the config from ``path``, the env override, or the packaged default."""
+    """Load the config from ``path``, the env override, or the packaged default.
+
+    A file that cannot be read, or that is not a JSON object, raises
+    UsageError naming it.
+    """
     candidate = path or os.environ.get(ENV_VAR) or _DEFAULT_PATH
-    with open(candidate, "rb") as fh:
-        return RegressionConfig(json.load(fh))
+    try:
+        with open(candidate, "rb") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: JSON or UTF-8 decoding
+        raise UsageError(f"cannot load regression config {candidate}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise UsageError(f"regression config {candidate} is not a JSON object")
+    return RegressionConfig(doc)

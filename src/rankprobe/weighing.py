@@ -390,10 +390,10 @@ def recover_sparse(N, sum_oracle, *, known_total=None):
     is one flat int64 array of column ids in [0, N), row i is
     ``cols[bounds[i]:bounds[i + 1]]``, and it returns a sequence of the R
     integer sums of x over the rows, in row order.  Each row counts as one
-    query.  Any other number of answers raises ProtocolError and a
-    non-integer answer UsageError, before anything is decoded.  A detecting
-    design is one block, asked in one call; the root query and each halving
-    query are one-row blocks.
+    query.  Any other number of answers raises ProtocolError and an answer
+    that is not an integer (a bool is not) UsageError, before anything is
+    decoded.  A detecting design is one block, asked in one call; the root
+    query and each halving query are one-row blocks.
 
     Adaptive halving (lower-index half first, odd splits give the extra
     element to the lower half) with a switch to detecting-design recovery on
@@ -417,13 +417,16 @@ def recover_sparse(N, sum_oracle, *, known_total=None):
             raise ProtocolError(f"sum oracle gave a {type(got).__name__}, not {rows} answers") from None
         if count != rows:
             raise ProtocolError(f"sum oracle gave {count} answers to a block of {rows} rows")
+        # one C-level pass clears the usual all-int block; other answer types
+        # (NumPy integers, or a bool to reject) take the per-answer rule
+        if not {int}.issuperset(map(type, got)):
+            for value in got:
+                _check_int(value, "a sum-query answer")
         return got
 
     def ask(lo, hi):
         row = np.arange(lo, hi, dtype=np.int64)
-        value = answer(row, np.array([0, row.size], dtype=np.int64))[0]
-        _check_int(value, "a sum-query answer")
-        return int(value)
+        return int(answer(row, np.array([0, row.size], dtype=np.int64))[0])
 
     support = []
 
@@ -441,7 +444,6 @@ def recover_sparse(N, sum_oracle, *, known_total=None):
         if size >= MATRIX_MIN_SIZE and size <= SPLIT_THRESHOLD * ones:
             state["matrix_used"] = True
             matrix = build_detecting_matrix(size)
-            # decode rejects non-integer measurements before decoding any
             bits = matrix.decode(answer(*matrix.flat_rows(lo)))
             if int(bits.sum()) != ones:
                 raise DecodeFailure("decoded weight disagrees with the known sub-universe sum")

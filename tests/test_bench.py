@@ -367,6 +367,28 @@ class TestCli:
         assert main(["run", "--instance", str(inst), "--learner", "learn_partition_matroid"]) == 0
         assert main(["run", "--instance", str(inst), "--learner", "baseline"]) == 0
 
+    @pytest.mark.parametrize(
+        "content",
+        [None, b'{"constants": {}}', b'{"constants": {"C_total": 3}}', b"{not json", b"[1]"],
+        ids=["missing", "no-C_total", "C_total-not-an-object", "not-json", "not-an-object"],
+    )
+    def test_sweep_without_its_gate_exit_2(self, tmp_path, capsys, monkeypatch, content):
+        # a missing file or one without C_total ran the sweep ungated (exit
+        # 0); a file or a C_total that is not a JSON object gave a traceback
+        # (exit 1)
+        config = tmp_path / "regression.json"
+        if content is not None:
+            config.write_bytes(content)
+        monkeypatch.setenv(ENV_VAR, str(config))
+        out = tmp_path / "s.csv"
+        argv = [
+            "sweep", "--family", "equal-blocks", "--n-min", "32", "--n-max", "32",
+            "--reps", "1", "--learner", "find_partition", "-o", str(out),
+        ]
+        assert main(argv) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_regression_failure_exit(self, tmp_path, monkeypatch):
         strict = tmp_path / "strict.json"
         strict.write_text(json.dumps({"constants": {"C_total": {"value": 0.1}}}))

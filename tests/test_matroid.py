@@ -5,6 +5,7 @@ import pytest
 from rankprobe import (
     CapacitatedPartition,
     HiddenPartition,
+    InvariantViolation,
     RankOracle,
     UsageError,
     baseline_independence_learner_run,
@@ -16,6 +17,7 @@ from rankprobe import (
     learn_partition_matroid_run,
 )
 from rankprobe.bench import InstanceSpec, generate
+from rankprobe.matroid import LearnedMatroid
 from rankprobe.regression import load_regression_config
 
 from _bruteforce import brute_rank, canonical, enumerate_capacitated
@@ -172,6 +174,30 @@ class TestLearnPartitionMatroid:
         assert sum(s.rank_queries for s in run.stages) == o.ledger.rank_count
         assert run.stages == o.ledger.phases
 
+    @pytest.mark.parametrize(
+        "learner,labels",
+        [
+            (learn_partition_matroid_run, ["basis", "representatives", "inside-basis", "outside-basis", "stitch"]),
+            (baseline_independence_learner_run, ["basis", "representatives", "outside-basis", "inside-basis", "stitch"]),
+        ],
+        ids=["rank-learner", "baseline"],
+    )
+    def test_nested_run_keeps_its_stages(self, learner, labels):
+        # run inside a caller's phase, the stages were [] (the ledger lists
+        # only outermost records)
+        st, _ = generate(InstanceSpec("capacitated-random", 64, seed=1))
+        o = RankOracle(st)
+        with o.ledger.phase("outer") as outer:
+            run = learner(64, o)
+        assert [s.label for s in run.stages] == labels
+        assert sum(s.rank_queries for s in run.stages) == outer.rank_queries == o.ledger.rank_count
+        assert (
+            sum(s.independence_queries for s in run.stages)
+            == outer.independence_queries
+            == o.ledger.independence_count
+        )
+        assert o.ledger.phases == [outer]
+
     def test_query_bound(self):
         config = load_regression_config()
         c_mat = config.value("C_mat")
@@ -184,7 +210,52 @@ class TestLearnPartitionMatroid:
             assert o.ledger.rank_count <= c_mat * (n + st.k * math.log2(max(2, r)))
 
 
+class TestLearnedMatroid:
+    def test_one_class_family_with_type_strict_equality(self):
+        parts, caps = [[0, 1, 2], [3, 4]], [2, 1]
+        learned = LearnedMatroid(parts, caps)
+        assert isinstance(learned, CapacitatedPartition)
+        assert learned == LearnedMatroid([[4, 3], [2, 0, 1]], [1, 2])
+        assert learned != CapacitatedPartition(parts, caps)
+        assert CapacitatedPartition(parts, caps) != learned
+        assert HiddenPartition(parts) != CapacitatedPartition(parts, caps)
+        assert learned.matches(CapacitatedPartition(parts, caps))
+        assert learned.matches(HiddenPartition(parts))
+        assert not learned.matches(CapacitatedPartition(parts, [1, 1]))
+
+    @pytest.mark.parametrize(
+        "parts,caps",
+        [([[0, 1, 2], [2, 3, 4]], [1, 1]), ([[0, 1], [3, 4]], [1, 1]), ([[0, 1, 2], [3, 4]], [1, 2])],
+        ids=["overlap", "missing", "capacity"],
+    )
+    def test_invalid_learner_output(self, parts, caps):
+        with pytest.raises(InvariantViolation):
+            LearnedMatroid(parts, caps, 5)
+
+
+class _FlippedIndependence(RankOracle):
+    """Answers the ``at``-th independence query (1-based) wrongly."""
+
+    def __init__(self, structure, at):
+        super().__init__(structure)
+        self.at = at
+        self.asked = 0
+
+    def is_independent(self, s):
+        value = super().is_independent(s)
+        self.asked += 1
+        return value != (self.asked == self.at)
+
+
 class TestBaseline:
+    @pytest.mark.parametrize("at", [133, 217])
+    def test_one_flipped_answer_is_not_a_silent_non_partition(self, at):
+        # these flips made the baseline return "parts" holding 125 and 131
+        # ids of 128
+        st, _ = generate(InstanceSpec("capacitated-random", 128, seed=3))
+        with pytest.raises(InvariantViolation):
+            baseline_independence_learner_run(128, _FlippedIndependence(st, at))
+
     def test_single_part(self):
         o = cap_oracle([[0, 1, 2]], [2])
         run = baseline_independence_learner_run(3, o)

@@ -163,6 +163,29 @@ class TestSumQuery:
             assert sum_query_sim(o, s, i2) == brute_sum_query(parts, s, i2)
 
 
+class TestSimulatedQueryValidation:
+    """A simulated query is one rank query, and the oracle checks its one set once."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [lambda o: sum_query_sim(o, [0, 1], [2, 3]), lambda o: add_query_sim(o, [0, 1, 2, 3])],
+        ids=["sum", "add"],
+    )
+    def test_one_check_one_charge(self, query, monkeypatch):
+        calls = []
+        check = model.as_element_array
+
+        def counting(*args):
+            calls.append(args[0])
+            return check(*args)
+
+        monkeypatch.setattr(model, "as_element_array", counting)
+        o = oracle([[0, 2], [1], [3]])
+        query(o)
+        assert len(calls) == 1
+        assert o.ledger.rank_count == 1
+
+
 class TestAddQuery:
     def test_matched_pair_inside(self):
         o = oracle([[0, 2], [1, 3]])
@@ -194,6 +217,7 @@ class TestQueryContract:
             lambda o: sum_query_sim(o, [0, 0], [3]),
             lambda o: sum_query_sim(o, [0], [3, 3]),
             lambda o: add_query_sim(o, [1, 4, 1]),
+            lambda o: sum_query_sim(o, [0, 1], [1, 3]),
         ],
         ids=[
             "rank-duplicate",
@@ -205,6 +229,7 @@ class TestQueryContract:
             "sum-duplicate-in-s",
             "sum-duplicate-in-i2",
             "add-duplicate",
+            "sum-overlap",
         ],
     )
     def test_rejected_and_uncharged(self, query):
@@ -371,6 +396,10 @@ class TestStructures:
             HiddenPartition([[0], [2]])  # hole
         with pytest.raises(UsageError):
             HiddenPartition([])
+        with pytest.raises(UsageError, match="out of range"):
+            HiddenPartition([[0, 4], [1, 2]], n=4)
+        with pytest.raises(UsageError, match="repeated"):
+            HiddenPartition([[0, 1], [1]], n=3)  # the right total, 2 missing
 
     def test_capacity_validation(self):
         with pytest.raises(UsageError):

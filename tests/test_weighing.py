@@ -470,6 +470,24 @@ class TestRecoverSparse:
         with pytest.raises(UsageError, match="integer"):
             recover_sparse(n, lambda cols, bounds: corrupt(ask(cols, bounds)), known_total=total)
 
+    @pytest.mark.parametrize("true", [True, np.True_], ids=["bool", "numpy-bool"])
+    @pytest.mark.parametrize("kind", BLOCKS)
+    def test_bool_answers_rejected(self, kind, true):
+        # a design block read its answers through np.asarray, so a list
+        # mixing True and ints decoded as if True were 1
+        n, support, total = self.BLOCKS[kind]
+        ask = counting_oracle(support)
+        swapped = []
+
+        def with_bools(cols, bounds):
+            answers = [true if v == 1 else v for v in ask(cols, bounds)]
+            swapped.extend(v is true for v in answers)
+            return answers
+
+        with pytest.raises(UsageError, match="integer"):
+            recover_sparse(n, with_bools, known_total=total)
+        assert any(swapped)
+
     def test_query_count_monotone_in_d(self):
         n = 1024
         ds = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]

@@ -23,6 +23,7 @@ from .model import (
     CapacitatedPartition,
     HiddenPartition,
     RankOracle,
+    _check_int,
     instance_digest,
     read_instance,
 )
@@ -92,8 +93,11 @@ def _rng(spec):
     return np.random.default_rng(np.random.PCG64(spec.seed))
 
 
-def _partition_from_assignment(assign, k):
-    return [np.flatnonzero(assign == i) for i in range(k)]
+def _cut(order, sizes):
+    """Cut ``order`` into consecutive parts of the given sizes."""
+    # plain slices: np.split pays a swapaxes per part, about 1 us each
+    ends = np.cumsum(sizes).tolist()
+    return [order[a:b] for a, b in zip([0, *ends[:-1]], ends)]
 
 
 def generate(spec):
@@ -106,6 +110,10 @@ def generate(spec):
         raise UsageError(f"unknown family {spec.family!r}")
     if spec.capacity_rule not in CAPACITY_RULES:
         raise UsageError(f"unknown capacity rule {spec.capacity_rule!r}")
+    _check_int(spec.n, "n")
+    _check_int(spec.seed, "seed")
+    if spec.k is not None:
+        _check_int(spec.k, "k")
     n = int(spec.n)
     if n < 1:
         raise UsageError("instances need n >= 1")
@@ -120,7 +128,8 @@ def generate(spec):
             (np.arange(k, dtype=np.int64), rng.integers(0, k, n - k, dtype=np.int64))
         )
         rng.shuffle(assign)
-        parts = _partition_from_assignment(assign, k)
+        # a stable sort keeps each part ascending
+        parts = _cut(np.argsort(assign, kind="stable"), np.bincount(assign, minlength=k))
     elif spec.family == "geometric-sizes":
         sizes = []
         rem = n
@@ -128,41 +137,22 @@ def generate(spec):
             s = max(1, rem // 2)
             sizes.append(s)
             rem -= s
-        perm = rng.permutation(n)
-        parts, pos = [], 0
-        for s in sizes:
-            parts.append(perm[pos : pos + s])
-            pos += s
+        parts = _cut(rng.permutation(n), sizes)
     elif spec.family == "equal-blocks":
         block = k
         if block < 1:
             raise UsageError("equal-blocks needs a positive block size")
         parts = [np.arange(i, min(i + block, n)) for i in range(0, n, block)]
     elif spec.family == "singleton-heavy":
-        heavy = k
-        size = 4
-        if heavy * size > n:
-            heavy = max(1, n // size) if n >= size else 0
-        perm = rng.permutation(n)
-        parts, pos = [], 0
-        for _ in range(heavy):
-            parts.append(perm[pos : pos + size])
-            pos += size
-        parts.extend([e] for e in perm[pos:])
-        if not parts:
-            parts = [[e] for e in range(n)]
+        heavy = max(0, min(k, n // 4))  # k parts of 4, or as many as fit
+        parts = _cut(rng.permutation(n), [4] * heavy + [1] * (n - 4 * heavy))
     else:  # capacitated-random
         if 2 * k > n:
             raise UsageError(
                 f"capacitated families need parts of size >= 2: 2k = {2*k} > n = {n}"
             )
         extra = rng.multinomial(n - 2 * k, np.full(k, 1.0 / k))
-        sizes = 2 + extra
-        perm = rng.permutation(n)
-        parts, pos = [], 0
-        for s in sizes:
-            parts.append(perm[pos : pos + s])
-            pos += int(s)
+        parts = _cut(rng.permutation(n), 2 + extra)
 
     meta = {
         "family": spec.family,
@@ -223,56 +213,6 @@ class RunReport:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _canonical_parts_list(parts):
-    return [p.tolist() for p in parts]
-
-
-def _is_all_ones(structure):
-    return isinstance(structure, CapacitatedPartition) and bool(
-        np.all(structure.capacities == 1)
-    )
-
-
-def _run_partition(structure, audit):
-    """find_partition on a fresh oracle: (oracle, wall, parts, capacities, correct, phases)."""
-    oracle = RankOracle(structure)
-    t0 = time.perf_counter()
-    run = find_partition_run(structure.n, oracle, audit=audit)
-    wall = time.perf_counter() - t0
-    correct = _canonical_parts_list(run.parts) == _canonical_parts_list(structure.parts)
-    phases = [
-        {
-            "phase": p.label,
-            "merges": sum(s.phase == p.label for s in run.merge_stats),
-            "thick_merges": sum(s.thick for s in run.merge_stats if s.phase == p.label),
-            "rank_queries": p.rank_queries,
-        }
-        for p in run.phases
-    ]
-    return oracle, wall, run.parts, None, correct, phases
-
-
-def _run_matroid(target, learner, audit):
-    """A matroid learner on a fresh oracle; same tuple as _run_partition."""
-    oracle = RankOracle(target)
-    t0 = time.perf_counter()
-    if learner == "learn_partition_matroid":
-        mrun = learn_partition_matroid_run(target.n, oracle, audit=audit)
-    else:
-        mrun = baseline_independence_learner_run(target.n, oracle)
-    wall = time.perf_counter() - t0
-    phases = [
-        {
-            "stage": s.label,
-            "rank_queries": s.rank_queries,
-            "independence_queries": s.independence_queries,
-        }
-        for s in mrun.stages
-    ]
-    matroid = mrun.matroid
-    return oracle, wall, matroid.parts, matroid.capacities, matroid.matches(target), phases
-
-
 def run_learner(structure, learner, audit=False):
     """Execute one learner against a fresh oracle; verify against ground truth.
 
@@ -285,22 +225,51 @@ def run_learner(structure, learner, audit=False):
     if learner not in LEARNERS:
         raise UsageError(f"unknown learner {learner!r}")
     simple = structure.capacities is None
-    routed = None
-
+    route, target = learner, structure
     if learner == "find_partition":
-        if not simple and not _is_all_ones(structure):
+        if not simple and np.any(structure.capacities != 1):
             raise UsageError("find_partition requires a simple (or all-ones) instance")
-        result = _run_partition(structure, audit)
     elif simple and min(p.size for p in structure.parts) < 2:
         # singleton parts admit no valid capacities; fall back per policy
-        routed = "find_partition"
-        result = _run_partition(structure, audit)
+        route = "find_partition"
+    elif simple:
+        target = CapacitatedPartition(structure.parts, [1] * structure.k)
+
+    oracle = RankOracle(target)
+    t0 = time.perf_counter()
+    if route == "find_partition":
+        run = find_partition_run(target.n, oracle, audit=audit)
+    elif route == "learn_partition_matroid":
+        run = learn_partition_matroid_run(target.n, oracle, audit=audit)
     else:
-        target = (
-            structure if not simple else CapacitatedPartition(structure.parts, [1] * structure.k)
-        )
-        result = _run_matroid(target, learner, audit)
-    oracle, wall, learned_parts, learned_caps, correct, phases = result
+        run = baseline_independence_learner_run(target.n, oracle)
+    wall = time.perf_counter() - t0
+
+    if route == "find_partition":
+        learned_parts = [p.tolist() for p in run.parts]
+        correct = learned_parts == [p.tolist() for p in structure.parts]
+        learned_caps = None
+        phases = [
+            {
+                "phase": p.label,
+                "merges": sum(s.phase == p.label for s in run.merge_stats),
+                "thick_merges": sum(s.thick for s in run.merge_stats if s.phase == p.label),
+                "rank_queries": p.rank_queries,
+            }
+            for p in run.phases
+        ]
+    else:
+        learned_parts = [p.tolist() for p in run.matroid.parts]
+        correct = run.matroid.matches(target)
+        learned_caps = [int(c) for c in run.matroid.capacities]
+        phases = [
+            {
+                "stage": s.label,
+                "rank_queries": s.rank_queries,
+                "independence_queries": s.independence_queries,
+            }
+            for s in run.stages
+        ]
 
     return RunReport(
         instance_digest=instance_digest(structure),
@@ -311,10 +280,10 @@ def run_learner(structure, learner, audit=False):
         wall_time=wall,
         ledger=oracle.ledger.snapshot(),
         phases=phases,
-        learned_parts=_canonical_parts_list(learned_parts),
-        learned_capacities=None if learned_caps is None else [int(c) for c in learned_caps],
+        learned_parts=learned_parts,
+        learned_capacities=learned_caps,
         audit=audit,
-        routed_to=routed,
+        routed_to=None if route == learner else route,
     )
 
 
@@ -374,8 +343,7 @@ def _sweep_row(spec, learner):
             row[key] = ph["rank_queries"]
         else:
             key = "stage_" + ph["stage"].replace("-", "_")
-            if key in row:
-                row[key] = ph["rank_queries"] + ph["independence_queries"]
+            row[key] = ph["rank_queries"] + ph["independence_queries"]
     return row
 
 
@@ -391,7 +359,7 @@ def sweep(family, n_values, reps, learner, base_seed=0, k=None):
     specs = []
     for n in sorted(n_values):
         for rep in range(reps):
-            specs.append(InstanceSpec(family=family, n=int(n), k=k, seed=base_seed + rep))
+            specs.append(InstanceSpec(family=family, n=n, k=k, seed=base_seed + rep))
     rows = [_sweep_row(s, learner) for s in specs]
     summaries = []
     for n in sorted({r["n"] for r in rows}):

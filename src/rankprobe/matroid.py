@@ -40,7 +40,7 @@ __all__ = [
 
 @dataclass
 class Basis:
-    """A maximum independent set: exactly r_i elements of each part."""
+    """A maximum independent set, ascending: exactly r_i elements of each part."""
 
     members: np.ndarray
 
@@ -131,7 +131,7 @@ def find_basis(n, oracle):
 def _find_representatives(n, ledger, independent, basis, stages):
     """T1, T2 and phi from ``independent(S)`` tests (see find_representatives)."""
     b = basis.members
-    t1, t2, phi = [], [], {}
+    t2, phi = [], {}
     in_cur = np.ones(b.size, dtype=bool)  # B - T1 as a mask over B
     cur = b
     with _stage(ledger, "representatives", stages):
@@ -149,15 +149,14 @@ def _find_representatives(n, ledger, independent, basis, stages):
                 return independent(np.concatenate((b[:mid], b[hi:], [e])))
 
             x = _halve(0, b.size, in_upper)
-            t1.append(int(b[x]))
-            phi[t1[-1]] = e
+            # e's part has no member in T1, so its friend cannot be in T1
+            if not in_cur[x]:
+                raise InvariantViolation(f"element {int(b[x])} found as a friend twice")
+            phi[int(b[x])] = e
             in_cur[x] = False
             cur = b[in_cur]
-    return RepresentativePair(
-        np.asarray(sorted(t1), dtype=np.int64),
-        np.asarray(sorted(t2), dtype=np.int64),
-        phi,
-    )
+    # b and the scan are ascending, so T1 and T2 are too
+    return RepresentativePair(b[~in_cur], np.asarray(t2, dtype=np.int64), phi)
 
 
 def find_representatives(n, oracle, basis):

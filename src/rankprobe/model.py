@@ -336,7 +336,7 @@ class RankOracle:
         self._order = np.arange(self.n, dtype=np.int64)  # positions for both marks
 
     def _evaluate(self, s):
-        """Rank of a set already known to hold distinct ids in [0, n) (array or list)."""
+        """Rank of an int64 array that ``as_element_array`` has already checked."""
         size = len(s)
         if size == 0:
             return 0

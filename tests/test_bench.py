@@ -72,6 +72,27 @@ class TestGenerate:
         with pytest.raises(UsageError):
             generate(InstanceSpec("singleton-heavy", 64, seed=0, capacitated=True))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n": 64, "k": 3.9},
+            {"n": True},
+            {"n": 100.7},
+            {"n": 64, "seed": 1.5},
+            {"n": "64"},
+            {"n": 64, "seed": True},
+        ],
+        ids=["float-k", "bool-n", "float-n", "float-seed", "str-n", "bool-seed"],
+    )
+    def test_integer_rule(self, kwargs):
+        with pytest.raises(UsageError, match="must be an integer"):
+            generate(InstanceSpec("uniform-k", **kwargs))
+
+    def test_numpy_integers_accepted(self):
+        a, meta_a = generate(InstanceSpec("uniform-k", np.int64(64), k=np.int64(3), seed=np.int64(1)))
+        b, meta_b = generate(InstanceSpec("uniform-k", 64, k=3, seed=1))
+        assert instance_to_bytes(a, meta_a) == instance_to_bytes(b, meta_b)
+
     @pytest.mark.parametrize("family", ["uniform-k", "geometric-sizes", "equal-blocks", "singleton-heavy"])
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_tiny_universes(self, family, n):
@@ -175,6 +196,10 @@ class TestSweep:
 
         assert once() == once()
 
+    def test_non_integer_n_rejected(self):
+        with pytest.raises(UsageError, match="must be an integer"):
+            sweep("uniform-k", [64.9], 1, "find_partition")
+
     def test_baseline_sweep_uses_independence_metric(self):
         rows, summaries = sweep("capacitated-random", [64], 1, "baseline")
         assert rows[0]["independence_queries"] > 0
@@ -273,6 +298,74 @@ class TestPinnedReports:
     def test_sweep_csv(self, family, learner, want):
         rows, summaries = sweep(family, [64, 128], 2, learner)
         assert self.digest(sweep_rows_to_csv(rows, summaries)) == want
+
+    @pytest.mark.parametrize(
+        "spec,learner,want",
+        [
+            (
+                InstanceSpec("singleton-heavy", 256, seed=5),
+                "learn_partition_matroid",
+                "d842ea6e0023c96ed9c6d35deefc91f083c0430f144fffeec86f059a1b8863ac",
+            ),
+            (
+                InstanceSpec("equal-blocks", 256, k=4),
+                "baseline",
+                "a818eac4d3d5c0dffe23217ebdc8040ff46c34f8db942c5cf96d4827931abe52",
+            ),
+            (
+                InstanceSpec("equal-blocks", 256, k=4, capacitated=True, capacity_rule="ones"),
+                "find_partition",
+                "740f1e04db467ebc6bca9eeb451bc270d69f73e84308cb1eca86a68427292f3f",
+            ),
+        ],
+        ids=["routed-to-find-partition", "simple-as-all-ones", "all-ones-capacitated"],
+    )
+    def test_report_routes(self, spec, learner, want):
+        structure, _ = generate(spec)
+        report = run_learner(structure, learner)
+        assert self.digest(report.to_json(include_wall_time=False)) == want
+
+    @pytest.mark.parametrize(
+        "spec,want",
+        [
+            (
+                InstanceSpec("uniform-k", 300, seed=11),
+                "8b0dc286a3aec597f1d5adb0eac8d63dd14ede6028c6a58c6a9eb86a084b5b2a",
+            ),
+            (
+                InstanceSpec("geometric-sizes", 300, seed=11),
+                "806e775058587b452a49a8c839481be80ff75df8f095dc36443e9b0abba9f8ed",
+            ),
+            (
+                InstanceSpec("equal-blocks", 300, seed=11),
+                "bdd5be913d7cc0e815971e127c5c290bb3eaa123e94278593eff8b6dd8e9234c",
+            ),
+            (
+                InstanceSpec("singleton-heavy", 300, seed=11),
+                "8d81de51c35b99c5dbc675903424dff2b5879e4af8f7c746786cb7c0152dcb6b",
+            ),
+            (
+                InstanceSpec("capacitated-random", 300, seed=11),
+                "8f1702662102cb259d292c8c71bd9268b208939e1f81179b5ce1983d004078e2",
+            ),
+            (
+                InstanceSpec("equal-blocks", 300, k=5, seed=11, capacitated=True),
+                "385e8857333f4e15196ed1041f4cf672466ddbcdfe445889a2bb0ec3ef8fd3ac",
+            ),
+            (
+                InstanceSpec("equal-blocks", 300, k=5, seed=11, capacitated=True, capacity_rule="ones"),
+                "0dcf0cd244b7c0217a5062cc901bf0e697a02543fbb8366441c5514d6a62e3fe",
+            ),
+            (
+                InstanceSpec("equal-blocks", 300, k=5, seed=11, capacitated=True, capacity_rule="max"),
+                "f356f1996f85614ed0ddac8ba4aaa5d4c562d4eeff99f222066ca358aa285bf5",
+            ),
+        ],
+        ids=[*FAMILIES, "rule-uniform-random", "rule-ones", "rule-max"],
+    )
+    def test_instance_bytes(self, spec, want):
+        structure, meta = generate(spec)
+        assert hashlib.sha256(instance_to_bytes(structure, meta)).hexdigest() == want
 
 
     def test_sweep_grid_query_stream(self, monkeypatch):

@@ -209,6 +209,13 @@ class TestLearnPartitionMatroid:
             r = st.rank_total
             assert o.ledger.rank_count <= c_mat * (n + st.k * math.log2(max(2, r)))
 
+    def test_rank_learner_repeated_friend_is_an_invariant_violation(self):
+        # this lie made the representative search find one friend twice;
+        # the run then failed later with DecodeFailure
+        st, _ = generate(InstanceSpec("capacitated-random", 128, seed=3))
+        with pytest.raises(InvariantViolation, match="friend twice"):
+            learn_partition_matroid_run(128, _ShiftedRank(st, 12))
+
 
 class TestLearnedMatroid:
     def test_one_class_family_with_type_strict_equality(self):
@@ -247,11 +254,26 @@ class _FlippedIndependence(RankOracle):
         return value != (self.asked == self.at)
 
 
+class _ShiftedRank(RankOracle):
+    """Answers the ``at``-th rank query (1-based) one too high."""
+
+    def __init__(self, structure, at):
+        super().__init__(structure)
+        self.at = at
+        self.asked = 0
+
+    def rank(self, s):
+        value = super().rank(s)
+        self.asked += 1
+        return value + (self.asked == self.at)
+
+
 class TestBaseline:
-    @pytest.mark.parametrize("at", [133, 217])
+    @pytest.mark.parametrize("at", [12, 133, 217])
     def test_one_flipped_answer_is_not_a_silent_non_partition(self, at):
-        # these flips made the baseline return "parts" holding 125 and 131
-        # ids of 128
+        # flip 12 made the representative search find one friend twice (a
+        # repeated id in a later probe, UsageError); flips 133 and 217 made
+        # the baseline return "parts" holding 125 and 131 ids of 128
         st, _ = generate(InstanceSpec("capacitated-random", 128, seed=3))
         with pytest.raises(InvariantViolation):
             baseline_independence_learner_run(128, _FlippedIndependence(st, at))

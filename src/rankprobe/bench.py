@@ -117,6 +117,8 @@ def generate(spec):
     n = int(spec.n)
     if n < 1:
         raise UsageError("instances need n >= 1")
+    if spec.seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {spec.seed}")
     k = spec.resolved_k()
     rng = _rng(spec)
     capacitated = spec.capacitated or spec.family == "capacitated-random"
@@ -144,9 +146,13 @@ def generate(spec):
             raise UsageError("equal-blocks needs a positive block size")
         parts = [np.arange(i, min(i + block, n)) for i in range(0, n, block)]
     elif spec.family == "singleton-heavy":
+        if k < 0:
+            raise UsageError(f"singleton-heavy needs k >= 0, got k={k}")
         heavy = max(0, min(k, n // 4))  # k parts of 4, or as many as fit
         parts = _cut(rng.permutation(n), [4] * heavy + [1] * (n - 4 * heavy))
     else:  # capacitated-random
+        if k < 1:
+            raise UsageError(f"capacitated-random needs k >= 1, got k={k}")
         if 2 * k > n:
             raise UsageError(
                 f"capacitated families need parts of size >= 2: 2k = {2*k} > n = {n}"

@@ -14,6 +14,7 @@ import os
 from pathlib import Path
 
 from .errors import UsageError
+from .model import _check_int
 
 __all__ = ["RegressionConfig", "load_regression_config", "ENV_VAR"]
 
@@ -41,10 +42,10 @@ class RegressionConfig:
 
     def sparse_budget(self, N, d):
         key = f"{N}:{d}"
-        try:
-            return int(self.b_table[key])
-        except KeyError as exc:
-            raise UsageError(f"no frozen sparse budget for (N, d) = ({N}, {d})") from exc
+        if not isinstance(self.b_table, dict) or key not in self.b_table:
+            raise UsageError(f"no frozen sparse budget for (N, d) = ({N}, {d})")
+        _check_int(self.b_table[key], f"the sparse budget for (N, d) = ({N}, {d})")
+        return self.b_table[key]
 
 
 def load_regression_config(path=None):

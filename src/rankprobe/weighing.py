@@ -40,17 +40,17 @@ z, and with s = top - z and t = middle - |x2| the halves measure
 y1 = (s + t)/2 and y2 = (s - t)/2, which recurse with |x1| and |x2| as their
 all-ones rows.  Each pass splits every block of a batch at once.  A pass
 below the top also requires the all-ones row to equal |x1| + |x2| + |z|.
-The leaves of D'_1 = [[1, 0], [1, 1]] must be 0/1; a leaf of the seeded
-family is decoded by the B16 table and its weight must equal its all-ones
-row.  With those checks every decoded vector reproduces the measurements
-exactly (each pass reproduces its rows from exact halves), or the decode
-raises DecodeFailure.
-
-``_B16`` is a 10x16 binary detecting base (checked exhaustively by the test
-suite) and the seeded family's D_1: the B16 block kind is ``_level(1, True)``.
-``_b16_decode`` looks measurements up in one sorted table of all 2^16 codes,
-built on first use from the base's 16 column weights.  It decodes B16 blocks
-directly and, behind the weight check, the seeded family's deeper leaves.
+The passes stop at a leaf, D'_1 = [B16; all-ones] (11 x 16) in the seeded
+family and D'_3 (11 x 14) in the first.  Each block of at most 16 columns,
+B16 (the seeded D_1, ``_B16``) and the first family's D_2 and D_3, is a
+``_Table``: it reads a measurement as one number in base (largest row weight
++ 1), 6 for B16, and looks it up in the sorted codes of all 2^n_cols
+patterns, built on first decode; two patterns with one code raise
+InternalConsistencyError, so a table kind proves itself detecting on first
+use.  A leaf is decoded by its D_k table, and its decoded weight must equal
+its all-ones row.  With those checks every decoded vector reproduces the
+measurements exactly (each pass reproduces its rows from exact halves), or
+the decode raises DecodeFailure.
 
 ``build_detecting_matrix(N)`` packs blocks of both families, B16 blocks and
 identity columns with the fewest rows, found by one dynamic program over N
@@ -81,7 +81,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecodeFailure, ProtocolError, UsageError
+from .errors import DecodeFailure, InternalConsistencyError, ProtocolError, UsageError
 from .model import _check_int, _int_array
 
 __all__ = [
@@ -122,9 +122,6 @@ _B16 = np.array(
     dtype=np.int64,
 )
 
-_BITS = np.arange(16, dtype=np.int64)
-_POW6 = 6 ** np.arange(10, dtype=np.int64)  # base-6 code of a B16 measurement (entries <= 5)
-
 
 def _flat(mat):
     """The rows of a 0/1 matrix as one block: flat column ids and the R + 1 row bounds."""
@@ -135,52 +132,52 @@ def _flat(mat):
     return cols, bounds
 
 
-@functools.cache
-def _b16_table():
-    """The one table behind every B16 decode: all 2^16 codes sorted, and each code's pattern."""
-    # pattern i's code is the sum of the column weights over i's set bits
-    w = _POW6 @ _B16
-    codes = np.zeros(1, dtype=np.int64)
-    for b in range(16):
-        codes = np.concatenate((codes, codes + w[b]))
-    order = np.argsort(codes, kind="stable")
-    return codes[order], order
+class _Table:
+    """Block kind of at most 16 columns, decoded by one lookup (see the module docstring)."""
 
+    def __init__(self, mat):
+        self.n_rows, self.n_cols = mat.shape
+        self.cols, self.bounds = _flat(mat)
+        self.top = int(np.diff(self.bounds).max())
+        self.pow = (self.top + 1) ** np.arange(self.n_rows, dtype=np.int64)
+        self.weights = self.pow @ mat  # pattern i's code sums these over i's set bits
 
-def _b16_decode(meas):
-    """Decode a (b, 10) batch of B16 measurements to a (b, 16) batch of 0/1 vectors."""
-    codes, patterns = _b16_table()
-    if np.any(meas < 0) or np.any(meas > 5):
-        raise DecodeFailure("binary-base measurements out of range")
-    keys = meas @ _POW6
-    idx = np.searchsorted(codes, keys).clip(max=codes.size - 1)
-    if np.any(codes[idx] != keys):
-        raise DecodeFailure("no binary vector matches the measurements")
-    return (patterns[idx][:, None] >> _BITS[None, :]) & 1
+    @functools.cached_property
+    def table(self):
+        """All 2^n_cols codes sorted, and each code's pattern."""
+        codes = np.zeros(1, dtype=np.int64)
+        for w in self.weights.tolist():
+            codes = np.concatenate((codes, codes + w))
+        patterns = np.argsort(codes, kind="stable")
+        codes = codes[patterns]
+        if np.any(codes[1:] == codes[:-1]):
+            raise InternalConsistencyError(f"a {self.n_rows}x{self.n_cols} table block is not detecting")
+        return codes, patterns
 
-
-def _pair_leaf(y):
-    """Leaves of D'_1 = [[1, 0], [1, 1]]: a (b, 2) batch measures x0 and x0 + x1."""
-    x = np.column_stack((y[:, 0], y[:, 1] - y[:, 0]))
-    if np.any((x < 0) | (x > 1)):
-        raise DecodeFailure("no binary vector matches the measurements")
-    return x
-
-
-def _b16_leaf(y):
-    """Leaves of D'_1 = [B16; all-ones]: the B16 table, checked against the all-ones row."""
-    x = _b16_decode(y[:, :10])
-    if np.any(x.sum(axis=1) != y[:, 10]):
-        raise DecodeFailure("a leaf's all-ones row disagrees with its B16 weight")
-    return x
+    def decode(self, meas):
+        """Decode a (b, rows) batch to a (b, n_cols) batch of 0/1 vectors; in a
+        (b, rows + 1) leaf batch the last column, the all-ones row, must be the weight."""
+        codes, patterns = self.table
+        y = meas[:, : self.n_rows]
+        if np.any(y < 0) or np.any(y > self.top):
+            raise DecodeFailure("table-block measurements out of range")
+        keys = y @ self.pow
+        idx = np.searchsorted(codes, keys).clip(max=codes.size - 1)
+        if np.any(codes[idx] != keys):
+            raise DecodeFailure("no binary vector matches the measurements")
+        x = (patterns[idx][:, None] >> np.arange(self.n_cols)) & 1
+        if meas.shape[1] > self.n_rows and np.any(x.sum(axis=1) != meas[:, -1]):
+            raise DecodeFailure("a leaf's all-ones row disagrees with its decoded weight")
+        return x
 
 
 class _Level:
     """Family block D_k: the rows ``mat`` of D'_k except its top all-ones row.
 
-    ``halves`` lists the row count of D'_j for j = k-1 down to 1, the size of
-    the top and of the middle row group that each decoding pass splits;
-    ``leaf`` decodes the (b, rows of D'_1) batch the last pass leaves.
+    ``halves`` lists the row count of D'_j for j = k-1 down to the family's
+    leaf level, the size of the top and of the middle row group that each
+    decoding pass splits; ``leaf``, the leaf level's ``_Table``, decodes the
+    (b, rows of D'_leaf) batch the last pass leaves.
     """
 
     def __init__(self, mat, halves, leaf):
@@ -210,7 +207,7 @@ class _Level:
             halves[:, 1, -1] = w2
             y = halves.reshape(-1, m)
             zs.append(z)
-        x = self.leaf(y)
+        x = self.leaf.decode(y)
         for z in reversed(zs):
             x = np.concatenate((x.reshape(z.shape[0], -1), z), axis=1)
         return x
@@ -219,22 +216,24 @@ class _Level:
 @functools.cache
 def _level(k, b16=False):
     """D_k of the family seeded with [B16; all-ones] if ``b16``, else with
-    [[1, 0], [1, 1]]; built on first use, and only its flat rows are kept.
-    The seeded D_1 is B16 itself, so its leaf is the bare table."""
+    [[1, 0], [1, 1]]; built on first use.  At or below the family's leaf level
+    (1 seeded, 3 first) it is a ``_Table``, above it a ``_Level`` whose passes
+    stop at that level's table."""
     if b16:
-        d = np.vstack((_B16, np.ones(16, dtype=np.int64))).astype(bool)
-        leaf = _b16_leaf if k > 1 else _b16_decode
+        d, leaf = np.vstack((_B16, np.ones(16, dtype=np.int64))).astype(bool), 1
     else:
-        d = np.array([[1, 0], [1, 1]], dtype=bool)
-        leaf = _pair_leaf
+        d, leaf = np.array([[1, 0], [1, 1]], dtype=bool), 3
     halves = []
-    for _ in range(k - 1):
+    for j in range(1, k):
         m, n = d.shape
         eye = np.eye(m, m - 1, dtype=bool)  # I': no entry on the all-ones row
         ones = np.ones((1, 2 * n + m - 1), dtype=bool)
         d = np.block([[d, d, eye], [d, ~d, np.zeros_like(eye)], [ones]])
-        halves.insert(0, m)
-    return _Level(d[:-1], halves, leaf)
+        if j >= leaf:
+            halves.insert(0, m)
+    if k <= leaf:
+        return _Table(d[:-1])
+    return _Level(d[:-1], halves, _level(leaf, b16))
 
 
 def _block_kinds():

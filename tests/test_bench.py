@@ -15,7 +15,7 @@ from rankprobe.bench import (
 )
 from rankprobe.cli import main
 from rankprobe.model import instance_to_bytes
-from rankprobe.regression import ENV_VAR, load_regression_config
+from rankprobe.regression import ENV_VAR, RegressionConfig, load_regression_config
 
 from _bruteforce import canonical
 from _recording import RecordingOracle
@@ -87,6 +87,21 @@ class TestGenerate:
     def test_integer_rule(self, kwargs):
         with pytest.raises(UsageError, match="must be an integer"):
             generate(InstanceSpec("uniform-k", **kwargs))
+
+    @pytest.mark.parametrize(
+        "family, kwargs",
+        [
+            ("capacitated-random", {"k": 0}),
+            ("capacitated-random", {"k": -2}),
+            ("singleton-heavy", {"k": -3}),
+            ("uniform-k", {"seed": -1}),
+            ("geometric-sizes", {"seed": -1}),
+        ],
+        ids=["capacitated-k0", "capacitated-k-2", "singleton-heavy-k-3", "uniform-seed-1", "geometric-seed-1"],
+    )
+    def test_out_of_range_k_and_seed_rejected(self, family, kwargs):
+        with pytest.raises(UsageError, match="k >=|nonnegative"):
+            generate(InstanceSpec(family, 64, **kwargs))
 
     def test_numpy_integers_accepted(self):
         a, meta_a = generate(InstanceSpec("uniform-k", np.int64(64), k=np.int64(3), seed=np.int64(1)))
@@ -402,6 +417,15 @@ class TestRegressionConfig:
         config = load_regression_config()
         with pytest.raises(UsageError):
             config.sparse_budget(12345, 67)
+
+    @pytest.mark.parametrize(
+        "table, match",
+        [({"64:8": 2.7}, "integer"), ({"64:8": True}, "integer"), ({"64:8": "x"}, "integer"), ([1, 2], "no frozen")],
+        ids=["float", "bool", "str", "list-table"],
+    )
+    def test_budget_follows_the_integer_rule(self, table, match):
+        with pytest.raises(UsageError, match=match):
+            RegressionConfig({"sparse_budget_table": table}).sparse_budget(64, 8)
 
 
 class TestCli:

@@ -19,8 +19,9 @@ from rankprobe import (
     recover_sparse,
 )
 from rankprobe import weighing
+from rankprobe.errors import InternalConsistencyError
 from rankprobe.regression import load_regression_config
-from rankprobe.weighing import _B16, _POW6, _b16_decode, _b16_leaf, _b16_table, _halve, _level, _row_sets
+from rankprobe.weighing import _B16, _Table, _halve, _level, _row_sets
 
 from _bruteforce import as_dense
 
@@ -83,14 +84,30 @@ class TestFrozenBases:
 
     def test_b16_table_decodes_every_pattern(self):
         x = all_binary(16)
-        assert np.array_equal(_b16_decode(x @ _B16.T), x)
+        assert np.array_equal(_level(1, True).decode(x @ _B16.T), x)
 
     def test_b16_table_is_the_sorted_codes(self):
-        # the codes of every 16-bit pattern, encoded row by row
-        codes, patterns = _b16_table()
-        want = (all_binary(16) @ _B16.T) @ _POW6
+        # the codes of every 16-bit pattern, encoded row by row in base 6
+        codes, patterns = _level(1, True).table
+        want = (all_binary(16) @ _B16.T) @ 6 ** np.arange(10)
         assert np.array_equal(codes, np.sort(want))
         assert np.array_equal(want[patterns], codes)
+
+    def test_small_kinds_and_every_leaf_are_tables(self):
+        # one table per kind: every larger block of a family ends in the same
+        # one (designs name both arguments, as the cache keys on them)
+        assert all(isinstance(_level(k), _Table) for k in (1, 2, 3))
+        assert isinstance(_level(1, True), _Table)
+        assert all(_level(k, False).leaf is _level(3, False) for k in range(4, 10))
+        assert all(_level(k, True).leaf is _level(1, True) for k in range(2, 8))
+
+    @pytest.mark.parametrize(
+        "block", [_level(1), _Table(np.array([[1, 1, 0], [0, 0, 1]]))], ids=["d1", "equal-columns"]
+    )
+    def test_table_of_a_non_detecting_block_raises(self, block):
+        # D_1 = [[1, 0]] without its all-ones row, and two equal columns
+        with pytest.raises(InternalConsistencyError, match="not detecting"):
+            block.decode(np.zeros((1, block.n_rows), dtype=np.int64))
 
 
 class TestFamily:
@@ -123,6 +140,26 @@ class TestFamily:
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_level_decodes_exactly_or_fails(self, k):
         check_decodes_exactly_or_fails(_level(k), k)
+
+    @pytest.mark.parametrize("extra", [0, 1, -1])
+    def test_leaf_weight_must_match_its_d3_vector(self, extra):
+        # D_4 rows that hand the pass's first leaf (D_3 x1, |x1| + extra): the
+        # D_3 table alone decodes x1, so only the leaf's all-ones row can catch extra
+        rng = np.random.default_rng(1)
+        leaf = _level(3)
+        x1, x2, z = rng.integers(0, 2, (1, 14)), rng.integers(0, 2, (1, 14)), rng.integers(0, 2, 10)
+        d1, d2 = block_measure(leaf, x1)[0], block_measure(leaf, x2)[0]
+        w1, w2 = x1.sum() + extra, x2.sum()
+        top = np.append(d1 + d2 + z, w1 + w2)  # D'_3 x1 + D'_3 x2 + I' z
+        mid = np.append(d1 - d2 + w2, w1)  # D'_3 x1 + (J - D'_3) x2
+        meas = np.concatenate((top, mid))[None, :]
+        if extra:
+            with pytest.raises(DecodeFailure, match="decoded weight"):
+                _level(4).decode(meas)
+            with pytest.raises(DecodeFailure, match="decoded weight"):
+                leaf.decode(np.append(d1, w1)[None, :])
+        else:
+            assert np.array_equal(_level(4).decode(meas)[0], np.concatenate((x1[0], x2[0], z)))
 
 
 class TestSeededFamily:
@@ -157,10 +194,10 @@ class TestSeededFamily:
         mid = np.append(_B16 @ (x1 - x2) + w2, w1)  # D'_1 x1 + (J - D'_1) x2
         meas = np.concatenate((top, mid))[None, :]
         if extra:
-            with pytest.raises(DecodeFailure, match="B16 weight"):
+            with pytest.raises(DecodeFailure, match="decoded weight"):
                 _level(2, True).decode(meas)
-            with pytest.raises(DecodeFailure, match="B16 weight"):
-                _b16_leaf(np.append(_B16 @ x1, w1)[None, :])
+            with pytest.raises(DecodeFailure, match="decoded weight"):
+                _level(1, True).decode(np.append(_B16 @ x1, w1)[None, :])
         else:
             assert np.array_equal(_level(2, True).decode(meas)[0], np.concatenate((x1, x2, z)))
 

@@ -28,10 +28,12 @@ with columns (x1, x2, z).  I' is the identity on every row of D'_j except its
 all-ones row (so z has one entry fewer than D'_j has rows), and J is all
 ones.  The families differ in their seed D'_1: [[1, 0], [1, 1]], or the
 10 x 16 base ``_B16`` with an all-ones row below it (11 x 16).  A design
-block D_k is D'_k without its top all-ones row: 98, 242, 578, 1346 and 3074
-columns in 46, 94, 190, 382 and 766 rows for k = 5..9 of the first family,
-and 106, 258, 610, 1410 and 3202 columns in the same rows for k = 3..7 of the
-B16-seeded one, 4-8% more columns for the same rows.
+block D_k is D'_k without its top all-ones row.  Designs use D_2..D_9 of the
+first family, 5, 14, 38, 98, 242, 578, 1346 and 3074 columns in 4, 10, 22,
+46, 94, 190, 382 and 766 rows, and D_1..D_7 of the B16-seeded one, 16, 42,
+106, 258, 610, 1410 and 3202 columns in 10, 22, 46, 94, 190, 382 and 766
+rows, 4-11% more columns for the same rows from D_2 up.  (The first
+family's D_1, [[1, 0]], detects nothing alone.)
 
 Decode needs no input beyond the block's measurements.  The all-ones rows of
 the two copies of D'_j one level down give |x1| and |x2|; on every other row
@@ -52,19 +54,22 @@ its all-ones row.  With those checks every decoded vector reproduces the
 measurements exactly (each pass reproduces its rows from exact halves), or
 the decode raises DecodeFailure.
 
-``build_detecting_matrix(N)`` packs blocks of both families, B16 blocks and
-identity columns with the fewest rows, found by one dynamic program over N
-shared by every design (ties go to the smaller block, identity columns
-first).  Choosing from both families is never worse than either alone: the
-seeded family alone needs more rows than the first at 606 of N = 1..4096, up
-to 120 more at N = 3074, just below its own 3202.  Above B16, blocks start
-at 98 columns, the seeded family's at 106: smaller blocks save a few rows
-over B16 but decode several times slower per design.  The seeded 42-column
-block, for one, saves 2 rows at N = 48 and 64 but decodes in about twice
-the time of the B16 blocks it replaces, and with it small-parts runs lost
-wall time.  So every design of up to 97 columns is B16 blocks plus an
-identity tail.  The row count is 406 (about 0.28*N) at N = 1440 and 1070
-(about 0.26*N) at N = 4096.
+``build_detecting_matrix(N)`` packs blocks of both families and identity
+columns with the fewest rows, found by one dynamic program over N shared by
+every design (ties go to the smaller block, identity columns first).
+Choosing from both families is never worse than either alone: the seeded
+family alone needs more rows than the first at 550 of N = 1..4096, up to 112
+more at N = 3077, just below its own 3202.  The row count is 21 at N = 31,
+37 at N = 64, 402 (about 0.28*N) at N = 1440 and 1068 (about 0.26*N) at
+N = 4096.
+
+``recover_sparse`` chooses between halving and a design by expected cost: on
+s columns known to hold w ones it asks the design exactly when the design's
+rows are at most the expected queries of halving, the ones placed at random
+(``_band``).  Those w form one band [a(s), s - a(s)], from a(16) = 6 to
+a(1024) = 99.  Below 16 columns (and at 25, 28 and 29) the band is empty,
+so the kinds of fewer than 16 columns enter only as parts of larger
+designs.  Above 1024 columns the band's edge a(1024)/1024 scales with s.
 
 A design is a list of (block, count) pairs.  Each block kind keeps its rows
 in one form only, one flat array of column ids with row bounds, built once,
@@ -92,16 +97,6 @@ __all__ = [
     "MatchingResult",
     "recover_matching",
 ]
-
-# recover_sparse takes a detecting design only for a sub-universe of at least
-# this many columns and keeps halving below it: a smaller design holds no B16
-# block, so it would be the identity, one query per column.
-MATRIX_MIN_SIZE = 16
-
-# recover_sparse switches from halving to a detecting design once the
-# sub-universe holds at most SPLIT_THRESHOLD times as many columns as
-# remaining ones.
-SPLIT_THRESHOLD = 4
 
 # recover_matching uses per-element binary search below this size.
 MATCHING_SEARCH_CUTOFF = 32
@@ -213,12 +208,16 @@ class _Level:
         return x
 
 
-@functools.cache
 def _level(k, b16=False):
     """D_k of the family seeded with [B16; all-ones] if ``b16``, else with
-    [[1, 0], [1, 1]]; built on first use.  At or below the family's leaf level
-    (1 seeded, 3 first) it is a ``_Table``, above it a ``_Level`` whose passes
-    stop at that level's table."""
+    [[1, 0], [1, 1]]; built on first use, once per block kind.  At or below
+    the family's leaf level (1 seeded, 3 first) it is a ``_Table``, above it a
+    ``_Level`` whose passes stop at that level's table."""
+    return _build_level(k, bool(b16))
+
+
+@functools.cache
+def _build_level(k, b16):
     if b16:
         d, leaf = np.vstack((_B16, np.ones(16, dtype=np.int64))).astype(bool), 1
     else:
@@ -245,7 +244,7 @@ def _block_kinds():
     kinds = {}
     # per family: seed, D_1's (columns, rows), and the levels used; the seeded
     # family's D_1 is the B16 block
-    families = ((False, (2, 1), (5, 6, 7, 8, 9)), (True, (16, 10), (1, 3, 4, 5, 6, 7)))
+    families = ((False, (2, 1), range(2, 10)), (True, (16, 10), range(1, 8)))
     for b16, (cols, rows), levels in families:
         for k in range(1, levels[-1] + 1):
             if k in levels:
@@ -363,14 +362,79 @@ def _design(N):
 def build_detecting_matrix(N):
     """Deterministic detecting design for N columns with the fewest rows the packing allows.
 
-    Packs blocks of both families (98 to 3202 columns), B16 blocks and
-    identity columns (see the module docstring); every N below 98 gets B16
-    blocks and an identity tail.  Row count is at most N.
+    Packs blocks of both families (5 to 3202 columns) and identity columns
+    (see the module docstring).  Row count is at most N.
     """
     _check_int(N, "N")
     if N < 1:
         raise UsageError("need at least one column")
     return _design(int(N))
+
+
+# recover_sparse's expected-cost table covers sub-universes of up to this many
+# columns; a larger one scales the band at the cap (see _takes_design).
+_RULE_CAP = 1024
+
+
+def _rows(s):
+    """Rows of the design for s columns (the shared DP's count)."""
+    _plan(s)
+    return _fewest[s]
+
+
+def _costs(s):
+    """V(s, w) for w = 0..s as floats: the expected queries recover_sparse
+    spends on s columns holding w randomly placed ones, once w is known."""
+    head = _band(s)
+    w = np.arange(s + 1)
+    w = np.minimum(w, s - w)
+    return np.where(w < head.size, head[np.minimum(w, head.size - 1)], _rows(s))
+
+
+@functools.cache
+def _band(s):
+    """V(s, w) for w = 0..a(s) - 1, the ones too few for a design to pay off.
+
+    The design is taken exactly for a(s) <= w <= s - a(s), where its rows are
+    at most H(s, w), halving's expected cost: one query, then V of both
+    halves under the hypergeometric law of the ones in the lower half.  V is
+    H below a(s) and the design's rows inside the band.  H is computed for
+    growing chunks of w until it first reaches the rows, so a size costs
+    O(a(s)^2), not O(s^2).  A tie, to within 1e-9, takes the design.
+    """
+    half, rows = s // 2, _rows(s)
+    head = np.zeros(1)
+    if half == 0:
+        return head
+    c, f = s - half, half
+    lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, s + 1)))))  # log k!
+    vc, vf = _costs(c), _costs(f)
+    w0, step = 1, 8
+    while w0 <= half:
+        w = np.arange(w0, min(w0 + step, half + 1))[:, None]
+        lo = np.arange(w[-1, 0] + 1)[None, :]
+        hi = np.maximum(w - lo, 0)
+        log_p = lf[c] - lf[lo] - lf[c - lo] + lf[f] - lf[hi] - lf[f - hi] - (lf[s] - lf[w] - lf[s - w])
+        p = np.exp(np.where(lo <= w, log_p, -np.inf))
+        h = 1 + (p * (vc[lo] + vf[hi])).sum(axis=1)
+        over = np.flatnonzero(h + 1e-9 >= rows)
+        if over.size:
+            return np.concatenate((head, h[: over[0]]))
+        head = np.concatenate((head, h))
+        w0, step = w0 + step, 2 * step
+    return head
+
+
+def _takes_design(s, w):
+    """Whether recover_sparse asks a design for s columns holding w ones, 0 < w < s.
+
+    Up to _RULE_CAP columns: w in the band [a(s), s - a(s)] of ``_band``.
+    Above it: min(w, s - w) / s at least a(cap) / cap, the band's edge at the cap.
+    """
+    w = min(w, s - w)
+    if s > _RULE_CAP:
+        return w * _RULE_CAP >= _band(_RULE_CAP).size * s
+    return w >= _band(s).size
 
 
 @dataclass
@@ -395,9 +459,21 @@ def recover_sparse(N, sum_oracle, *, known_total=None):
     query and each halving query are one-row blocks.
 
     Adaptive halving (lower-index half first, odd splits give the extra
-    element to the lower half) with a switch to detecting-design recovery on
-    any sub-universe of size s <= SPLIT_THRESHOLD * (ones remaining in it),
-    provided s is large enough for a non-identity design to pay off.
+    element to the lower half), where each sub-universe of s columns known
+    to hold w ones, 0 < w < s, is either halved or asked as one detecting
+    design, whichever the expected-cost rule of the module docstring picks.
+
+    The rule minimises expected cost for randomly placed ones; its worst
+    case over every support is the bound halving alone keeps.  With
+    m = min(w, N - w) for w ones, recovery after the root asks at most
+    min(N - 1, sum over t < ceil(log2 N) of min(2^t, m)) queries, which is
+    at most m * (log2(N/m) + 3).  Halving keeps it because depth t of the
+    halving tree holds at most min(2^t, m) sub-universes with both a one and
+    a zero.  A design replaces a subtree only where its rows are at most the
+    subtree's expected cost, so at most that subtree's bound; above 1024
+    columns the rows stay under the bound too (checked for every N up to
+    2^17).  So the rule keeps the O(d log(k/d)) cost, for d ones among k
+    columns, that halving gives the merges in the paper's O(n) argument.
 
     ``known_total`` skips the root query when the caller already knows the
     number of ones; the public contract with d unknown always spends the root
@@ -440,7 +516,7 @@ def recover_sparse(N, sum_oracle, *, known_total=None):
         if ones == size:
             support.extend(range(lo, hi))
             return
-        if size >= MATRIX_MIN_SIZE and size <= SPLIT_THRESHOLD * ones:
+        if _takes_design(size, ones):
             state["matrix_used"] = True
             matrix = build_detecting_matrix(size)
             bits = matrix.decode(answer(*matrix.flat_rows(lo)))

@@ -267,8 +267,8 @@ class TestPinnedReports:
     @pytest.mark.parametrize(
         "audit,want",
         [
-            (False, "180138ef4614fc4a624855bf117f8bcb9766988c6655352cf9664650c46238ac"),
-            (True, "0a57a259a8d079fffc8a741661bfefd8dea4c8b56902235dfcde29686d08c4eb"),
+            (False, "95d939a085fda4743c2ed53a283e7202ad297207b921aa77292d29acaa4a07ae"),
+            (True, "fd7dde58a02fcb825fb6bc64c2064427cdda68de1b4b9eabc257e0bc45856a04"),
         ],
     )
     def test_find_partition(self, uniform, audit, want):
@@ -281,12 +281,12 @@ class TestPinnedReports:
             (
                 "learn_partition_matroid",
                 False,
-                "f39aa16aa69023409467433a24d0b84451504854c42db0e57d28b3e20a59352f",
+                "2c29c2e7d8f7e4a838f9706863ef987aea8c60d5271f1f9ffa0d77eb86ecc17b",
             ),
             (
                 "learn_partition_matroid",
                 True,
-                "86e5e6621a10fbf08af42150f61002150ce488dd306c7098281c294bad8787b4",
+                "9254b54fc58228b2809f1ded4f2eb13e0a48576f993cf59c667ea9bbc9351589",
             ),
             ("baseline", False, "8754a837d609f220ea381ae7dc140a87d5d393898722395344370ad3341e3e14"),
         ],
@@ -301,7 +301,7 @@ class TestPinnedReports:
             (
                 "uniform-k",
                 "find_partition",
-                "0360871fba0d31b05410c7d333c8bba46b19e2d488de62ec0f990ae099541c3a",
+                "d876444bd091539199483399d1a51ae4dd59ea40c5f5ffd718bc682ea9c56091",
             ),
             (
                 "capacitated-random",
@@ -397,7 +397,7 @@ class TestPinnedReports:
         rows, _ = bench.sweep("uniform-k", [512, 1024, 2048], 2, "find_partition", base_seed=1)
         assert len(oracles) == 6 and all(r["correct"] for r in rows)
         digest = hashlib.sha256(b"".join(o.digest.digest() for o in oracles)).hexdigest()
-        assert digest == "f46854ca0e84ff0c2dccdf257bf2d5d460b2d6eaa9dfe5306f1f27c3c156d3a4"
+        assert digest == "b90b9c9bcada24c4004b97d4f90fd155c476c34fd175f37be1c6bc66c983d5ee"
 
 
 class TestRegressionConfig:

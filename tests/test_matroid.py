@@ -333,12 +333,12 @@ class TestPinnedLedgers:
         o = RankOracle(structure)
         run = learn_partition_matroid_run(2**11, o)
         assert run.matroid.matches(structure)
-        assert (o.ledger.rank_count, o.ledger.independence_count) == (17075, 0)
+        assert (o.ledger.rank_count, o.ledger.independence_count) == (16514, 0)
         assert self.stage_counts(run) == [
             ("basis", 2048),
             ("representatives", 3579),
-            ("inside-basis", 5709),
-            ("outside-basis", 5739),
+            ("inside-basis", 5452),
+            ("outside-basis", 5435),
             ("stitch", 0),
         ]
 
@@ -360,7 +360,7 @@ class TestPinnedLedgers:
         [
             (
                 learn_partition_matroid_run,
-                "20f2beeb2c15c0f20141eed1d4d8c9378f82e40d06fa5925f669ef7da85abf89",
+                "593153a3ba6b757c25353dbd9e1361b84728d2abc2dab5463f17dc4eba4b5a0a",
             ),
             (
                 baseline_independence_learner_run,

@@ -275,8 +275,8 @@ class TestFindPartition:
         assert canonical(got) == canonical(parts)
 
 
-SMALL_PARTS_STREAM_SHA256 = "b9a033949d3a1575ed1f821b9b059036768ba178e394abdf5453f713ef0a6f7f"
-LARGE_PARTS_STREAM_SHA256 = "54510dd7582ce1af51a1a6f662991d479ac621273ee18015145a47e3879c339a"
+SMALL_PARTS_STREAM_SHA256 = "e2fe3d897d3b3a993abce8aef1b9e9ccb3843fa9d61b7f3bdc9c88a269814ad4"
+LARGE_PARTS_STREAM_SHA256 = "096df3f46aa8ffef8b973d6231166bab98d383a5aba8449bdd4a082e64b61ace"
 
 
 class TestPinnedLedgers:
@@ -287,13 +287,13 @@ class TestPinnedLedgers:
         [
             (
                 InstanceSpec("uniform-k", 2**13, seed=1),
-                49621,
-                {"com-discovery": 26647, "matching": 22974, "pairwise-merge": 49240, "final-fold": 381},
+                46075,
+                {"com-discovery": 24144, "matching": 21931, "pairwise-merge": 45787, "final-fold": 288},
             ),
             (
                 InstanceSpec("uniform-k", 2**12, k=2**10, seed=1),
-                22783,
-                {"com-discovery": 12247, "matching": 10536, "pairwise-merge": 21161, "final-fold": 1622},
+                21755,
+                {"com-discovery": 11772, "matching": 9983, "pairwise-merge": 20293, "final-fold": 1462},
             ),
         ],
         ids=["small-parts", "large-parts"],

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 
@@ -26,9 +28,10 @@ from rankprobe.weighing import _B16, _Table, _halve, _level, _row_sets
 from _bruteforce import as_dense
 
 
-# 2*3202 + 2*258 + 2*16 + 5 columns: two blocks of each of three tiers (block
-# kinds), then an identity tail
-MULTI_BLOCK_N = 6957
+# 2*3202 + 2*242 + 2*5 + 3 columns: two blocks of each of three tiers (block
+# kinds: seeded D_7, the first family's D_6 and its D_2 table), then an
+# identity tail
+MULTI_BLOCK_N = 6901
 
 
 def row_budget(n):
@@ -94,12 +97,17 @@ class TestFrozenBases:
         assert np.array_equal(want[patterns], codes)
 
     def test_small_kinds_and_every_leaf_are_tables(self):
-        # one table per kind: every larger block of a family ends in the same
-        # one (designs name both arguments, as the cache keys on them)
+        # one table per kind: every larger block of a family ends in the same one
         assert all(isinstance(_level(k), _Table) for k in (1, 2, 3))
         assert isinstance(_level(1, True), _Table)
         assert all(_level(k, False).leaf is _level(3, False) for k in range(4, 10))
         assert all(_level(k, True).leaf is _level(1, True) for k in range(2, 8))
+
+    def test_one_cache_entry_per_block_kind(self):
+        # _level(3) and _level(3, False) were two entries, and so two 2^14-code tables
+        assert _level(3) is _level(3, False) is _level(3, 0)
+        assert _level(5).leaf is _level(3)
+        assert _level(2, True).leaf is _level(1, 1)
 
     @pytest.mark.parametrize(
         "block", [_level(1), _Table(np.array([[1, 1, 0], [0, 0, 1]]))], ids=["d1", "equal-columns"]
@@ -228,26 +236,50 @@ class TestBuild:
         assert covered.all()
 
     def test_sublinear_at_scale(self):
-        assert build_detecting_matrix(1440).n_rows <= 406
-        assert build_detecting_matrix(4096).n_rows <= 1070
+        assert build_detecting_matrix(1440).n_rows <= 402
+        assert build_detecting_matrix(4096).n_rows <= 1068
 
     def test_never_more_rows_than_the_unseeded_family(self):
-        # the fewest rows from identity columns, B16 and D_5..D_9 alone; the
-        # seeded family starts at 106 columns, so below that nothing changes
-        kinds = {16: 10} | {_level(k).n_cols: _level(k).n_rows for k in range(5, 10)}
+        # the fewest rows from identity columns, B16 and D_2..D_9 alone; the
+        # seeded family's next block has 42 columns, so below that nothing changes
+        kinds = {16: 10} | {_level(k).n_cols: _level(k).n_rows for k in range(2, 10)}
         fewest = [0]
         for n in range(1, 4097):
             fewest.append(min([fewest[n - 1] + 1] + [fewest[n - c] + r for c, r in kinds.items() if c <= n]))
             rows = build_detecting_matrix(n).n_rows
             assert rows <= fewest[n]
-            if n < 106:
+            if n < 42:
                 assert rows == fewest[n]
 
-    def test_below_98_columns_b16_and_identity_only(self):
+    # n:rows:blocks, each block kind as columns x count, largest first
+    BELOW_98 = """
+        1:1: 2:2: 3:3: 4:4: 5:4:5x1 6:5:5x1 7:6:5x1 8:7:5x1 9:8:5x1 10:8:5x2 11:9:5x2
+        12:10:5x2 13:11:5x2 14:10:14x1 15:11:14x1 16:10:16x1 17:11:16x1 18:12:16x1
+        19:13:16x1 20:14:16x1 21:14:16x1,5x1 22:15:16x1,5x1 23:16:16x1,5x1 24:17:16x1,5x1
+        25:18:16x1,5x1 26:18:16x1,5x2 27:19:16x1,5x2 28:20:16x1,5x2 29:21:16x1,5x2
+        30:20:16x1,14x1 31:21:16x1,14x1 32:20:16x2 33:21:16x2 34:22:16x2 35:23:16x2
+        36:24:16x2 37:24:16x2,5x1 38:22:38x1 39:23:38x1 40:24:38x1 41:25:38x1 42:22:42x1
+        43:23:42x1 44:24:42x1 45:25:42x1 46:26:42x1 47:26:42x1,5x1 48:27:42x1,5x1
+        49:28:42x1,5x1 50:29:42x1,5x1 51:30:42x1,5x1 52:30:42x1,5x2 53:31:42x1,5x2
+        54:32:42x1,5x2 55:33:42x1,5x2 56:32:42x1,14x1 57:33:42x1,14x1 58:32:42x1,16x1
+        59:33:42x1,16x1 60:34:42x1,16x1 61:35:42x1,16x1 62:36:42x1,16x1 63:36:42x1,16x1,5x1
+        64:37:42x1,16x1,5x1 65:38:42x1,16x1,5x1 66:39:42x1,16x1,5x1 67:40:42x1,16x1,5x1
+        68:40:42x1,16x1,5x2 69:41:42x1,16x1,5x2 70:42:42x1,16x1,5x2 71:43:42x1,16x1,5x2
+        72:42:42x1,16x1,14x1 73:43:42x1,16x1,14x1 74:42:42x1,16x2 75:43:42x1,16x2
+        76:44:42x1,16x2 77:45:42x1,16x2 78:46:42x1,16x2 79:46:42x1,16x2,5x1 80:44:42x1,38x1
+        81:45:42x1,38x1 82:46:42x1,38x1 83:47:42x1,38x1 84:44:42x2 85:45:42x2 86:46:42x2
+        87:47:42x2 88:48:42x2 89:48:42x2,5x1 90:49:42x2,5x1 91:50:42x2,5x1 92:51:42x2,5x1
+        93:52:42x2,5x1 94:52:42x2,5x2 95:53:42x2,5x2 96:54:42x2,5x2 97:55:42x2,5x2
+    """
+
+    def test_below_98_columns_exact_structure(self):
+        # every design below the first family's D_5: the kinds of 5, 14, 16,
+        # 38 and 42 columns, then an identity tail
+        got = []
         for n in range(1, 98):
             m = build_detecting_matrix(n)
-            assert [(b.n_cols, c) for b, c in m._blocks] == ([(16, n // 16)] if n >= 16 else [])
-            assert m.n_rows == n - 6 * (n // 16)
+            got.append(f"{n}:{m.n_rows}:" + ",".join(f"{b.n_cols}x{c}" for b, c in m._blocks))
+        assert got == self.BELOW_98.split()
 
     def test_rows_built_as_asked(self):
         m = build_detecting_matrix(200)
@@ -268,7 +300,8 @@ class TestBuild:
             assert (np.diff(bounds) > 0).all()  # np.add.reduceat needs nonempty rows
             assert m.n_rows == len(rows)
 
-    # 2925 columns mix both families: 2 x 1410 seeded and one 98-column block
+    # 2925 columns mix both families: 2 x 1410 seeded, one 98-column block
+    # and one 5-column table
     @pytest.mark.parametrize("n", [1, 15, 16, 17, 100, 300, 1440, 2925, MULTI_BLOCK_N, 4096])
     def test_measure_is_the_dense_product(self, n):
         m = build_detecting_matrix(n)
@@ -343,7 +376,7 @@ class TestDecode:
         # every tier decodes a batch of several blocks, then the identity tail
         m = build_detecting_matrix(MULTI_BLOCK_N)
         blocks = [(tier.n_cols, count) for tier, count in m._blocks]
-        assert blocks == [(3202, 2), (258, 2), (16, 2)]
+        assert blocks == [(3202, 2), (242, 2), (5, 2)]
         rng = np.random.default_rng(MULTI_BLOCK_N)
         for density in (0.0, 0.05, 0.3, 0.5, 0.8, 1.0):
             x = (rng.random(MULTI_BLOCK_N) < density).astype(np.int64)
@@ -402,6 +435,21 @@ def counting_oracle(support):
     return ask
 
 
+def reduceat_oracle(n, support):
+    """counting_oracle through one np.add.reduceat per block."""
+    x = np.zeros(n, dtype=np.int64)
+    x[support] = 1
+    return lambda cols, bounds: np.add.reduceat(x[cols], bounds[:-1]).tolist()
+
+
+def halving_bound(n, w):
+    """Queries after the root that halving can ask for w ones in n columns:
+    depth t holds at most min(2^t, m) sub-universes with both a one and a
+    zero, m = min(w, n - w), and no more than n - 1 in all."""
+    m = min(w, n - w)
+    return min(n - 1, sum(min(1 << t, m) for t in range((n - 1).bit_length())))
+
+
 class TestRecoverSparse:
     def test_zero_vector_one_query(self):
         rec = recover_sparse(100, counting_oracle([]))
@@ -415,11 +463,22 @@ class TestRecoverSparse:
         assert rec.strategy == "binary-split"
 
     def test_exhaustive_small_universes(self):
-        for n in range(1, 11):
+        # every support, within the worst-case bound of the docstring
+        for n in range(1, 13):
             for code in range(2**n):
                 support = [e for e in range(n) if (code >> e) & 1]
                 rec = recover_sparse(n, counting_oracle(support))
                 assert rec.support.tolist() == support
+                assert rec.queries_used <= 1 + halving_bound(n, len(support))
+
+    def test_packed_supports_within_the_worst_case_bound(self):
+        # all ones at one end: halving meets them in one half at every step
+        for n in range(2, 257):
+            for w in range(1, n, max(1, n // 24)):
+                for support in (np.arange(w), np.arange(n - w, n)):
+                    rec = recover_sparse(n, reduceat_oracle(n, support))
+                    assert rec.support.tolist() == support.tolist()
+                    assert rec.queries_used <= 1 + halving_bound(n, w)
 
     def test_random_instances(self):
         rng = np.random.default_rng(0)
@@ -541,6 +600,100 @@ class TestRecoverSparse:
         yr = np.argsort(np.argsort(means)).astype(float)
         rho = np.corrcoef(xr, yr)[0, 1]
         assert rho > 0.9
+
+
+# log k! for k = 0..RULE_CAP
+LOG_FACTORIAL = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, weighing._RULE_CAP + 1)))))
+
+
+def scaled_binomials(n):
+    """C(n, k) / C(n, n // 2) for k = 0..n: at most 1, and a normal float for n <= 1024."""
+    k = np.arange(n + 1)
+    lf = LOG_FACTORIAL
+    return np.exp(lf[n // 2] + lf[n - n // 2] - lf[k] - lf[n - k])
+
+
+def halving_costs(s):
+    """H(s, w) for w = 0..s from the shipped V of both halves, as the
+    convolutions sum_l C(c, l) C(f, w - l) (V(c, l) + V(f, w - l)) / C(s, w)
+    of the scaled binomials (Vandermonde: their plain convolution is C(s, w))."""
+    c, f = s - s // 2, s // 2
+    bc, bf = scaled_binomials(c), scaled_binomials(f)
+    bs = np.convolve(bc, bf)
+    return 1 + (np.convolve(bc * weighing._costs(c), bf) + np.convolve(bc, bf * weighing._costs(f))) / bs
+
+
+def exact_costs(top):
+    """V(s, w) as Fractions for every s <= top, by the rule's definition."""
+    costs = [[Fraction(0)]]
+    for s in range(1, top + 1):
+        c, f, rows = s - s // 2, s // 2, weighing._rows(s)
+        row = [Fraction(0)]
+        for w in range(1, s):
+            h = 1 + sum(
+                Fraction(math.comb(c, l) * math.comb(f, w - l), math.comb(s, w)) * (costs[c][l] + costs[f][w - l])
+                for l in range(max(0, w - f), min(c, w) + 1)
+            )
+            row.append(min(Fraction(rows), h))
+        costs.append(row + [Fraction(0)])
+    return costs
+
+
+class TestDesignRule:
+    """recover_sparse asks a design on s columns holding w ones exactly when
+    the design's rows are at most halving's expected cost H(s, w)."""
+
+    # a(s), the band's lower edge; a(s) = s // 2 + 1 is an empty band
+    EDGES = {15: 8, 16: 6, 20: 9, 25: 13, 32: 11, 64: 16, 128: 21, 215: 36, 256: 32, 512: 60, 1024: 99}
+
+    def test_pinned_edges(self):
+        assert {s: weighing._band(s).size for s in self.EDGES} == self.EDGES
+
+    def test_matches_exact_fractions(self):
+        # the shipped float table against the definition in exact arithmetic
+        costs = exact_costs(40)
+        for s in range(1, 41):
+            rows = weighing._rows(s)
+            edge = next((w for w in range(1, s // 2 + 1) if costs[s][w] == rows), s // 2 + 1)
+            head = weighing._band(s)
+            assert head.size == edge
+            assert np.allclose(head, [float(v) for v in costs[s][:edge]], rtol=1e-12)
+
+    def test_band_is_one_symmetric_interval(self):
+        # every w of every s up to the cap, against the table's prefix and edge
+        for s in range(2, weighing._RULE_CAP + 1):
+            h = halving_costs(s)
+            head = weighing._band(s)
+            design = np.flatnonzero(h[1:s] + 1e-9 >= weighing._rows(s)) + 1
+            assert design.tolist() == list(range(head.size, s - head.size + 1))
+            assert np.allclose(h[1 : head.size], head[1:], rtol=1e-9)
+
+    def test_above_the_cap_the_edge_scales(self):
+        # a(1024) = 99, so 2048 columns take the design from 198 ones (or zeros)
+        takes = weighing._takes_design
+        assert [takes(2048, w) for w in (197, 198, 1850, 1851)] == [False, True, True, False]
+        assert [takes(65536, w) for w in (6335, 6336)] == [False, True]
+
+    def test_design_rows_within_the_halving_bound(self):
+        # the worst case of recover_sparse's docstring: a design's rows never
+        # exceed halving's bound at the smallest w that takes it
+        for s in range(2, 4097):
+            w = next((w for w in range(1, s // 2 + 1) if weighing._takes_design(s, w)), None)
+            if w is not None:
+                assert weighing._rows(s) <= halving_bound(s, w)
+
+    def test_table_build_memory(self):
+        # the early stop keeps every size's work O(a(s)^2): a full H matrix per
+        # size peaked near 10 MB
+        weighing._band.cache_clear()
+        tracemalloc.start()
+        try:
+            for s in range(1, weighing._RULE_CAP + 1):
+                weighing._band(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
 
 
 class TestRowSets:

@@ -301,8 +301,11 @@ class TestBuild:
             assert m.n_rows == len(rows)
 
     # 2925 columns mix both families: 2 x 1410 seeded, one 98-column block
-    # and one 5-column table
-    @pytest.mark.parametrize("n", [1, 15, 16, 17, 100, 300, 1440, 2925, MULTI_BLOCK_N, 4096])
+    # and one 5-column table; 6957 packs 2 x 3202, 2 x 258, 2 x 16 and one
+    # 5-column table, four block kinds with no identity tail
+    @pytest.mark.parametrize(
+        "n", [1, 15, 16, 17, 100, 300, 1440, 2925, MULTI_BLOCK_N, 6957, 4096]
+    )
     def test_measure_is_the_dense_product(self, n):
         m = build_detecting_matrix(n)
         dense = as_dense(m)
@@ -506,7 +509,8 @@ class TestRecoverSparse:
         assert rec.queries_used <= 6
 
     @pytest.mark.parametrize(
-        "n,d", [(64, 40), (1024, 300), (4096, 1100), (2925, 900), (MULTI_BLOCK_N, 1800)]
+        "n,d",
+        [(64, 40), (1024, 300), (4096, 1100), (2925, 900), (MULTI_BLOCK_N, 1800), (6957, 1800)],
     )
     def test_one_callback_per_design(self, n, d, monkeypatch):
         # a design's rows reach the callback as one block, in flat_rows order;

@@ -62,9 +62,16 @@ def _int_array(s, what):
     """``s`` (an integer array or an iterable of ints) as a 1-D int64 array.
 
     The integer rule every query and instance shares: a float or bool dtype
-    raises UsageError instead of being truncated.  An empty ``s`` passes.
+    raises UsageError instead of being truncated, and so does a bool element
+    of a non-array ``s``, which NumPy would read as 0/1.  An empty ``s`` passes.
     """
-    arr = s if isinstance(s, np.ndarray) else np.asarray(list(s))
+    if isinstance(s, np.ndarray):
+        arr = s
+    else:
+        s = list(s)
+        if not {bool, np.bool_}.isdisjoint(map(type, s)):
+            raise UsageError(f"{what} must be integers, not bools")
+        arr = np.asarray(s)
     if arr.ndim != 1:
         raise UsageError(f"{what} must be one-dimensional")
     if arr.size and arr.dtype.kind not in "iu":

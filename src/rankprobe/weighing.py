@@ -76,6 +76,18 @@ in one form only, one flat array of column ids with row bounds, built once,
 on first use, from its 0/1 matrix; ``DetectingMatrix.flat_rows`` tiles those
 into one flat block per call and caches nothing per design.  Decoding hands
 all blocks of one kind to that kind as one batch.
+
+Matching recovery
+-----------------
+``recover_matching`` learns a hidden perfect matching of d pairs from add
+queries.  Below ``MATCHING_SEARCH_CUTOFF`` pairs each X element finds its
+partner by binary search.  From there on the X elements get the ids 0..d-1
+and each Y element's partner id is learned one bit plane at a time, as
+grouped planes: the planes below b split Y into one group per residue of
+the partner id mod 2^b, and a group's candidate ids, and how many of them
+have bit b set, are known.  So the bits of a group without such a candidate
+are settled, and the last bit of every other group follows from the rest:
+plane b asks one ``recover_sparse`` over d - 2^b columns, not d.
 """
 
 from __future__ import annotations
@@ -588,15 +600,33 @@ class MatchingResult:
 def recover_matching(x_side, y_side, add_oracle):
     """Learn the hidden perfect matching between X and Y from an add-query callback.
 
-    For small d a per-element binary search over the remaining candidates is
-    used (at most ceil(log2 d) add queries each).  For d >= 32 each X-element
-    gets a ceil(log2 d)-bit id and, per bit plane b, the indicator over Y of
-    "my partner's bit b is set" is recovered as a sparse-recovery instance
-    with known total (the number of ids with bit b set), one add query per
-    sum query.  A decode failure or a non-bijective result means the matching
-    precondition was violated.  Each side must hold distinct integer ids, the
-    sides disjoint and of equal size, otherwise UsageError; so must each add
-    answer be an integer.
+    Below ``MATCHING_SEARCH_CUTOFF`` (32) pairs each X element, in turn,
+    binary-searches the Y elements not yet taken: at most ceil(log2 d) add
+    queries each.
+
+    From 32 pairs on, the sorted X elements get the ids 0..d-1, and P =
+    ceil(log2 d) grouped bit planes learn each Y element's partner id.
+    Before plane b the ids are known mod 2^b: group l holds the Y elements
+    whose partner id is l mod 2^b, as many as there are candidate ids
+    l, l + 2^b, ... below d, and w_l of those have bit b set.  A group with
+    w_l = 0 is settled without a query (w_l is never the group's size: its
+    candidate l has bit b clear).  In every other group the last member's bit
+    is w_l minus the others' bits.  So plane b asks one ``recover_sparse``
+    over the other members, d - 2^b columns, each sum query one add query of
+    the row's Y elements plus the X elements whose id has bit b set; the
+    columns' total is unknown, so it spends its root query.  A derived bit
+    outside {0, 1} or a plane's decode failure raises ProtocolError, and so
+    does a result that is not a bijection.
+
+    Cost: plane b asks at most d - 2^b queries, so the planes ask at most
+    P*d - 2^P + 1.  Over random permutations the mean is about 3*d: 191 at
+    d = 64, 910 at d = 300 and 2116 at d = 700, against 222, 1044 and 2390
+    with every plane over all d columns.  The derived bits leave no
+    redundancy: a single wrong answer fails a decode or a derived bit, or
+    yields another perfect matching of the two sides.
+
+    Each side must hold distinct integer ids, the sides disjoint and of equal
+    size, otherwise UsageError; so must each add answer be an integer.
     """
     xs = np.sort(_int_array(x_side, "matching ids"))
     ys = np.sort(_int_array(y_side, "matching ids"))
@@ -632,23 +662,33 @@ def recover_matching(x_side, y_side, add_oracle):
             pairs[x] = pool.pop(_halve(0, len(pool), in_upper))
         return MatchingResult(pairs, state["queries"])
 
-    planes = max(1, math.ceil(math.log2(d)))
     ids = np.arange(d, dtype=np.int64)
-    partner_id = np.zeros(d, dtype=np.int64)
-    for b in range(planes):
-        x_b = xs[(ids >> b) & 1 == 1]
-        count_b = int(((ids >> b) & 1).sum())
+    partner_id = np.zeros(d, dtype=np.int64)  # bits below plane b, known before it
+    for b in range(math.ceil(math.log2(d))):
+        low, high = ids & ((1 << b) - 1), (ids >> b) & 1 == 1
+        # group l: the Y elements whose partner id is l mod 2^b, as many as
+        # there are such ids, ``ones[l]`` of them with bit b set
+        size = np.bincount(low, minlength=1 << b)
+        ones = np.bincount(low[high], minlength=1 << b)
+        order = np.argsort(partner_id, kind="stable")  # Y positions, group by group
+        last = np.cumsum(size) - 1
+        asked = np.repeat(ones > 0, size)
+        asked[last] = False  # each group's last bit follows from the others
+        asked = order[asked]
+        src, x_b = ys[asked], xs[high]
         try:
             rec = recover_sparse(
-                d,
-                lambda cols, bounds: [ask(s) for s in _row_sets(ys, cols, bounds, x_b)],
-                known_total=count_b,
+                asked.size, lambda cols, bounds: [ask(s) for s in _row_sets(src, cols, bounds, x_b)]
             )
         except DecodeFailure as exc:
             raise ProtocolError(f"bit-plane {b} decode failed: {exc}") from exc
-        indicator = np.zeros(d, dtype=np.int64)
-        indicator[rec.support] = 1
-        partner_id += indicator << b
+        plane = np.zeros(d, dtype=np.int64)
+        plane[asked[rec.support]] = 1
+        derived = ones - np.add.reduceat(plane[order], last + 1 - size)
+        if np.any((derived < 0) | (derived > 1)):
+            raise ProtocolError(f"bit-plane {b}: a group's last partner bit derives outside 0/1")
+        plane[order[last]] = derived
+        partner_id += plane << b
     if not np.array_equal(np.sort(partner_id), ids):
         raise ProtocolError("decoded partner ids are not a bijection")
     for j in range(d):

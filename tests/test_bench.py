@@ -267,8 +267,8 @@ class TestPinnedReports:
     @pytest.mark.parametrize(
         "audit,want",
         [
-            (False, "95d939a085fda4743c2ed53a283e7202ad297207b921aa77292d29acaa4a07ae"),
-            (True, "fd7dde58a02fcb825fb6bc64c2064427cdda68de1b4b9eabc257e0bc45856a04"),
+            (False, "8dc5132dfc564982a70538a6acd734a19c19716e9cb971fc01f1d9d12654cc66"),
+            (True, "6663f4fdbda0102ce16e59eb8a6a37bd02275d7f2decd185e30f988802b03192"),
         ],
     )
     def test_find_partition(self, uniform, audit, want):
@@ -397,7 +397,7 @@ class TestPinnedReports:
         rows, _ = bench.sweep("uniform-k", [512, 1024, 2048], 2, "find_partition", base_seed=1)
         assert len(oracles) == 6 and all(r["correct"] for r in rows)
         digest = hashlib.sha256(b"".join(o.digest.digest() for o in oracles)).hexdigest()
-        assert digest == "b90b9c9bcada24c4004b97d4f90fd155c476c34fd175f37be1c6bc66c983d5ee"
+        assert digest == "f0e07aa3942821dcf943b5fd9ef3946d3df68db40f2b895ce7a49ca220bcafc5"
 
 
 class TestRegressionConfig:

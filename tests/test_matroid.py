@@ -333,12 +333,12 @@ class TestPinnedLedgers:
         o = RankOracle(structure)
         run = learn_partition_matroid_run(2**11, o)
         assert run.matroid.matches(structure)
-        assert (o.ledger.rank_count, o.ledger.independence_count) == (16514, 0)
+        assert (o.ledger.rank_count, o.ledger.independence_count) == (16123, 0)
         assert self.stage_counts(run) == [
             ("basis", 2048),
             ("representatives", 3579),
-            ("inside-basis", 5452),
-            ("outside-basis", 5435),
+            ("inside-basis", 5276),
+            ("outside-basis", 5220),
             ("stitch", 0),
         ]
 
@@ -360,7 +360,7 @@ class TestPinnedLedgers:
         [
             (
                 learn_partition_matroid_run,
-                "593153a3ba6b757c25353dbd9e1361b84728d2abc2dab5463f17dc4eba4b5a0a",
+                "a3d602f06be43d31eeaee6c169c678a2224a056eacf199ec8dbb5b0eb143effc",
             ),
             (
                 baseline_independence_learner_run,

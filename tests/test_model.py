@@ -238,6 +238,21 @@ class TestQueryContract:
             query(o)
         assert (o.ledger.rank_count, o.ledger.independence_count, o.ledger.audit_count) == (0, 0, 0)
 
+    def test_bool_in_a_list_rejected_and_uncharged(self):
+        # [True, 2] was charged and answered as [1, 2]
+        o = oracle(*self.CAPPED)
+        with pytest.raises(UsageError, match="not bools"):
+            o.rank([True, 2])
+        assert o.ledger.rank_count == 0
+
+    def test_numpy_bool_in_a_list_is_not_a_repeated_id(self):
+        # [1, np.True_] was read as [1, 1] and blamed on a repeated id
+        o = oracle(*self.CAPPED)
+        for query in (o.rank, o.is_independent, lambda s: add_query_sim(o, s), lambda s: sum_query_sim(o, s, [4])):
+            with pytest.raises(UsageError, match="not bools"):
+                query([1, np.True_])
+        assert (o.ledger.rank_count, o.ledger.independence_count) == (0, 0)
+
     def test_large_set_duplicate(self):
         # above the small-set threshold and with |S| * _DENSE_RATIO >= n (here
         # n = 200), one bincount does the check; see test_large_set_paths
@@ -432,6 +447,15 @@ class TestStructures:
                 instance_from_bytes(b'{"n":' + n + b',"parts":[[0,1],[2]],"capacities":null}')
         with pytest.raises(UsageError, match="nonempty"):
             HiddenPartition([[0], []])
+
+    def test_bool_ids_and_capacities_in_json_rejected(self):
+        # both documents loaded silently, as parts [[0, 1], [2]] and capacities [1, 1]
+        for doc in (
+            b'{"n":3,"parts":[[0,true],[2]],"capacities":null}',
+            b'{"n":5,"parts":[[0,1,2],[3,4]],"capacities":[true,1]}',
+        ):
+            with pytest.raises(UsageError, match="not bools"):
+                instance_from_bytes(doc)
 
     @pytest.mark.parametrize("n", [4.5, 4.0, True, np.float64(4), "4"])
     @pytest.mark.parametrize("capacitated", [False, True], ids=["simple", "capacitated"])

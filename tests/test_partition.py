@@ -275,8 +275,8 @@ class TestFindPartition:
         assert canonical(got) == canonical(parts)
 
 
-SMALL_PARTS_STREAM_SHA256 = "e2fe3d897d3b3a993abce8aef1b9e9ccb3843fa9d61b7f3bdc9c88a269814ad4"
-LARGE_PARTS_STREAM_SHA256 = "096df3f46aa8ffef8b973d6231166bab98d383a5aba8449bdd4a082e64b61ace"
+SMALL_PARTS_STREAM_SHA256 = "e9a5c5aa1a502f2ab8c81c9f9513c7e9b60237a5442a8d7e1360df4b0790841a"
+LARGE_PARTS_STREAM_SHA256 = "a5a25bd6290a4988bbe5621f329c3a8a9d8bc10b6e699ce7e9c62ae4bea01b28"
 
 
 class TestPinnedLedgers:
@@ -287,13 +287,13 @@ class TestPinnedLedgers:
         [
             (
                 InstanceSpec("uniform-k", 2**13, seed=1),
-                46075,
-                {"com-discovery": 24144, "matching": 21931, "pairwise-merge": 45787, "final-fold": 288},
+                44123,
+                {"com-discovery": 24144, "matching": 19979, "pairwise-merge": 43861, "final-fold": 262},
             ),
             (
                 InstanceSpec("uniform-k", 2**12, k=2**10, seed=1),
-                21755,
-                {"com-discovery": 11772, "matching": 9983, "pairwise-merge": 20293, "final-fold": 1462},
+                20558,
+                {"com-discovery": 11772, "matching": 8786, "pairwise-merge": 19245, "final-fold": 1313},
             ),
         ],
         ids=["small-parts", "large-parts"],

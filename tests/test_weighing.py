@@ -21,7 +21,7 @@ from rankprobe import (
     recover_sparse,
 )
 from rankprobe import weighing
-from rankprobe.errors import InternalConsistencyError
+from rankprobe.errors import InternalConsistencyError, InvariantViolation
 from rankprobe.regression import load_regression_config
 from rankprobe.weighing import _B16, _Table, _halve, _level, _row_sets
 
@@ -740,6 +740,31 @@ def matching_oracle(partner):
     return add
 
 
+def random_matching(d, seed):
+    """X = 0..d-1 and Y = d..2d-1 matched by a seeded permutation: (xs, ys,
+    partner, add), where ``add`` counts the pairs inside a set in O(|set|)."""
+    rng = np.random.default_rng(seed)
+    xs = np.arange(d)
+    ys = np.arange(d, 2 * d)
+    perm = rng.permutation(d)
+    partner = {int(xs[perm[j]]): int(ys[j]) for j in range(d)}
+    pair_arr = np.full(2 * d, -1, dtype=np.int64)
+    for a, b in partner.items():
+        pair_arr[a] = b
+        pair_arr[b] = a
+
+    def add(subset):
+        arr = np.asarray(subset, dtype=np.int64)
+        mask = np.zeros(2 * d, dtype=bool)
+        mask[arr] = True
+        return int(np.count_nonzero(mask[arr] & mask[pair_arr[arr]])) // 2
+
+    return xs, ys, partner, add
+
+
+RANKPROBE_ERRORS = (UsageError, DecodeFailure, ProtocolError, InternalConsistencyError, InvariantViolation)
+
+
 class TestHalve:
     @pytest.mark.parametrize("lo", [0, 5])
     def test_exhaustive_windows(self, lo):
@@ -782,25 +807,77 @@ class TestRecoverMatching:
     def test_large_random_within_budget(self, d):
         limit = load_regression_config().value("c_match") * d
         for seed in range(3):
-            rng = np.random.default_rng(seed)
-            xs = np.arange(d)
-            ys = np.arange(d, 2 * d)
-            perm = rng.permutation(d)
-            partner = {int(xs[perm[j]]): int(ys[j]) for j in range(d)}
-            pair_arr = np.full(2 * d, -1, dtype=np.int64)
-            for a, b in partner.items():
-                pair_arr[a] = b
-                pair_arr[b] = a
-
-            def add(subset):
-                arr = np.asarray(subset, dtype=np.int64)
-                mask = np.zeros(2 * d, dtype=bool)
-                mask[arr] = True
-                return int(np.count_nonzero(mask[arr] & mask[pair_arr[arr]])) // 2
-
+            xs, ys, partner, add = random_matching(d, seed)
             res = recover_matching(xs, ys, add)
             assert res.pairs == partner
             assert res.queries_used <= limit
+
+    def test_grouped_planes_every_size(self):
+        # every d from the cutoff to 160, then around powers of two, where the
+        # last plane's groups are all pairs (256) or mostly settled (257)
+        limit = load_regression_config().value("c_match")
+        for d in [*range(weighing.MATCHING_SEARCH_CUTOFF, 161), 255, 256, 257, 511, 513, 1024]:
+            xs, ys, partner, add = random_matching(d, d)
+            res = recover_matching(xs, ys, add)
+            assert res.pairs == partner, d
+            assert res.queries_used <= limit * d, d
+
+    @pytest.mark.parametrize(
+        "d,queries", [(32, 94), (33, 101), (64, 191), (100, 313), (256, 785), (300, 910)]
+    )
+    def test_pinned_query_counts(self, d, queries):
+        # all planes over all d columns asked 100, 110, 222, 336, 832 and 1044
+        xs, ys, partner, add = random_matching(d, 0)
+        res = recover_matching(xs, ys, add)
+        assert (res.pairs, res.queries_used) == (partner, queries)
+
+    @pytest.mark.parametrize("d", [32, 33, 100, 256, 257])
+    def test_plane_b_recovers_d_minus_2_to_the_b_columns(self, d, monkeypatch):
+        # before plane b the partner ids are known mod 2^b: one bit per residue
+        # group follows from the group's count, and groups without a candidate
+        # that has bit b set need no query
+        sizes = []
+
+        def recording(n, sum_oracle, **kw):
+            assert kw == {}  # the root query is spent: the total is unknown
+            sizes.append(n)
+            return recover_sparse(n, sum_oracle)
+
+        monkeypatch.setattr(weighing, "recover_sparse", recording)
+        xs, ys, partner, add = random_matching(d, 1)
+        assert recover_matching(xs, ys, add).pairs == partner
+        assert sizes == [d - 2**b for b in range(math.ceil(math.log2(d)))]
+
+    @pytest.mark.parametrize("d", [40, 100])
+    def test_one_faulty_answer(self, d):
+        # shift one add answer by +-1 at each query index in turn: a perfect
+        # matching of the given sides or a rankprobe error, nothing else
+        xs, ys, partner, add = random_matching(d, 5)
+        honest = recover_matching(xs, ys, add).queries_used
+        errors = 0
+        for index in range(honest):
+            for shift in (-1, 1):
+                asked = [0]
+
+                def faulty(subset):
+                    asked[0] += 1
+                    return add(subset) + (shift if asked[0] == index + 1 else 0)
+
+                try:
+                    pairs = recover_matching(xs, ys, faulty).pairs
+                except RANKPROBE_ERRORS:
+                    errors += 1
+                    continue
+                assert sorted(pairs) == xs.tolist() and sorted(pairs.values()) == ys.tolist()
+        assert errors > 0
+
+    def test_derived_bit_outside_0_1_raises(self):
+        # an oracle that puts every Y partner in the odd ids: plane 0 recovers
+        # d - 1 ones, so the single group's last bit derives as d//2 - (d - 1)
+        d = 40
+        ys = list(range(d, 2 * d))
+        with pytest.raises(ProtocolError, match="bit-plane 0: a group's last partner bit derives outside 0/1"):
+            recover_matching(list(range(d)), ys, lambda s: int(np.count_nonzero(np.asarray(s) >= d)))
 
     def test_mid_sizes_random(self):
         for d in (5, 12, 31, 33, 100, 513):
@@ -851,6 +928,14 @@ class TestRecoverMatching:
         asked = []
         for xs, ys in (([0.7, 1.2], [2.9, 3.1]), ([0, 1], [2.0, 3.0]), ([True, False], [2, 3])):
             with pytest.raises(UsageError, match="integers"):
+                recover_matching(xs, ys, asked.append)
+        assert asked == []
+
+    def test_bool_in_a_list_rejected(self):
+        # [True, 5] used to run as the ids [1, 5]
+        asked = []
+        for xs, ys in (([True, 5], [2, 3]), ([0, 1], [np.True_, 3])):
+            with pytest.raises(UsageError, match="not bools"):
                 recover_matching(xs, ys, asked.append)
         assert asked == []
 

@@ -10,6 +10,7 @@ to an alternative config file.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -32,10 +33,15 @@ class RegressionConfig:
         self.b_table = doc.get("sparse_budget_table", {})
 
     def value(self, name):
+        """Constant ``name`` as a float: it must be a finite, positive JSON number
+        (not a bool, a string, NaN or an infinity), otherwise UsageError."""
         try:
-            return float(self.constants[name]["value"])
-        except (KeyError, TypeError, ValueError) as exc:
+            value = self.constants[name]["value"]
+        except (KeyError, TypeError) as exc:
             raise UsageError(f"regression config has no numeric constant {name!r}") from exc
+        if type(value) not in (int, float) or not math.isfinite(value) or value <= 0:
+            raise UsageError(f"regression constant {name!r} must be a finite positive number, got {value!r}")
+        return float(value)
 
     def note(self, name):
         return self.constants.get(name, {}).get("note", "")

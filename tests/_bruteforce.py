@@ -112,36 +112,38 @@ def brute_components(parent):
 
 @functools.cache
 def family_block(n_cols):
-    """Family block D_k of ``n_cols`` columns, from the recursion on D'_j.
+    """The design block of ``n_cols`` columns, from its family's recursion.
 
-    D'_1 is [[1, 0], [1, 1]], or [B16; all-ones] for the seeded family;
+    Cantor-Mills A_k: A_1 = [[1, 0], [1, 1]] and A_{k+1} stacks
+    [A_k, A_k, I'] over [A_k, 1 - A_k, 0], where I' has a 1 at (i, i) for
+    every row i of A_k but its last.  Seeded D_k: D'_1 = [B16; all-ones] and
     D'_{j+1} stacks [D'_j, D'_j, I'], [D'_j, 1 - D'_j, 0] and an all-ones row,
-    where I' has a 1 at (i, i) for every row i of D'_j but its last (all-ones)
-    row.  D_k is D'_k without that last row.  No column count occurs in both
-    families.
+    I' as above, its last row the all-ones row; D_k is D'_k without that last
+    row.  No column count occurs in both families.
     """
-    for seed in ([[1, 0], [1, 1]], np.vstack((_B16, np.ones(16, dtype=np.int64)))):
+    # (seed, rows added per level beyond the two halves: the all-ones row)
+    for seed, ones in (([[1, 0], [1, 1]], 0), (np.vstack((_B16, np.ones(16, dtype=np.int64))), 1)):
         d = np.array(seed, dtype=np.uint8)
         while d.shape[1] < n_cols:
             m, n = d.shape
-            nxt = np.zeros((2 * m + 1, 2 * n + m - 1), dtype=np.uint8)
+            nxt = np.zeros((2 * m + ones, 2 * n + m - 1), dtype=np.uint8)
             nxt[:m, :n] = d
             nxt[:m, n : 2 * n] = d
             nxt[np.arange(m - 1), 2 * n + np.arange(m - 1)] = 1
             nxt[m : 2 * m, :n] = d
             nxt[m : 2 * m, n : 2 * n] = 1 - d
-            nxt[2 * m] = 1
+            nxt[2 * m :] = 1
             d = nxt
         if d.shape[1] == n_cols:
-            return d[:-1]
+            return d[: d.shape[0] - ones]
     raise AssertionError(f"no family block has {n_cols} columns")
 
 
 def as_dense(design):
     """A detecting design's 0/1 matrix by definition (int64).
 
-    The blocks of ``design._blocks`` (B16 for 16 columns, D_k of either family
-    otherwise) sit side by side on the diagonal, each repeated ``count`` times,
+    The blocks of ``design._blocks`` (B16 for 16 columns, A_k or the seeded
+    D_k otherwise) sit side by side on the diagonal, each repeated ``count`` times,
     then one identity row per remaining column.
     """
     mats = []

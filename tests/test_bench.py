@@ -267,8 +267,8 @@ class TestPinnedReports:
     @pytest.mark.parametrize(
         "audit,want",
         [
-            (False, "8dc5132dfc564982a70538a6acd734a19c19716e9cb971fc01f1d9d12654cc66"),
-            (True, "6663f4fdbda0102ce16e59eb8a6a37bd02275d7f2decd185e30f988802b03192"),
+            (False, "fb6db9926279543d769ea0182d538414b3b36c658d005c8fa0226e771c7f5469"),
+            (True, "c0cc3d7e81daac742d592556ddf912f2679afca6dcb3a29d4e6852fd4897b68e"),
         ],
     )
     def test_find_partition(self, uniform, audit, want):
@@ -281,12 +281,12 @@ class TestPinnedReports:
             (
                 "learn_partition_matroid",
                 False,
-                "2c29c2e7d8f7e4a838f9706863ef987aea8c60d5271f1f9ffa0d77eb86ecc17b",
+                "ef96964dd2694dbe84c9c46079728f6e756919d44bd9022e87b2d322fd00cf5f",
             ),
             (
                 "learn_partition_matroid",
                 True,
-                "9254b54fc58228b2809f1ded4f2eb13e0a48576f993cf59c667ea9bbc9351589",
+                "e29413b9282b19ccb324b2585b947adf61c922ada4b40547ae1288545e7e9cab",
             ),
             ("baseline", False, "8754a837d609f220ea381ae7dc140a87d5d393898722395344370ad3341e3e14"),
         ],
@@ -301,7 +301,7 @@ class TestPinnedReports:
             (
                 "uniform-k",
                 "find_partition",
-                "d876444bd091539199483399d1a51ae4dd59ea40c5f5ffd718bc682ea9c56091",
+                "6e83e43a0fe334cd3d746e1149c95dfba84dc46719a6be4f55a29b22198d5a1e",
             ),
             (
                 "capacitated-random",
@@ -397,7 +397,7 @@ class TestPinnedReports:
         rows, _ = bench.sweep("uniform-k", [512, 1024, 2048], 2, "find_partition", base_seed=1)
         assert len(oracles) == 6 and all(r["correct"] for r in rows)
         digest = hashlib.sha256(b"".join(o.digest.digest() for o in oracles)).hexdigest()
-        assert digest == "f0e07aa3942821dcf943b5fd9ef3946d3df68db40f2b895ce7a49ca220bcafc5"
+        assert digest == "758165c490a1d7c8534c539db4dcb217dfe5a23b00681134334ee13922658aba"
 
 
 class TestRegressionConfig:
@@ -412,6 +412,20 @@ class TestRegressionConfig:
         alt.write_text(json.dumps({"constants": {"C_total": {"value": 99.0}}}))
         monkeypatch.setenv(ENV_VAR, str(alt))
         assert load_regression_config().value("C_total") == 99.0
+
+    @pytest.mark.parametrize(
+        "text", ["NaN", "Infinity", "-Infinity", "true", '"7.5"', "0", "-1.5", "null", "[7.5]"]
+    )
+    def test_constant_must_be_a_finite_positive_number(self, tmp_path, text):
+        # float() of NaN, Infinity, true and "7.5" each passed; under NaN every
+        # "> C_total" test is false, so a sweep passed whatever its counts
+        path = tmp_path / "bad.json"
+        path.write_text('{"constants": {"C_total": {"value": %s}}}' % text)
+        with pytest.raises(UsageError, match="'C_total'"):
+            load_regression_config(path).value("C_total")
+
+    def test_integer_constant_accepted(self):
+        assert RegressionConfig({"constants": {"c_match": {"value": 6}}}).value("c_match") == 6.0
 
     def test_missing_budget_rejected(self):
         config = load_regression_config()
@@ -486,13 +500,20 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "content",
-        [None, b'{"constants": {}}', b'{"constants": {"C_total": 3}}', b"{not json", b"[1]"],
-        ids=["missing", "no-C_total", "C_total-not-an-object", "not-json", "not-an-object"],
+        [
+            None,
+            b'{"constants": {}}',
+            b'{"constants": {"C_total": 3}}',
+            b"{not json",
+            b"[1]",
+            b'{"constants": {"C_total": {"value": NaN}}}',
+        ],
+        ids=["missing", "no-C_total", "C_total-not-an-object", "not-json", "not-an-object", "C_total-NaN"],
     )
     def test_sweep_without_its_gate_exit_2(self, tmp_path, capsys, monkeypatch, content):
         # a missing file or one without C_total ran the sweep ungated (exit
         # 0); a file or a C_total that is not a JSON object gave a traceback
-        # (exit 1)
+        # (exit 1); a NaN C_total passed every sweep (exit 0)
         config = tmp_path / "regression.json"
         if content is not None:
             config.write_bytes(content)

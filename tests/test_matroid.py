@@ -333,12 +333,12 @@ class TestPinnedLedgers:
         o = RankOracle(structure)
         run = learn_partition_matroid_run(2**11, o)
         assert run.matroid.matches(structure)
-        assert (o.ledger.rank_count, o.ledger.independence_count) == (16123, 0)
+        assert (o.ledger.rank_count, o.ledger.independence_count) == (15543, 0)
         assert self.stage_counts(run) == [
             ("basis", 2048),
             ("representatives", 3579),
-            ("inside-basis", 5276),
-            ("outside-basis", 5220),
+            ("inside-basis", 4992),
+            ("outside-basis", 4924),
             ("stitch", 0),
         ]
 
@@ -360,7 +360,7 @@ class TestPinnedLedgers:
         [
             (
                 learn_partition_matroid_run,
-                "a3d602f06be43d31eeaee6c169c678a2224a056eacf199ec8dbb5b0eb143effc",
+                "e58451ccf30708025a6cea106bcd7d3212bdba6ae1d72a1a347eccdce2e5f62b",
             ),
             (
                 baseline_independence_learner_run,

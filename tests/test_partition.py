@@ -275,8 +275,8 @@ class TestFindPartition:
         assert canonical(got) == canonical(parts)
 
 
-SMALL_PARTS_STREAM_SHA256 = "e9a5c5aa1a502f2ab8c81c9f9513c7e9b60237a5442a8d7e1360df4b0790841a"
-LARGE_PARTS_STREAM_SHA256 = "a5a25bd6290a4988bbe5621f329c3a8a9d8bc10b6e699ce7e9c62ae4bea01b28"
+SMALL_PARTS_STREAM_SHA256 = "502e2d19a05225ef7737cb272890c5a57f0803714db5cbd36445f814978024ae"
+LARGE_PARTS_STREAM_SHA256 = "b83bf6abca0c60006a90ca9ce5cf7a77905682d3ec14b352ee7317895061971e"
 
 
 class TestPinnedLedgers:
@@ -287,13 +287,13 @@ class TestPinnedLedgers:
         [
             (
                 InstanceSpec("uniform-k", 2**13, seed=1),
-                44123,
-                {"com-discovery": 24144, "matching": 19979, "pairwise-merge": 43861, "final-fold": 262},
+                42862,
+                {"com-discovery": 23811, "matching": 19051, "pairwise-merge": 42609, "final-fold": 253},
             ),
             (
                 InstanceSpec("uniform-k", 2**12, k=2**10, seed=1),
-                20558,
-                {"com-discovery": 11772, "matching": 8786, "pairwise-merge": 19245, "final-fold": 1313},
+                19361,
+                {"com-discovery": 11296, "matching": 8065, "pairwise-merge": 18171, "final-fold": 1190},
             ),
         ],
         ids=["small-parts", "large-parts"],

@@ -23,15 +23,14 @@ from rankprobe import (
 from rankprobe import weighing
 from rankprobe.errors import InternalConsistencyError, InvariantViolation
 from rankprobe.regression import load_regression_config
-from rankprobe.weighing import _B16, _Table, _halve, _level, _row_sets
+from rankprobe.weighing import _B16, _Table, _cantor_mills, _free_leaf, _halve, _level, _row_sets
 
-from _bruteforce import as_dense
+from _bruteforce import as_dense, family_block
 
 
-# 2*3202 + 2*242 + 2*5 + 3 columns: two blocks of each of three tiers (block
-# kinds: seeded D_7, the first family's D_6 and its D_2 table), then an
-# identity tail
-MULTI_BLOCK_N = 6901
+# 2*1025 + 2*81 + 2*5 + 2 columns: two blocks of each of three tiers (block
+# kinds: Cantor-Mills A_8 and A_5, and the A_2 table), then an identity tail
+MULTI_BLOCK_N = 2224
 
 
 def row_budget(n):
@@ -87,109 +86,121 @@ class TestFrozenBases:
 
     def test_b16_table_decodes_every_pattern(self):
         x = all_binary(16)
-        assert np.array_equal(_level(1, True).decode(x @ _B16.T), x)
+        assert np.array_equal(_level(1).decode(x @ _B16.T), x)
 
     def test_b16_table_is_the_sorted_codes(self):
         # the codes of every 16-bit pattern, encoded row by row in base 6
-        codes, patterns = _level(1, True).table
+        codes, patterns = _level(1).table
         want = (all_binary(16) @ _B16.T) @ 6 ** np.arange(10)
         assert np.array_equal(codes, np.sort(want))
         assert np.array_equal(want[patterns], codes)
 
     def test_small_kinds_and_every_leaf_are_tables(self):
         # one table per kind: every larger block of a family ends in the same one
-        assert all(isinstance(_level(k), _Table) for k in (1, 2, 3))
-        assert isinstance(_level(1, True), _Table)
-        assert all(_level(k, False).leaf is _level(3, False) for k in range(4, 10))
-        assert all(_level(k, True).leaf is _level(1, True) for k in range(2, 8))
+        assert all(isinstance(_cantor_mills(k), _Table) for k in (2, 3))
+        assert isinstance(_level(1), _Table)
+        assert all(_cantor_mills(k).leaf is _free_leaf() for k in range(4, 11))
+        assert all(_level(k).leaf is _level(1) for k in range(2, 8))
 
     def test_one_cache_entry_per_block_kind(self):
-        # _level(3) and _level(3, False) were two entries, and so two 2^14-code tables
-        assert _level(3) is _level(3, False) is _level(3, 0)
-        assert _level(5).leaf is _level(3)
-        assert _level(2, True).leaf is _level(1, 1)
+        # the free leaf is its own table (2^12 codes), not the A_3 kind's (2^13)
+        assert _cantor_mills(4) is _cantor_mills(4) and _level(2) is _level(2)
+        assert _free_leaf() is not _cantor_mills(3)
+        assert _free_leaf().table[0].size == 1 << 12
+        assert _cantor_mills(3).table[0].size == 1 << 13
 
     @pytest.mark.parametrize(
-        "block", [_level(1), _Table(np.array([[1, 1, 0], [0, 0, 1]]))], ids=["d1", "equal-columns"]
+        "block",
+        [_Table(np.array([[1, 0]])), _Table(np.array([[1, 1, 0], [0, 0, 1]]))],
+        ids=["d1", "equal-columns"],
     )
     def test_table_of_a_non_detecting_block_raises(self, block):
-        # D_1 = [[1, 0]] without its all-ones row, and two equal columns
+        # [[1, 0]], which never sees column 1, and two equal columns
         with pytest.raises(InternalConsistencyError, match="not detecting"):
             block.decode(np.zeros((1, block.n_rows), dtype=np.int64))
 
 
 class TestFamily:
-    def test_sizes(self):
-        # D'_1 has 2 rows for 2 columns; a block D_k drops the top all-ones row
-        sizes = [(_level(k).n_cols, _level(k).n_rows) for k in range(1, 10)]
-        assert sizes == [
-            (2, 1), (5, 4), (14, 10), (38, 22), (98, 46), (242, 94), (578, 190), (1346, 382), (3074, 766)
-        ]
-        assert all(_level(k).bounds.size == _level(k).n_rows + 1 for k in range(1, 10))
+    """Cantor-Mills blocks A_k, k = 2..10: 2^k rows for k * 2^(k-1) + 1 columns."""
 
-    def test_d1_with_its_all_ones_row_exhaustive(self):
-        # D_1 = [[1, 0]] alone is not detecting; with its all-ones row it is
-        x = all_binary(2)
-        meas = np.column_stack((block_measure(_level(1), x), x.sum(axis=1)))
-        assert len(np.unique(meas, axis=0)) == 4
+    def test_sizes(self):
+        sizes = [(_cantor_mills(k).n_cols, _cantor_mills(k).n_rows) for k in range(2, 11)]
+        assert sizes == [
+            (5, 4), (13, 8), (33, 16), (81, 32), (193, 64), (449, 128), (1025, 256), (2305, 512), (5121, 1024)
+        ]
+        assert all(_cantor_mills(k).bounds.size == _cantor_mills(k).n_rows + 1 for k in range(2, 11))
+
+    def test_built_as_defined(self):
+        # against the recursion of tests/_bruteforce.py; column 0 is all ones
+        for k in range(2, 11):
+            block = _cantor_mills(k)
+            want = family_block(block.n_cols)
+            assert want.shape == (block.n_rows, block.n_cols) and want[:, 0].all()
+            rows = [np.flatnonzero(r) for r in want]
+            assert np.array_equal(block.cols, np.concatenate(rows))
+            assert block.bounds.tolist() == [0] + np.cumsum([r.size for r in rows]).tolist()
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_block_injective_exhaustive(self, k):
-        block = _level(k)
+        block = _cantor_mills(k)
         x = all_binary(block.n_cols)
         meas = block_measure(block, x)
         assert len(np.unique(meas, axis=0)) == 1 << block.n_cols
         assert np.array_equal(block.decode(meas), x)
 
-    @pytest.mark.parametrize("k", range(2, 10))
+    def test_free_leaf_exhaustive(self):
+        # A_3 with column 0 any integer: y - y_0 finds the other 12 columns
+        x = np.repeat(all_binary(13), 4, axis=0)
+        x[:, 0] += np.tile([-5, -1, 0, 3], 1 << 13)
+        assert np.array_equal(_free_leaf().decode(block_measure(_free_leaf(), x)), x)
+
+    @pytest.mark.parametrize("k", range(2, 11))
     def test_level_round_trips(self, k):
-        check_round_trips(_level(k), k)
+        check_round_trips(_cantor_mills(k), k)
+        block = _cantor_mills(k)
+        rng = np.random.default_rng(k)
+        for density in (0.05, 0.5, 0.95):
+            x = (rng.random((3, block.n_cols)) < density).astype(np.int64)
+            assert np.array_equal(block.decode(block_measure(block, x)), x)
 
-    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("k", range(2, 7))
     def test_level_decodes_exactly_or_fails(self, k):
-        check_decodes_exactly_or_fails(_level(k), k)
+        check_decodes_exactly_or_fails(_cantor_mills(k), k)
 
-    @pytest.mark.parametrize("extra", [0, 1, -1])
-    def test_leaf_weight_must_match_its_d3_vector(self, extra):
-        # D_4 rows that hand the pass's first leaf (D_3 x1, |x1| + extra): the
-        # D_3 table alone decodes x1, so only the leaf's all-ones row can catch extra
-        rng = np.random.default_rng(1)
-        leaf = _level(3)
-        x1, x2, z = rng.integers(0, 2, (1, 14)), rng.integers(0, 2, (1, 14)), rng.integers(0, 2, 10)
-        d1, d2 = block_measure(leaf, x1)[0], block_measure(leaf, x2)[0]
-        w1, w2 = x1.sum() + extra, x2.sum()
-        top = np.append(d1 + d2 + z, w1 + w2)  # D'_3 x1 + D'_3 x2 + I' z
-        mid = np.append(d1 - d2 + w2, w1)  # D'_3 x1 + (J - D'_3) x2
-        meas = np.concatenate((top, mid))[None, :]
-        if extra:
-            with pytest.raises(DecodeFailure, match="decoded weight"):
-                _level(4).decode(meas)
-            with pytest.raises(DecodeFailure, match="decoded weight"):
-                leaf.decode(np.append(d1, w1)[None, :])
-        else:
-            assert np.array_equal(_level(4).decode(meas)[0], np.concatenate((x1[0], x2[0], z)))
+    @pytest.mark.parametrize("bad", [2, -1])
+    @pytest.mark.parametrize("pos", [0, 13, 33, 46])
+    def test_leaf_column_0_outside_0_1_fails(self, pos, bad):
+        # A_5 measures x with one entry 2 or -1 in a leaf's column 0: every
+        # lookup finds binary columns, and the decode recovers x exactly, so
+        # only the final 0/1 check stands between it and a wrong answer
+        block = _cantor_mills(5)
+        x = np.random.default_rng(pos).integers(0, 2, (1, 81))
+        assert np.array_equal(block.decode(block_measure(block, x)), x)
+        x[0, pos] = bad
+        with pytest.raises(DecodeFailure, match="outside 0/1"):
+            block.decode(block_measure(block, x))
 
 
 class TestSeededFamily:
     """The family seeded with D'_1 = [B16; all-ones], whose leaves decode through B16."""
 
     def test_sizes(self):
-        sizes = [(_level(k, True).n_cols, _level(k, True).n_rows) for k in range(1, 8)]
+        sizes = [(_level(k).n_cols, _level(k).n_rows) for k in range(1, 8)]
         assert sizes == [(16, 10), (42, 22), (106, 46), (258, 94), (610, 190), (1410, 382), (3202, 766)]
-        assert all(_level(k, True).bounds.size == _level(k, True).n_rows + 1 for k in range(1, 8))
+        assert all(_level(k).bounds.size == _level(k).n_rows + 1 for k in range(1, 8))
 
     def test_designs_use_it_from_106_columns(self):
         assert [(b.n_cols, c) for b, c in build_detecting_matrix(106)._blocks] == [(106, 1)]
-        assert [(b.n_cols, c) for b, c in build_detecting_matrix(204)._blocks] == [(106, 1), (98, 1)]
+        assert [(b.n_cols, c) for b, c in build_detecting_matrix(204)._blocks] == [(193, 1), (5, 2)]
 
     # k = 1 is the B16 block kind itself
     @pytest.mark.parametrize("k", range(1, 8))
     def test_level_round_trips(self, k):
-        check_round_trips(_level(k, True), k)
+        check_round_trips(_level(k), k)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_level_decodes_exactly_or_fails(self, k):
-        check_decodes_exactly_or_fails(_level(k, True), k)
+        check_decodes_exactly_or_fails(_level(k), k)
 
     @pytest.mark.parametrize("extra", [0, 1, -1])
     def test_leaf_weight_must_match_its_b16_vector(self, extra):
@@ -203,11 +214,11 @@ class TestSeededFamily:
         meas = np.concatenate((top, mid))[None, :]
         if extra:
             with pytest.raises(DecodeFailure, match="decoded weight"):
-                _level(2, True).decode(meas)
+                _level(2).decode(meas)
             with pytest.raises(DecodeFailure, match="decoded weight"):
-                _level(1, True).decode(np.append(_B16 @ x1, w1)[None, :])
+                _level(1).decode(np.append(_B16 @ x1, w1)[None, :])
         else:
-            assert np.array_equal(_level(2, True).decode(meas)[0], np.concatenate((x1, x2, z)))
+            assert np.array_equal(_level(2).decode(meas)[0], np.concatenate((x1, x2, z)))
 
 
 class TestBuild:
@@ -236,45 +247,47 @@ class TestBuild:
         assert covered.all()
 
     def test_sublinear_at_scale(self):
-        assert build_detecting_matrix(1440).n_rows <= 402
-        assert build_detecting_matrix(4096).n_rows <= 1068
+        assert build_detecting_matrix(1440).n_rows <= 401
+        assert build_detecting_matrix(4096).n_rows <= 1015
 
     def test_never_more_rows_than_the_unseeded_family(self):
-        # the fewest rows from identity columns, B16 and D_2..D_9 alone; the
-        # seeded family's next block has 42 columns, so below that nothing changes
-        kinds = {16: 10} | {_level(k).n_cols: _level(k).n_rows for k in range(2, 10)}
+        # the fewest rows from identity columns and the block kinds that the
+        # Cantor-Mills blocks replaced: the first family's D_2..D_9, which
+        # they drop, beside the B16-seeded D_1..D_7, which they keep
+        first = {5: 4, 14: 10, 38: 22, 98: 46, 242: 94, 578: 190, 1346: 382, 3074: 766}
+        seeded = {16: 10, 42: 22, 106: 46, 258: 94, 610: 190, 1410: 382, 3202: 766}
         fewest = [0]
         for n in range(1, 4097):
-            fewest.append(min([fewest[n - 1] + 1] + [fewest[n - c] + r for c, r in kinds.items() if c <= n]))
+            options = [fewest[n - c] + r for c, r in (first | seeded).items() if c <= n]
+            fewest.append(min([fewest[n - 1] + 1] + options))
             rows = build_detecting_matrix(n).n_rows
             assert rows <= fewest[n]
-            if n < 42:
-                assert rows == fewest[n]
+            if n in (64, 256, 1440):
+                assert rows < fewest[n]
 
     # n:rows:blocks, each block kind as columns x count, largest first
     BELOW_98 = """
-        1:1: 2:2: 3:3: 4:4: 5:4:5x1 6:5:5x1 7:6:5x1 8:7:5x1 9:8:5x1 10:8:5x2 11:9:5x2
-        12:10:5x2 13:11:5x2 14:10:14x1 15:11:14x1 16:10:16x1 17:11:16x1 18:12:16x1
-        19:13:16x1 20:14:16x1 21:14:16x1,5x1 22:15:16x1,5x1 23:16:16x1,5x1 24:17:16x1,5x1
-        25:18:16x1,5x1 26:18:16x1,5x2 27:19:16x1,5x2 28:20:16x1,5x2 29:21:16x1,5x2
-        30:20:16x1,14x1 31:21:16x1,14x1 32:20:16x2 33:21:16x2 34:22:16x2 35:23:16x2
-        36:24:16x2 37:24:16x2,5x1 38:22:38x1 39:23:38x1 40:24:38x1 41:25:38x1 42:22:42x1
-        43:23:42x1 44:24:42x1 45:25:42x1 46:26:42x1 47:26:42x1,5x1 48:27:42x1,5x1
-        49:28:42x1,5x1 50:29:42x1,5x1 51:30:42x1,5x1 52:30:42x1,5x2 53:31:42x1,5x2
-        54:32:42x1,5x2 55:33:42x1,5x2 56:32:42x1,14x1 57:33:42x1,14x1 58:32:42x1,16x1
-        59:33:42x1,16x1 60:34:42x1,16x1 61:35:42x1,16x1 62:36:42x1,16x1 63:36:42x1,16x1,5x1
-        64:37:42x1,16x1,5x1 65:38:42x1,16x1,5x1 66:39:42x1,16x1,5x1 67:40:42x1,16x1,5x1
-        68:40:42x1,16x1,5x2 69:41:42x1,16x1,5x2 70:42:42x1,16x1,5x2 71:43:42x1,16x1,5x2
-        72:42:42x1,16x1,14x1 73:43:42x1,16x1,14x1 74:42:42x1,16x2 75:43:42x1,16x2
-        76:44:42x1,16x2 77:45:42x1,16x2 78:46:42x1,16x2 79:46:42x1,16x2,5x1 80:44:42x1,38x1
-        81:45:42x1,38x1 82:46:42x1,38x1 83:47:42x1,38x1 84:44:42x2 85:45:42x2 86:46:42x2
-        87:47:42x2 88:48:42x2 89:48:42x2,5x1 90:49:42x2,5x1 91:50:42x2,5x1 92:51:42x2,5x1
-        93:52:42x2,5x1 94:52:42x2,5x2 95:53:42x2,5x2 96:54:42x2,5x2 97:55:42x2,5x2
+        1:1: 2:2: 3:3: 4:4: 5:4:5x1 6:5:5x1 7:6:5x1 8:7:5x1 9:8:5x1 10:8:5x2 11:9:5x2 12:10:5x2
+        13:8:13x1 14:9:13x1 15:10:13x1 16:10:16x1 17:11:16x1 18:12:16x1 19:13:16x1 20:14:16x1
+        21:14:16x1,5x1 22:15:16x1,5x1 23:16:16x1,5x1 24:17:16x1,5x1 25:18:16x1,5x1 26:16:13x2
+        27:17:13x2 28:18:13x2 29:18:16x1,13x1 30:19:16x1,13x1 31:20:16x1,13x1 32:20:16x2
+        33:16:33x1 34:17:33x1 35:18:33x1 36:19:33x1 37:20:33x1 38:20:33x1,5x1 39:21:33x1,5x1
+        40:22:33x1,5x1 41:23:33x1,5x1 42:22:42x1 43:23:42x1 44:24:42x1 45:25:42x1
+        46:24:33x1,13x1 47:25:33x1,13x1 48:26:33x1,13x1 49:26:33x1,16x1 50:27:33x1,16x1
+        51:28:33x1,16x1 52:29:33x1,16x1 53:30:33x1,16x1 54:30:33x1,16x1,5x1 55:30:42x1,13x1
+        56:31:42x1,13x1 57:32:42x1,13x1 58:32:42x1,16x1 59:32:33x1,13x2 60:33:33x1,13x2
+        61:34:33x1,13x2 62:34:33x1,16x1,13x1 63:35:33x1,16x1,13x1 64:36:33x1,16x1,13x1
+        65:36:33x1,16x2 66:32:33x2 67:33:33x2 68:34:33x2 69:35:33x2 70:36:33x2 71:36:33x2,5x1
+        72:37:33x2,5x1 73:38:33x2,5x1 74:39:33x2,5x1 75:38:42x1,33x1 76:39:42x1,33x1
+        77:40:42x1,33x1 78:41:42x1,33x1 79:40:33x2,13x1 80:41:33x2,13x1 81:32:81x1 82:33:81x1
+        83:34:81x1 84:35:81x1 85:36:81x1 86:36:81x1,5x1 87:37:81x1,5x1 88:38:81x1,5x1
+        89:39:81x1,5x1 90:40:81x1,5x1 91:40:81x1,5x2 92:41:81x1,5x2 93:42:81x1,5x2
+        94:40:81x1,13x1 95:41:81x1,13x1 96:42:81x1,13x1 97:42:81x1,16x1
     """
 
     def test_below_98_columns_exact_structure(self):
-        # every design below the first family's D_5: the kinds of 5, 14, 16,
-        # 38 and 42 columns, then an identity tail
+        # every design below 98 columns: the kinds of 5, 13, 16, 33, 42 and
+        # 81 columns, then an identity tail
         got = []
         for n in range(1, 98):
             m = build_detecting_matrix(n)
@@ -300,11 +313,11 @@ class TestBuild:
             assert (np.diff(bounds) > 0).all()  # np.add.reduceat needs nonempty rows
             assert m.n_rows == len(rows)
 
-    # 2925 columns mix both families: 2 x 1410 seeded, one 98-column block
-    # and one 5-column table; 6957 packs 2 x 3202, 2 x 258, 2 x 16 and one
-    # 5-column table, four block kinds with no identity tail
+    # 2925 columns mix both families: A_9, the seeded 610-column block and
+    # 2 x A_2; 6901 and 6957 pack six and five kinds, the seeded 106 or 610
+    # among them, then an identity tail
     @pytest.mark.parametrize(
-        "n", [1, 15, 16, 17, 100, 300, 1440, 2925, MULTI_BLOCK_N, 6957, 4096]
+        "n", [1, 15, 16, 17, 100, 300, 1440, 2925, MULTI_BLOCK_N, 6901, 6957, 4096]
     )
     def test_measure_is_the_dense_product(self, n):
         m = build_detecting_matrix(n)
@@ -379,7 +392,7 @@ class TestDecode:
         # every tier decodes a batch of several blocks, then the identity tail
         m = build_detecting_matrix(MULTI_BLOCK_N)
         blocks = [(tier.n_cols, count) for tier, count in m._blocks]
-        assert blocks == [(3202, 2), (242, 2), (5, 2)]
+        assert blocks == [(1025, 2), (81, 2), (5, 2)]
         rng = np.random.default_rng(MULTI_BLOCK_N)
         for density in (0.0, 0.05, 0.3, 0.5, 0.8, 1.0):
             x = (rng.random(MULTI_BLOCK_N) < density).astype(np.int64)
@@ -510,7 +523,7 @@ class TestRecoverSparse:
 
     @pytest.mark.parametrize(
         "n,d",
-        [(64, 40), (1024, 300), (4096, 1100), (2925, 900), (MULTI_BLOCK_N, 1800), (6957, 1800)],
+        [(64, 40), (1024, 300), (4096, 1100), (2925, 900), (MULTI_BLOCK_N, 600), (6901, 1800), (6957, 1800)],
     )
     def test_one_callback_per_design(self, n, d, monkeypatch):
         # a design's rows reach the callback as one block, in flat_rows order;
@@ -648,7 +661,7 @@ class TestDesignRule:
     the design's rows are at most halving's expected cost H(s, w)."""
 
     # a(s), the band's lower edge; a(s) = s // 2 + 1 is an empty band
-    EDGES = {15: 8, 16: 6, 20: 9, 25: 13, 32: 11, 64: 16, 128: 21, 215: 36, 256: 32, 512: 60, 1024: 99}
+    EDGES = {15: 6, 16: 6, 20: 9, 25: 13, 32: 11, 64: 15, 128: 19, 215: 22, 256: 30, 512: 43, 1024: 82}
 
     def test_pinned_edges(self):
         assert {s: weighing._band(s).size for s in self.EDGES} == self.EDGES
@@ -673,10 +686,10 @@ class TestDesignRule:
             assert np.allclose(h[1 : head.size], head[1:], rtol=1e-9)
 
     def test_above_the_cap_the_edge_scales(self):
-        # a(1024) = 99, so 2048 columns take the design from 198 ones (or zeros)
+        # a(1024) = 82, so 2048 columns take the design from 164 ones (or zeros)
         takes = weighing._takes_design
-        assert [takes(2048, w) for w in (197, 198, 1850, 1851)] == [False, True, True, False]
-        assert [takes(65536, w) for w in (6335, 6336)] == [False, True]
+        assert [takes(2048, w) for w in (163, 164, 1884, 1885)] == [False, True, True, False]
+        assert [takes(65536, w) for w in (5247, 5248)] == [False, True]
 
     def test_design_rows_within_the_halving_bound(self):
         # the worst case of recover_sparse's docstring: a design's rows never
@@ -823,10 +836,12 @@ class TestRecoverMatching:
             assert res.queries_used <= limit * d, d
 
     @pytest.mark.parametrize(
-        "d,queries", [(32, 94), (33, 101), (64, 191), (100, 313), (256, 785), (300, 910)]
+        "d,queries", [(32, 89), (33, 93), (64, 185), (100, 265), (256, 706), (300, 840)]
     )
     def test_pinned_query_counts(self, d, queries):
         # all planes over all d columns asked 100, 110, 222, 336, 832 and 1044
+        # with the first design family; grouped planes over it, 94, 101, 191,
+        # 313, 785 and 910
         xs, ys, partner, add = random_matching(d, 0)
         res = recover_matching(xs, ys, add)
         assert (res.pairs, res.queries_used) == (partner, queries)

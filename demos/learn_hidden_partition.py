@@ -34,6 +34,6 @@ for record in run.phases:
 
 # the representative forest is the learned object: every removed element
 # points at a friend, and parts are the connected components
-edges = run.forest.edges
-print(f"representative edges recorded: {len(edges)} (n - final basis size)")
-print(f"example edges: {edges[:5]}")
+removed = np.flatnonzero(run.parent >= 0)
+print(f"representative edges recorded: {removed.size} (n - final basis size)")
+print(f"example edges: {[(int(e), int(run.parent[e])) for e in removed[:5]]}")

@@ -25,7 +25,6 @@ from .model import (
     RankOracle,
     _check_int,
     instance_digest,
-    read_instance,
 )
 from .partition import find_partition_run
 
@@ -37,7 +36,6 @@ __all__ = [
     "generate",
     "RunReport",
     "run_learner",
-    "run_instance",
     "sweep",
     "sweep_rows_to_csv",
 ]
@@ -227,6 +225,8 @@ def run_learner(structure, learner, audit=False):
     simple instances whose parts all have >= 2 elements (treated as all-ones
     capacities); simple instances with singleton parts are routed to
     find_partition, since no valid capacitated structure can describe them.
+    The baseline has no audit checks, so audit on a run that goes to it is
+    a UsageError, raised before any query.
     """
     if learner not in LEARNERS:
         raise UsageError(f"unknown learner {learner!r}")
@@ -240,6 +240,8 @@ def run_learner(structure, learner, audit=False):
         route = "find_partition"
     elif simple:
         target = CapacitatedPartition(structure.parts, [1] * structure.k)
+    if audit and route == "baseline":
+        raise UsageError("the baseline learner has no audit checks; run it without audit")
 
     oracle = RankOracle(target)
     t0 = time.perf_counter()
@@ -291,12 +293,6 @@ def run_learner(structure, learner, audit=False):
         audit=audit,
         routed_to=None if route == learner else route,
     )
-
-
-def run_instance(path, learner, audit=False):
-    """File-based entry point mirroring the CLI run subcommand."""
-    structure, _meta = read_instance(path)
-    return run_learner(structure, learner, audit=audit)
 
 
 SWEEP_COLUMNS = [

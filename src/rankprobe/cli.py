@@ -17,12 +17,12 @@ from .bench import (
     LEARNERS,
     InstanceSpec,
     generate,
-    run_instance,
+    run_learner,
     sweep,
     sweep_rows_to_csv,
 )
 from .errors import UsageError
-from .model import write_instance
+from .model import read_instance, write_instance
 from .regression import load_regression_config
 
 
@@ -77,7 +77,8 @@ def _cmd_gen(args):
 
 
 def _cmd_run(args):
-    report = run_instance(args.instance, args.learner, audit=args.audit)
+    structure, _meta = read_instance(args.instance)
+    report = run_learner(structure, args.learner, audit=args.audit)
     if args.json:
         print(report.to_json())
     else:

@@ -25,7 +25,6 @@ from .partition import find_partition
 from .weighing import _halve
 
 __all__ = [
-    "Basis",
     "LearnedMatroid",
     "MatroidRun",
     "find_basis",
@@ -36,17 +35,6 @@ __all__ = [
     "baseline_independence_learner",
     "baseline_independence_learner_run",
 ]
-
-
-@dataclass
-class Basis:
-    """A maximum independent set, ascending: exactly r_i elements of each part."""
-
-    members: np.ndarray
-
-    @property
-    def size(self):
-        return int(self.members.size)
 
 
 @dataclass
@@ -119,18 +107,21 @@ def _find_basis(n, ledger, independent, stages):
             buf[size] = v
             if independent(buf[: size + 1]):
                 size += 1
-    return Basis(buf[:size].copy())
+    return buf[:size].copy()
 
 
 def find_basis(n, oracle):
-    """Greedy basis in exactly n rank queries; rank(B) is tracked, never re-queried."""
+    """Greedy basis in exactly n rank queries; rank(B) is tracked, never re-queried.
+
+    Returns the basis as an ascending int64 array: a maximum independent set,
+    exactly r_i elements of each part.
+    """
     _check_universe(n, oracle)
     return _find_basis(n, oracle.ledger, _rank_test(oracle), [])
 
 
-def _find_representatives(n, ledger, independent, basis, stages):
+def _find_representatives(n, ledger, independent, b, stages):
     """T1, T2 and phi from ``independent(S)`` tests (see find_representatives)."""
-    b = basis.members
     t2, phi = [], {}
     in_cur = np.ones(b.size, dtype=bool)  # B - T1 as a mask over B
     cur = b
@@ -161,6 +152,8 @@ def _find_representatives(n, ledger, independent, basis, stages):
 
 def find_representatives(n, oracle, basis):
     """Find transversals T1 in B, T2 disjoint from B, and the friend map phi: T1 -> T2.
+
+    ``basis`` is B as find_basis returns it, an ascending int64 array.
 
     Scans the n - |B| non-basis elements; each one opening a new part triggers
     a halving search over B (at most ceil(log2 |B|) queries) for a basis
@@ -226,6 +219,7 @@ def _outside_oracle(base, b, outside, t1):
 def learn_matroid_with_reps(n, oracle, basis, reps, audit=False):
     """Learn partition and capacities given a basis and representative pair.
 
+    ``basis`` is find_basis's array and ``reps`` find_representatives' pair.
     Runs the simple-partition learner twice over simulated oracles (inside the
     basis and outside it), reads capacities off the inside parts, and stitches
     the two partitions through phi.  Returns the LearnedMatroid.  Each step
@@ -236,8 +230,7 @@ def learn_matroid_with_reps(n, oracle, basis, reps, audit=False):
     return _learn_with_reps(n, oracle, basis, reps, audit, [])
 
 
-def _learn_with_reps(n, oracle, basis, reps, audit, stages):
-    b = basis.members
+def _learn_with_reps(n, oracle, b, reps, audit, stages):
     outside = _side_complement(n, b)
     ledger = oracle.ledger
 
@@ -277,7 +270,7 @@ def learn_partition_matroid_run(n, oracle, audit=False):
     _check_universe(n, oracle)
     ledger, independent, stages = oracle.ledger, _rank_test(oracle), []
     basis = _find_basis(n, ledger, independent, stages)
-    if audit and oracle.audit_rank(basis.members) != basis.size:
+    if audit and oracle.audit_rank(basis) != basis.size:
         raise InvariantViolation("greedy scan did not return an independent set")
     reps = _find_representatives(n, ledger, independent, basis, stages)
     matroid = _learn_with_reps(n, oracle, basis, reps, audit, stages)
@@ -300,10 +293,9 @@ def baseline_independence_learner_run(n, oracle):
     """
     _check_universe(n, oracle)
     ledger, independent, stages = oracle.ledger, oracle.is_independent, []
-    basis = _find_basis(n, ledger, independent, stages)
-    reps = _find_representatives(n, ledger, independent, basis, stages)
+    b = _find_basis(n, ledger, independent, stages)
+    reps = _find_representatives(n, ledger, independent, b, stages)
 
-    b = basis.members
     t1 = reps.inside
     t1_list = t1.tolist()
     # inside[x] / outside[x]: the members, in B and outside it, of the part

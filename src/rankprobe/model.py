@@ -58,20 +58,32 @@ def _out_of_range(n, bad):
     return UsageError(f"element id out of range [0, {n}): saw {bad}")
 
 
+def _as_list(s, what):
+    """``list(s)``; UsageError naming ``what`` when ``s`` is not iterable."""
+    try:
+        return list(s)
+    except TypeError:
+        raise UsageError(f"{what} must be an array or an iterable, got {type(s).__name__}") from None
+
+
 def _int_array(s, what):
     """``s`` (an integer array or an iterable of ints) as a 1-D int64 array.
 
     The integer rule every query and instance shares: a float or bool dtype
     raises UsageError instead of being truncated, and so does a bool element
-    of a non-array ``s``, which NumPy would read as 0/1.  An empty ``s`` passes.
+    of a non-array ``s``, which NumPy would read as 0/1.  A scalar, None or
+    another non-iterable ``s`` is a UsageError too.  An empty ``s`` passes.
     """
     if isinstance(s, np.ndarray):
         arr = s
     else:
-        s = list(s)
+        s = _as_list(s, what)
         if not {bool, np.bool_}.isdisjoint(map(type, s)):
             raise UsageError(f"{what} must be integers, not bools")
-        arr = np.asarray(s)
+        try:
+            arr = np.asarray(s)
+        except ValueError:  # ragged nesting
+            raise UsageError(f"{what} must be one-dimensional") from None
     if arr.ndim != 1:
         raise UsageError(f"{what} must be one-dimensional")
     if arr.size and arr.dtype.kind not in "iu":
@@ -158,6 +170,7 @@ class HiddenPartition:
     capacities = None
 
     def __init__(self, parts, n=None):
+        parts = _as_list(parts, "parts")
         if len(parts) == 0:
             raise UsageError("a partition needs at least one part")
         if n is not None:
@@ -209,6 +222,7 @@ class CapacitatedPartition(HiddenPartition):
     """
 
     def __init__(self, parts, capacities, n=None):
+        parts = _as_list(parts, "parts")
         caps = _int_array(capacities, "capacities")
         if caps.size != len(parts):
             raise UsageError("need one capacity per part")
@@ -330,9 +344,9 @@ class RankOracle:
     learner run; run distinct oracle instances when working across threads.
     """
 
-    def __init__(self, structure, ledger=None):
+    def __init__(self, structure):
         self.structure = structure
-        self.ledger = ledger if ledger is not None else QueryLedger()
+        self.ledger = QueryLedger()
         self.n = structure.n
         self._part_of = structure.part_of
         caps = structure.effective_capacities()

@@ -4,8 +4,9 @@ The working collection holds disjoint independent sets, kept as sorted int64
 arrays.  Pairs of comparable size (same size class t: |I| in [2^t, 2^{t+1}))
 are merged until every class holds at most one set; the survivors are then
 folded sequentially.  Every element removed along the way records a
-representative edge to a friend that is still held, so the parts are exactly
-the connected components of the representative forest plus the final basis.
+representative edge to a friend that is still held, in one parent array, so
+the parts are exactly the connected components of the representative forest
+plus the final basis.
 
 Most merges find no common part.  A merge asks the sum query of I1 against
 I2 itself, before any sparse recovery: an answer of 0 means the union is
@@ -26,7 +27,6 @@ from .model import _add_query, _check_universe, _int_array
 from .weighing import _row_sets, recover_matching, recover_sparse
 
 __all__ = [
-    "RepForest",
     "PartitionRun",
     "merge",
     "find_partition",
@@ -34,13 +34,24 @@ __all__ = [
     "components",
 ]
 
+# the removed ids and reps of a merge with no common part, shared by all of them
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_IDS.flags.writeable = False
+
 
 @dataclass
 class MergeOutcome:
-    """Result of merging I1 into I2: the surviving set and the removed elements' reps."""
+    """Result of merging I1 into I2.
+
+    ``merged`` is the surviving set, ascending.  ``removed`` holds I1's copies
+    of the common parts (com12), ascending, and ``reps[i]`` is the friend in
+    I2 of ``removed[i]``: one representative edge per removed element.  Both
+    are int64 arrays of length d = |com(I1, I2)|.
+    """
 
     merged: np.ndarray
-    removed_with_reps: list
+    removed: np.ndarray
+    reps: np.ndarray
 
 
 @dataclass
@@ -57,47 +68,19 @@ class MergeStat:
 
 
 @dataclass
-class RepForest:
-    """Directed representative edges (e -> rep(e)) as a parent array; -1 marks roots."""
-
-    parent: np.ndarray
-    roots: np.ndarray
-
-    @classmethod
-    def from_edges(cls, n, edges, roots):
-        """Build the parent array; an edge end or root that is not an integer
-        in [0, n) is a UsageError."""
-        edges = list(edges)
-        src = _int_array([e for e, _ in edges], "representative edge ends")
-        dst = _int_array([rep for _, rep in edges], "representative edge ends")
-        roots = np.sort(_int_array(roots, "roots"))
-        parent = np.full(n, -1, dtype=np.int64)
-        for e, rep in zip(src.tolist(), dst.tolist()):
-            if not (0 <= e < n and 0 <= rep < n):
-                raise UsageError(f"representative edge ({e}, {rep}) leaves [0, {n})")
-            if parent[e] != -1:
-                raise InvariantViolation(f"element {e} has two outgoing representative edges")
-            parent[e] = rep
-        if roots.size and not (0 <= roots[0] and roots[-1] < n):
-            raise UsageError(f"a root lies outside [0, {n})")
-        return cls(parent, roots)
-
-    @property
-    def edges(self):
-        src = np.flatnonzero(self.parent >= 0)
-        return [(int(e), int(self.parent[e])) for e in src]
-
-
-@dataclass
 class PartitionRun:
     """Full record of one find_partition execution.
 
-    ``phases`` holds the ledger's ``pairwise-merge`` and ``final-fold`` phase
-    records (empty for n = 0); ``merge_stats`` has one entry per merge.
+    ``parent`` is the representative forest as an int64 parent array over
+    0..n-1: ``parent[e]`` is the friend e was removed for, and -1 marks a
+    root, so the final basis is ``np.flatnonzero(parent < 0)`` and ``parts``
+    is ``components(parent)``.  ``phases`` holds the ledger's
+    ``pairwise-merge`` and ``final-fold`` phase records (empty for n = 0);
+    ``merge_stats`` has one entry per merge.
     """
 
     parts: list
-    forest: RepForest
+    parent: np.ndarray
     phases: list
     merge_stats: list = field(repr=False)
     survivors_after_phase1: int = 0
@@ -114,10 +97,11 @@ def merge(i1, i2, oracle):
     sides of the common set have size d.  The friend pairing is then a hidden
     perfect matching between the two common sets, reconstructed from add
     queries (skipped for d <= 1 where the outcome is forced).  The merged set
-    keeps I2's copies of the common parts.  A root sum outside
-    [0, min(|I1|, |I2|)] cannot come from an honest oracle: DecodeFailure.
-    I1 and I2 must be one-dimensional integer ids (UsageError before any
-    query otherwise).
+    keeps I2's copies of the common parts; the outcome's ``removed`` and
+    ``reps`` are I1's copies and their friends (see MergeOutcome).  A root
+    sum outside [0, min(|I1|, |I2|)] cannot come from an honest oracle:
+    DecodeFailure.  I1 and I2 must be one-dimensional integer ids (UsageError
+    before any query otherwise).
     """
     i1 = _int_array(i1, "I1")
     i2 = _int_array(i2, "I2")
@@ -133,7 +117,7 @@ def merge(i1, i2, oracle):
             # I1 and I2 are disjoint: their sorted concatenation is the union
             merged = np.concatenate((i1, i2))
             merged.sort()
-            return MergeOutcome(merged, [])
+            return MergeOutcome(merged, _NO_IDS, _NO_IDS)
         def sums(src, other):
             # sum(S, other) = add(S ∪ other), as the root query asks it
             return lambda cols, bounds: [
@@ -144,20 +128,20 @@ def merge(i1, i2, oracle):
         com12 = i1[rec1.support]
         rec2 = recover_sparse(i2.size, sums(i2, i1), known_total=d)
         com21 = i2[rec2.support]
-    # recover_sparse returns exactly known_total ones or raises, so |com21| = d
-    if d == 1:
-        pairs = [(int(com12[0]), int(com21[0]))]
-    else:
-        with ledger.phase("matching"):
-            result = recover_matching(com12, com21, lambda s: _add_query(oracle, s))
-        pairs = [(int(e), int(result.pairs[int(e)])) for e in com12]
     # I1 and I2 are disjoint, so dropping com12 from I1 and sorting the
     # concatenation is the sorted union minus com12
     keep = np.ones(i1.size, dtype=bool)
     keep[rec1.support] = False
     merged = np.concatenate((i1[keep], i2))
     merged.sort()
-    return MergeOutcome(merged, pairs)
+    # recover_sparse returns exactly known_total ones or raises, so |com21| = d
+    if d == 1:
+        return MergeOutcome(merged, com12, com21)
+    com12.sort()  # already ascending when I1 is, as in find_partition
+    with ledger.phase("matching"):
+        pairs = recover_matching(com12, com21, lambda s: _add_query(oracle, s)).pairs
+    reps = np.array([pairs[e] for e in com12.tolist()], dtype=np.int64)
+    return MergeOutcome(merged, com12, reps)
 
 
 def _size_class(size):
@@ -170,9 +154,11 @@ def find_partition_run(n, oracle, audit=False):
     Phase 1 repeatedly merges the two most recently inserted sets of any size
     class holding two or more; afterwards at most floor(log2 n) + 1 sets can
     survive (asserted).  Phase 2 folds the survivors in ascending size order.
-    Audit mode re-checks each merged set's independence through separately
-    counted audit queries.  ``n`` must be the oracle's universe size, otherwise
-    UsageError.
+    Each merge with common parts writes its representative edges into one
+    parent array, ``parent[removed] = reps``; the elements never removed, the
+    roots, are the final basis (checked).  Audit mode re-checks each merged
+    set's independence through separately counted audit queries.  ``n`` must
+    be the oracle's universe size, otherwise UsageError.
     """
     _check_universe(n, oracle)
     parent = np.full(n, -1, dtype=np.int64)
@@ -180,14 +166,13 @@ def find_partition_run(n, oracle, audit=False):
     ledger = oracle.ledger
 
     if n == 0:
-        forest = RepForest(parent, np.asarray([], dtype=np.int64))
-        return PartitionRun([], forest, [], stats, 0)
+        return PartitionRun([], parent, [], stats, 0)
 
     def run_merge(a, b, phase):
         before = ledger.rank_count
         outcome = merge(a, b, oracle)
         spent = ledger.rank_count - before
-        d = len(outcome.removed_with_reps)
+        d = outcome.removed.size
         k1 = min(a.size, b.size)
         if outcome.merged.size != a.size + b.size - d:
             raise InternalConsistencyError("merged size disagrees with |I1|+|I2|-d")
@@ -202,8 +187,8 @@ def find_partition_run(n, oracle, audit=False):
                 size_class=_size_class(int(k1)),
             )
         )
-        for e, rep in outcome.removed_with_reps:
-            parent[e] = rep
+        if d:
+            parent[outcome.removed] = outcome.reps
         if audit:
             if oracle.audit_rank(outcome.merged) != outcome.merged.size:
                 raise InvariantViolation("merged set is not independent")
@@ -235,12 +220,11 @@ def find_partition_run(n, oracle, audit=False):
         for nxt in survivors[1:]:
             current = run_merge(nxt, current, "final-fold").merged
 
-    forest = RepForest(parent, current.copy())
-    removed = np.flatnonzero(parent >= 0)
-    if removed.size + current.size != n or np.intersect1d(removed, current).size:
+    # current is ascending, so it is the final basis exactly when it lists the roots
+    if not np.array_equal(np.flatnonzero(parent < 0), current):
         raise InvariantViolation("representative forest and final basis do not cover V exactly")
-    parts = components(forest)
-    return PartitionRun(parts, forest, [pairwise, fold], stats, survivors_after_phase1)
+    parts = components(parent)
+    return PartitionRun(parts, parent, [pairwise, fold], stats, survivors_after_phase1)
 
 
 def find_partition(n, oracle, audit=False):
@@ -248,8 +232,11 @@ def find_partition(n, oracle, audit=False):
     return find_partition_run(n, oracle, audit=audit).parts
 
 
-def components(forest):
-    """Connected components of the representative forest, as canonical parts.
+def components(parent):
+    """Connected components of a representative forest, as canonical parts.
+
+    ``parent`` is the forest as a parent array over 0..n-1 (an int64 array or
+    a list of ints): ``parent[e]`` is e's representative, -1 marks a root.
 
     Pointer jumping: every element starts at its parent (a root at itself)
     and replaces its pointer by its pointer's pointer until nothing changes,
@@ -260,7 +247,7 @@ def components(forest):
     has a parent.  A parent entry that is not an integer in [-1, n) is a
     UsageError.
     """
-    parent = _int_array(forest.parent, "parent entries")
+    parent = _int_array(parent, "parent entries")
     n = parent.size
     if n == 0:
         return []

@@ -28,7 +28,6 @@ class RegressionConfig:
     """Named constants plus the sparse-recovery budget table B(N, d)."""
 
     def __init__(self, doc):
-        self.version = doc.get("config_version", "unversioned")
         self.constants = doc.get("constants", {})
         self.b_table = doc.get("sparse_budget_table", {})
 
@@ -44,14 +43,24 @@ class RegressionConfig:
         return float(value)
 
     def note(self, name):
-        return self.constants.get(name, {}).get("note", "")
+        """Constant ``name``'s provenance note ("" when it has none); a
+        constant that is not a JSON object is a UsageError, as in value()."""
+        try:
+            return self.constants.get(name, {}).get("note", "")
+        except AttributeError:
+            raise UsageError(f"regression constant {name!r} is not a JSON object") from None
 
     def sparse_budget(self, N, d):
+        """The frozen budget B(N, d): a positive integer, otherwise UsageError."""
         key = f"{N}:{d}"
         if not isinstance(self.b_table, dict) or key not in self.b_table:
             raise UsageError(f"no frozen sparse budget for (N, d) = ({N}, {d})")
-        _check_int(self.b_table[key], f"the sparse budget for (N, d) = ({N}, {d})")
-        return self.b_table[key]
+        budget = self.b_table[key]
+        what = f"the sparse budget for (N, d) = ({N}, {d})"
+        _check_int(budget, what)
+        if budget < 1:
+            raise UsageError(f"{what} must be positive, got {budget}")
+        return budget
 
 
 def load_regression_config(path=None):

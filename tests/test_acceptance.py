@@ -267,9 +267,8 @@ def test_criterion_09_simulated_rank_property():
         n = sum(len(p) for p in parts)
         truth = CapacitatedPartition(parts, caps)
         o = RankOracle(truth)
-        basis = find_basis(n, o)
-        reps = find_representatives(n, o, basis)
-        b = basis.members
+        b = find_basis(n, o)
+        reps = find_representatives(n, o, b)
         outside = _side_complement(n, b)
         assert b.size <= 10 and outside.size <= 10
         b_set = set(b.tolist())

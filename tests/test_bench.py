@@ -164,6 +164,25 @@ class TestRunLearner:
             assert plain.ledger[key] == audited.ledger[key]
         assert audited.ledger["audit_count"] > 0
 
+    def test_baseline_audit_rejected_before_any_query(self, monkeypatch):
+        # the baseline has no audit checks: audit=True reported "audit": true
+        # with an audit count of 0
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the baseline must not run")
+
+        monkeypatch.setattr(bench, "baseline_independence_learner_run", unreachable)
+        for family in ("capacitated-random", "equal-blocks"):
+            st, _ = generate(InstanceSpec(family, 64, k=4, seed=1))
+            with pytest.raises(UsageError, match="audit"):
+                run_learner(st, "baseline", audit=True)
+
+    def test_baseline_routed_to_find_partition_keeps_its_audit(self):
+        st, _ = generate(InstanceSpec("singleton-heavy", 64, seed=2))
+        report = run_learner(st, "baseline", audit=True)
+        assert report.routed_to == "find_partition"
+        assert report.correct and report.audit
+        assert report.ledger["audit_count"] > 0
+
     def test_learner_instance_mismatch(self):
         st, _ = generate(InstanceSpec("capacitated-random", 32, seed=1))
         if all(int(c) == 1 for c in st.capacities):
@@ -434,12 +453,30 @@ class TestRegressionConfig:
 
     @pytest.mark.parametrize(
         "table, match",
-        [({"64:8": 2.7}, "integer"), ({"64:8": True}, "integer"), ({"64:8": "x"}, "integer"), ([1, 2], "no frozen")],
-        ids=["float", "bool", "str", "list-table"],
+        [
+            ({"64:8": 2.7}, "integer"),
+            ({"64:8": True}, "integer"),
+            ({"64:8": "x"}, "integer"),
+            ([1, 2], "no frozen"),
+            ({"64:8": -3}, "positive"),
+            ({"64:8": 0}, "positive"),
+        ],
+        ids=["float", "bool", "str", "list-table", "negative", "zero"],
     )
     def test_budget_follows_the_integer_rule(self, table, match):
+        # a budget of -3 was returned as it stood
         with pytest.raises(UsageError, match=match):
             RegressionConfig({"sparse_budget_table": table}).sparse_budget(64, 8)
+
+    @pytest.mark.parametrize("entry", [7.5, "x", [1], None])
+    def test_note_of_a_constant_that_is_not_an_object(self, entry):
+        # note() raised AttributeError where value() names the constant
+        config = RegressionConfig({"constants": {"C_total": entry}})
+        with pytest.raises(UsageError, match="'C_total'"):
+            config.note("C_total")
+
+    def test_note_of_a_missing_constant_is_empty(self):
+        assert RegressionConfig({"constants": {}}).note("C_total") == ""
 
 
 class TestCli:
@@ -461,6 +498,30 @@ class TestCli:
         inst.write_bytes(content)
         assert main(["run", "--instance", str(inst), "--learner", "find_partition"]) == 2
         assert "usage error: instance document is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"n": 3, "parts": 5}',
+            '{"n": 3, "parts": null}',
+            '{"n": 3, "parts": [5]}',
+            '{"n": 3, "parts": [null]}',
+            '{"n": 3, "parts": [[0, 1, 2]], "capacities": 2}',
+        ],
+        ids=["parts-int", "parts-null", "part-int", "part-null", "capacities-int"],
+    )
+    def test_malformed_instance_exit_2(self, tmp_path, capsys, doc):
+        # each printed a TypeError traceback and exited 1
+        inst = tmp_path / "malformed.json"
+        inst.write_text(doc)
+        assert main(["run", "--instance", str(inst), "--learner", "find_partition"]) == 2
+        assert "usage error:" in capsys.readouterr().err
+
+    def test_baseline_audit_exit_2(self, tmp_path, capsys):
+        inst = tmp_path / "i.json"
+        assert main(["gen", "--family", "capacitated-random", "--n", "64", "--seed", "1", "-o", str(inst)]) == 0
+        assert main(["run", "--instance", str(inst), "--learner", "baseline", "--audit"]) == 2
+        assert "usage error:" in capsys.readouterr().err
 
     def test_sweep_writes_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"

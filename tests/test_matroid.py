@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from rankprobe import (
@@ -32,13 +33,13 @@ class TestFindBasis:
     def test_two_element_single_part(self):
         o = cap_oracle([[0, 1]], [1])
         basis = find_basis(2, o)
-        assert basis.members.tolist() == [0]
+        assert basis.tolist() == [0]
         assert o.ledger.rank_count == 2
 
     def test_five_element_example(self):
         o = cap_oracle([[0, 1, 2], [3, 4]], [2, 1])
         basis = find_basis(5, o)
-        assert basis.members.tolist() == [0, 1, 3]
+        assert basis.tolist() == [0, 1, 3]
         assert o.ledger.rank_count == 5
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -47,9 +48,10 @@ class TestFindBasis:
         o = RankOracle(st)
         basis = find_basis(160, o)
         assert o.ledger.rank_count == 160
+        assert basis.dtype == np.int64 and (np.diff(basis) > 0).all()
         # ground truth: exactly r_i members per part, so |B| = rank(V)
         per_part = {i: 0 for i in range(st.k)}
-        for e in basis.members.tolist():
+        for e in basis.tolist():
             per_part[int(st.part_of[e])] += 1
         assert all(per_part[i] == int(st.capacities[i]) for i in range(st.k))
 
@@ -89,7 +91,7 @@ class TestFindRepresentatives:
         for side, in_basis in ((reps.inside, True), (reps.outside, False)):
             seen = [int(st.part_of[e]) for e in side.tolist()]
             assert sorted(seen) == list(range(k))
-            basis_set = set(basis.members.tolist())
+            basis_set = set(basis.tolist())
             for e in side.tolist():
                 assert (e in basis_set) == in_basis
         for t1, t2 in reps.phi.items():
@@ -115,9 +117,8 @@ class TestLearnWithReps:
         for parts, caps in cases:
             n = sum(len(p) for p in parts)
             o = cap_oracle(parts, caps)
-            basis = find_basis(n, o)
-            reps = find_representatives(n, o, basis)
-            b = basis.members
+            b = find_basis(n, o)
+            reps = find_representatives(n, o, b)
             outside = _side_complement(n, b)
             restricted_b = [[e for e in p if e in set(b.tolist())] for p in parts]
             restricted_out = [[e for e in p if e in set(outside.tolist())] for p in parts]

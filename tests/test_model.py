@@ -11,7 +11,9 @@ from rankprobe import (
     RankOracle,
     UsageError,
     add_query_sim,
+    build_detecting_matrix,
     instance_digest,
+    recover_matching,
     sum_query_sim,
 )
 from rankprobe import model
@@ -236,6 +238,50 @@ class TestQueryContract:
         o = oracle(*self.CAPPED)
         with pytest.raises(UsageError):
             query(o)
+        assert (o.ledger.rank_count, o.ledger.independence_count, o.ledger.audit_count) == (0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda o: o.rank(5),
+            lambda o: o.rank(None),
+            lambda o: o.rank(np.int64(1)),
+            lambda o: o.is_independent(3),
+            lambda o: add_query_sim(o, 3),
+            lambda o: sum_query_sim(o, 1, [2]),
+            lambda o: recover_matching(1, 2, lambda s: add_query_sim(o, s)),
+            lambda o: build_detecting_matrix(5).decode(7),
+            lambda o: HiddenPartition(5),
+            lambda o: HiddenPartition(None),
+            lambda o: HiddenPartition([5]),
+            lambda o: HiddenPartition([None]),
+            lambda o: HiddenPartition([[0, [1]]]),
+            lambda o: CapacitatedPartition(5, [1]),
+            lambda o: CapacitatedPartition([[0, 1]], 2),
+        ],
+        ids=[
+            "rank-int",
+            "rank-none",
+            "rank-numpy-int",
+            "independence-int",
+            "add-int",
+            "sum-int",
+            "matching-ints",
+            "decode-int",
+            "parts-int",
+            "parts-none",
+            "part-int",
+            "part-none",
+            "part-ragged",
+            "capacitated-parts-int",
+            "capacities-int",
+        ],
+    )
+    def test_non_iterable_rejected_and_uncharged(self, build):
+        # each raised a bare TypeError (list() of a scalar, len() of one)
+        o = oracle(*self.CAPPED)
+        with pytest.raises(UsageError, match="iterable|one-dimensional"):
+            build(o)
         assert (o.ledger.rank_count, o.ledger.independence_count, o.ledger.audit_count) == (0, 0, 0)
 
     def test_bool_in_a_list_rejected_and_uncharged(self):

@@ -20,7 +20,6 @@ from rankprobe import (
 )
 from rankprobe import partition
 from rankprobe.bench import InstanceSpec, generate
-from rankprobe.partition import RepForest
 from rankprobe.regression import load_regression_config
 
 from _bruteforce import brute_components, canonical, enumerate_set_partitions, random_partition
@@ -31,12 +30,17 @@ def oracle(parts):
     return RankOracle(HiddenPartition(parts))
 
 
+def assert_no_edges(out):
+    assert out.removed.dtype == out.reps.dtype == np.int64
+    assert out.removed.size == out.reps.size == 0
+
+
 class TestMerge:
     def test_all_singletons(self):
         o = oracle([[0], [1], [2], [3]])
         out = merge(np.array([0, 1]), np.array([2, 3]), o)
         assert out.merged.tolist() == [0, 1, 2, 3]
-        assert out.removed_with_reps == []
+        assert_no_edges(out)
         assert o.ledger.rank_count == 1  # one root sum settles both directions
         assert "matching" not in o.ledger.per_phase
 
@@ -44,7 +48,25 @@ class TestMerge:
         o = oracle([[0, 2], [1], [3]])
         out = merge(np.array([0, 1]), np.array([2, 3]), o)
         assert out.merged.tolist() == [1, 2, 3]
-        assert out.removed_with_reps == [(0, 2)]
+        assert (out.removed.tolist(), out.reps.tolist()) == ([0], [2])
+
+    @pytest.mark.parametrize("d", [2, 5, 40])
+    def test_removed_ascending_with_aligned_reps(self, d):
+        # I1 and I2 shuffled, friends paired at random: removed is sorted all
+        # the same, and reps[i] is removed[i]'s friend in I2 (40 pairs take
+        # the bit-plane matching, fewer the binary search)
+        rng = np.random.default_rng(d)
+        ids = rng.permutation(3 * d + 6)
+        com1, com2, rest1, rest2 = ids[:d], ids[d : 2 * d], ids[2 * d : 2 * d + 3], ids[2 * d + 3 :]
+        parts = [[int(a), int(b)] for a, b in zip(com1, com2)] + [[int(e)] for e in ids[2 * d :]]
+        structure = HiddenPartition(parts)
+        i1 = rng.permutation(np.concatenate((com1, rest1)))
+        i2 = rng.permutation(np.concatenate((com2, rest2)))
+        out = merge(i1, i2, RankOracle(structure))
+        assert out.removed.tolist() == sorted(com1.tolist())
+        assert np.array_equal(structure.part_of[out.reps], structure.part_of[out.removed])
+        assert set(out.reps.tolist()) == set(com2.tolist())
+        assert out.merged.tolist() == sorted(rest1.tolist() + i2.tolist())
 
     def test_matching_skipped_when_com_empty(self):
         o = oracle([[0], [1], [2], [3], [4], [5]])
@@ -85,7 +107,7 @@ class TestMerge:
         o = oracle([[0, 1], [2, 3], [4], [5], [6], [7]])
         out = merge(np.array([4, 6, 0]), np.array([7, 2, 5]), o)
         assert out.merged.tolist() == [0, 2, 4, 5, 6, 7]
-        assert out.removed_with_reps == []
+        assert_no_edges(out)
         assert o.ledger.rank_count == 1
         assert o.ledger.per_phase == {"com-discovery": 1}
 
@@ -116,7 +138,8 @@ class TestMerge:
         parts += [[64 + j] for j in range(40, 70)]
         o = Counting(HiddenPartition(parts))
         out = merge(np.arange(64), np.arange(64, 134), o)
-        assert sorted(out.removed_with_reps) == [(j, 64 + j) for j in range(40)]
+        assert out.removed.tolist() == list(range(40))
+        assert out.reps.tolist() == list(range(64, 104))
         designs = [build_detecting_matrix(64).n_rows, build_detecting_matrix(70).n_rows]
         assert [rows for rows in blocks if rows > 1] == designs
         assert o.ledger.per_phase["com-discovery"] == 1 + sum(blocks)
@@ -144,7 +167,7 @@ class TestMerge:
         o = oracle([[0, 1], [2, 3]])
         out = merge(np.array(i1, dtype=np.int64), np.array(i2, dtype=np.int64), o)
         assert out.merged.tolist() == [1, 3]
-        assert out.removed_with_reps == []
+        assert_no_edges(out)
         assert o.ledger.rank_count == queries
 
 
@@ -324,26 +347,24 @@ class TestPinnedLedgers:
 
 class TestComponents:
     def test_no_edges(self):
-        forest = RepForest.from_edges(3, [], [0, 1, 2])
-        assert canonical(components(forest)) == ((0,), (1,), (2,))
+        assert canonical(components(np.array([-1, -1, -1]))) == ((0,), (1,), (2,))
 
     def test_star(self):
-        forest = RepForest.from_edges(3, [(0, 2), (1, 2)], [2])
-        assert canonical(components(forest)) == ((0, 1, 2),)
+        assert canonical(components([2, 2, -1])) == ((0, 1, 2),)
 
     def test_chain(self):
-        forest = RepForest.from_edges(3, [(0, 1), (1, 2)], [2])
-        assert canonical(components(forest)) == ((0, 1, 2),)
+        assert canonical(components(np.array([1, 2, -1]))) == ((0, 1, 2),)
 
     def test_empty(self):
-        assert components(RepForest.from_edges(0, [], [])) == []
+        assert components(np.empty(0, dtype=np.int64)) == []
+        assert components([]) == []
 
     @pytest.mark.parametrize("step", [1, -1])
     def test_deep_chain(self, step):
         n = 10_000
         parent = np.arange(n, dtype=np.int64) + step  # depth n - 1
         parent[n - 1 if step == 1 else 0] = -1
-        parts = components(RepForest(parent, np.flatnonzero(parent < 0)))
+        parts = components(parent)
         assert len(parts) == 1
         assert parts[0].tolist() == list(range(n))
 
@@ -356,54 +377,43 @@ class TestComponents:
         for j in range(1, n):
             if rng.random() < 0.8:  # attach below an element placed earlier
                 parent[order[j]] = order[rng.integers(0, j)]
-        parts = components(RepForest(parent, np.flatnonzero(parent < 0)))
+        parts = components(parent)
         assert [p.tolist() for p in parts] == brute_components(parent)
 
     @pytest.mark.parametrize(
-        "n,edges,roots",
-        [(3, [(0, 1), (1, 0)], [2]), (4, [(0, 1), (1, 2), (2, 0)], [3])],
-        ids=["2-cycle", "3-cycle"],
+        "parent", [[1, 0, -1], [1, 2, 0, -1]], ids=["2-cycle", "3-cycle"]
     )
-    def test_parent_cycle_rejected(self, n, edges, roots):
+    def test_parent_cycle_rejected(self, parent):
         # a 2-cycle settles to fixed points under pointer jumping, a 3-cycle never does
         with pytest.raises(InvariantViolation):
-            components(RepForest.from_edges(n, edges, roots))
+            components(np.array(parent))
 
     @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: components(RepForest.from_edges(3, [(0, 5)], [1, 2])),
-            lambda: RepForest.from_edges(3, [(7, 1)], [1, 2]),
-            lambda: components(RepForest(np.array([-1, -2, 0]), np.array([0]))),
-        ],
-        ids=["edge-rep-out-of-range", "edge-source-out-of-range", "parent-below-minus-one"],
+        "parent",
+        [[5, -1, -1], np.array([-1, -2, 0])],
+        ids=["edge-rep-out-of-range", "parent-below-minus-one"],
     )
-    def test_malformed_forest_rejected(self, build):
+    def test_malformed_forest_rejected(self, parent):
         with pytest.raises(UsageError):
-            build()
+            components(parent)
 
     @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: RepForest.from_edges(3, [(0.5, 1)], [2]),
-            lambda: components(RepForest(np.array([-1.0, 0.0, 1.0]), np.array([0]))),
-            lambda: RepForest.from_edges(3, [], [0.5]),
-        ],
-        ids=["float-edge-end", "float-parent", "float-root"],
+        "parent",
+        [np.array([-1.0, 0.0, 1.0]), [-1, 0.5, 0]],
+        ids=["float-parent", "float-list"],
     )
-    def test_non_integer_forest_rejected(self, build):
-        # the first two raised a bare IndexError; a 0.5 root was truncated to 0
+    def test_non_integer_forest_rejected(self, parent):
+        # a float array once raised a bare IndexError
         with pytest.raises(UsageError, match="integers"):
-            build()
-
-    def test_two_outgoing_edges_rejected(self):
-        with pytest.raises(InvariantViolation):
-            RepForest.from_edges(3, [(0, 1), (0, 2)], [1, 2])
+            components(parent)
 
     def test_forest_matches_hidden_parts(self):
-        parts = random_partition(96, 12, seed=11)
-        o = oracle(parts)
-        run = find_partition_run(96, o)
-        assert canonical(components(run.forest)) == canonical(parts)
-        non_roots = np.flatnonzero(run.forest.parent >= 0)
-        assert non_roots.size + run.forest.roots.size == 96
+        structure = HiddenPartition(random_partition(96, 12, seed=11))
+        run = find_partition_run(96, RankOracle(structure))
+        assert canonical(components(run.parent)) == structure.as_tuples()
+        # the roots are the final basis: one element of each hidden part
+        roots = np.flatnonzero(run.parent < 0)
+        assert sorted(structure.part_of[roots].tolist()) == list(range(structure.k))
+        # every other element points at a friend, in its own part
+        others = np.flatnonzero(run.parent >= 0)
+        assert np.array_equal(structure.part_of[run.parent[others]], structure.part_of[others])

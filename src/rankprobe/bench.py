@@ -24,6 +24,7 @@ from .model import (
     HiddenPartition,
     RankOracle,
     _check_int,
+    certify,
     instance_digest,
 )
 from .partition import find_partition_run
@@ -225,8 +226,12 @@ def run_learner(structure, learner, audit=False):
     simple instances whose parts all have >= 2 elements (treated as all-ones
     capacities); simple instances with singleton parts are routed to
     find_partition, since no valid capacitated structure can describe them.
-    The baseline has no audit checks, so audit on a run that goes to it is
-    a UsageError, raised before any query.
+
+    With ``audit`` the learned structure, whichever learner gave it, is
+    certified once against the oracle (``model.certify``).  Its queries are
+    charged to ``audit_count`` alone: k + 2 on a simple answer, k + 2 plus
+    the capacities of at least 2 on a matroid answer.  A wrong answer raises
+    InvariantViolation.
     """
     if learner not in LEARNERS:
         raise UsageError(f"unknown learner {learner!r}")
@@ -240,18 +245,19 @@ def run_learner(structure, learner, audit=False):
         route = "find_partition"
     elif simple:
         target = CapacitatedPartition(structure.parts, [1] * structure.k)
-    if audit and route == "baseline":
-        raise UsageError("the baseline learner has no audit checks; run it without audit")
 
     oracle = RankOracle(target)
     t0 = time.perf_counter()
     if route == "find_partition":
-        run = find_partition_run(target.n, oracle, audit=audit)
+        run = find_partition_run(target.n, oracle)
     elif route == "learn_partition_matroid":
-        run = learn_partition_matroid_run(target.n, oracle, audit=audit)
+        run = learn_partition_matroid_run(target.n, oracle)
     else:
         run = baseline_independence_learner_run(target.n, oracle)
     wall = time.perf_counter() - t0
+    if audit:
+        learned = HiddenPartition(run.parts, target.n) if route == "find_partition" else run.matroid
+        certify(oracle, learned)
 
     if route == "find_partition":
         learned_parts = [p.tolist() for p in run.parts]

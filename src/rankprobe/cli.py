@@ -46,7 +46,7 @@ def _build_parser():
     run = sub.add_parser("run", help="run one learner against an instance file")
     run.add_argument("--instance", required=True)
     run.add_argument("--learner", required=True, choices=LEARNERS)
-    run.add_argument("--audit", action="store_true", help="enable separately-ledgered invariant checks")
+    run.add_argument("--audit", action="store_true", help="certify the learned structure; its queries count in audit_count only")
     run.add_argument("--json", action="store_true", help="emit the full report as JSON")
 
     sw = sub.add_parser("sweep", help="run a scaling sweep and write CSV")

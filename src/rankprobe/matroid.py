@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, UsageError
-from .model import CapacitatedPartition, _check_universe
+from .model import CapacitatedPartition, _check_universe, _int_array
 from .partition import find_partition
 from .weighing import _halve
 
@@ -153,7 +153,9 @@ def _find_representatives(n, ledger, independent, b, stages):
 def find_representatives(n, oracle, basis):
     """Find transversals T1 in B, T2 disjoint from B, and the friend map phi: T1 -> T2.
 
-    ``basis`` is B as find_basis returns it, an ascending int64 array.
+    ``basis`` is B as find_basis returns it, ascending; a list of ints or an
+    integer array.  Any other ``basis`` (floats, more than one dimension) is
+    a UsageError, raised before any query.
 
     Scans the n - |B| non-basis elements; each one opening a new part triggers
     a halving search over B (at most ceil(log2 |B|) queries) for a basis
@@ -161,6 +163,7 @@ def find_representatives(n, oracle, basis):
     arithmetically, not queried.
     """
     _check_universe(n, oracle)
+    basis = _int_array(basis, "basis")
     return _find_representatives(n, oracle.ledger, _rank_test(oracle), basis, [])
 
 
@@ -174,7 +177,8 @@ class _SimulatedOracle:
     ``probe(pos)`` gives the base query set for positions S and an offset;
     rank(S) is the base rank of that set minus the offset, one base query per
     call.  Positions come from find_partition_run and are trusted; the base
-    oracle validates each probe it is asked.
+    oracle validates each probe it is asked.  It answers rank queries only:
+    a learned answer is checked on the base oracle (``model.certify``).
     """
 
     def __init__(self, base, n, probe):
@@ -186,10 +190,6 @@ class _SimulatedOracle:
     def rank(self, pos):
         query, offset = self._probe(pos)
         return self.base.rank(query) - offset
-
-    def audit_rank(self, pos):
-        query, offset = self._probe(pos)
-        return self.base.audit_rank(query) - offset
 
 
 def _inside_oracle(base, b, t2):
@@ -216,30 +216,30 @@ def _outside_oracle(base, b, outside, t1):
     return _SimulatedOracle(base, int(outside.size), probe)
 
 
-def learn_matroid_with_reps(n, oracle, basis, reps, audit=False):
+def learn_matroid_with_reps(n, oracle, basis, reps):
     """Learn partition and capacities given a basis and representative pair.
 
-    ``basis`` is find_basis's array and ``reps`` find_representatives' pair.
-    Runs the simple-partition learner twice over simulated oracles (inside the
-    basis and outside it), reads capacities off the inside parts, and stitches
-    the two partitions through phi.  Returns the LearnedMatroid.  Each step
-    runs as a ledger phase (``inside-basis``, ``outside-basis``, ``stitch``);
-    the stitch asks nothing, so its record reads zero.
+    ``basis`` is find_basis's array and ``reps`` find_representatives' pair;
+    ``basis`` follows find_representatives' integer rule (UsageError before
+    any query).  Runs the simple-partition learner twice over simulated
+    oracles (inside the basis and outside it), reads capacities off the
+    inside parts, and stitches the two partitions through phi.  Returns the
+    LearnedMatroid, which ``model.certify`` can check against the oracle.
+    Each step runs as a ledger phase (``inside-basis``, ``outside-basis``,
+    ``stitch``); the stitch asks nothing, so its record reads zero.
     """
     _check_universe(n, oracle)
-    return _learn_with_reps(n, oracle, basis, reps, audit, [])
+    return _learn_with_reps(n, oracle, _int_array(basis, "basis"), reps, [])
 
 
-def _learn_with_reps(n, oracle, b, reps, audit, stages):
+def _learn_with_reps(n, oracle, b, reps, stages):
     outside = _side_complement(n, b)
     ledger = oracle.ledger
 
     with _stage(ledger, "inside-basis", stages):
-        parts1 = find_partition(int(b.size), _inside_oracle(oracle, b, reps.outside), audit=audit)
+        parts1 = find_partition(int(b.size), _inside_oracle(oracle, b, reps.outside))
     with _stage(ledger, "outside-basis", stages):
-        parts2 = find_partition(
-            int(outside.size), _outside_oracle(oracle, b, outside, reps.inside), audit=audit
-        )
+        parts2 = find_partition(int(outside.size), _outside_oracle(oracle, b, outside, reps.inside))
 
     with _stage(ledger, "stitch", stages):
         if len(parts1) != reps.k or len(parts2) != reps.k:
@@ -265,15 +265,17 @@ def _learn_with_reps(n, oracle, b, reps, audit, stages):
     )
 
 
-def learn_partition_matroid_run(n, oracle, audit=False):
-    """Full pipeline; its stages are the ledger phases it opens, in order."""
+def learn_partition_matroid_run(n, oracle):
+    """Full pipeline; its stages are the ledger phases it opens, in order.
+
+    The run asks rank queries only; its answer can be checked afterwards with
+    ``model.certify``, as ``bench.run_learner`` does on request.
+    """
     _check_universe(n, oracle)
     ledger, independent, stages = oracle.ledger, _rank_test(oracle), []
     basis = _find_basis(n, ledger, independent, stages)
-    if audit and oracle.audit_rank(basis) != basis.size:
-        raise InvariantViolation("greedy scan did not return an independent set")
     reps = _find_representatives(n, ledger, independent, basis, stages)
-    matroid = _learn_with_reps(n, oracle, basis, reps, audit, stages)
+    matroid = _learn_with_reps(n, oracle, basis, reps, stages)
     return MatroidRun(matroid, stages)
 
 

@@ -12,7 +12,8 @@ nothing.  Each query is validated once, by :func:`as_element_array` at the
 oracle boundary; internal code passes arrays it built itself and does not
 validate them again.  The simulated queries are one rank query each and
 leave the check to it: a sum query asks S ++ I2, so an id that S and I2
-share is a repeated id.
+share is a repeated id.  No learner asks ``audit_rank``: only
+:func:`certify` does, after the learner has answered.
 
 One class family holds a partition: :class:`HiddenPartition` canonicalises
 and checks the parts once, :class:`CapacitatedPartition` adds capacities,
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import InvariantViolation, UsageError
 
 __all__ = [
     "HiddenPartition",
@@ -39,6 +40,7 @@ __all__ = [
     "as_element_array",
     "sum_query_sim",
     "add_query_sim",
+    "certify",
     "instance_to_bytes",
     "instance_from_bytes",
     "read_instance",
@@ -265,16 +267,11 @@ class _PhaseBlock:
         self.record = Phase(label)
 
     def __enter__(self):
-        ledger = self.ledger
-        if not ledger._depth:
-            ledger.phases.append(self.record)
-        self.rank0, self.independence0 = ledger.rank_count, ledger.independence_count
-        ledger._depth += 1
+        self.rank0, self.independence0 = self.ledger.rank_count, self.ledger.independence_count
         return self.record
 
     def __exit__(self, *exc):
         ledger, record = self.ledger, self.record
-        ledger._depth -= 1
         record.rank_queries = ledger.rank_count - self.rank0
         record.independence_queries = ledger.independence_count - self.independence0
         spent = record.rank_queries + record.independence_queries
@@ -293,9 +290,8 @@ class QueryLedger:
 
     ``phase(label)`` opens a block and yields its :class:`Phase` record, which
     receives the block's charged (non-audit) calls of each kind when it
-    closes, even if the body raises.  ``phases`` lists the records of the
-    outermost blocks in the order they opened; a nested block's record goes
-    only to the code that opened it.  The learners' stage and phase rows are
+    closes, even if the body raises.  The record goes only to the code that
+    opened the block; the learners keep their own stage and phase lists of
     these records.  ``per_phase`` maps each label to the total charged calls
     of all its blocks, nested ones included; it is settled only outside open
     blocks, and labels that charged nothing are absent.
@@ -306,8 +302,6 @@ class QueryLedger:
         self.independence_count = 0
         self.audit_count = 0
         self.per_phase = {}
-        self.phases = []
-        self._depth = 0
 
     def phase(self, label):
         return _PhaseBlock(self, label)
@@ -388,7 +382,7 @@ class RankOracle:
         return value
 
     def audit_rank(self, s):
-        """Rank evaluated for audit checks only; charged to the audit counter."""
+        """Rank for :func:`certify`'s checks; charged to the audit counter alone."""
         value = self._evaluate(as_element_array(s, self.n, self._mark, self._order))
         self.ledger.charge_audit()
         return value
@@ -422,6 +416,72 @@ def add_query_sim(oracle, s):
     UsageError, and no charge, unless S is a valid element set.
     """
     return _add_query(oracle, _int_array(s, "element ids"))
+
+
+def certify(oracle, structure):
+    """Check a learned answer against the oracle's rank function; raise if it is wrong.
+
+    ``structure`` holds the learned parts Q_1..Q_k, each ascending, and their
+    capacities c_i (``effective_capacities()``, all 1 for a simple answer).
+    Let B_i be the first c_i elements of Q_i, B their union and
+    u_i = Q_i[c_i].  Four checks, each asked through ``oracle.audit_rank``,
+    so that they charge ``audit_count`` alone:
+
+    1. rank(B) = |B|;
+    2. rank(V) = |B|;
+    3. rank(Q_i) = c_i for each i;
+    4. rank(B - b + u_i) = |B| for each i with c_i >= 2 and each b in B_i.
+
+    The first check that fails raises InvariantViolation naming it.  The cost
+    is k + 2 + (the sum of the c_i >= 2) queries: k + 2 on a simple answer,
+    at most k + r + 2 on any.  A ``structure`` over another universe size
+    than the oracle's is a UsageError, raised before any query.
+
+    Why passing proves the answer, for true parts P_j with capacities r_j:
+
+    * Simple answer: check 3 puts each learned part inside one true part.
+      Check 1 puts the k parts in distinct true parts.  The parts cover V,
+      so they are the true parts, and check 2 makes every r_j 1.
+    * Matroid answer: checks 1 and 2 make B a basis, so B holds r_j elements
+      of each P_j.  B_i is an independent c_i-subset of Q_i, so check 3
+      forces |B_i ∩ P_j| = min(|Q_i ∩ P_j|, r_j) for every j.  So any
+      non-basis element of P_j lies in the learned part that holds all of
+      B ∩ P_j, and every true part lies inside one learned part.  u_i is
+      outside the basis B, so check 4 puts B_i inside u_i's true part.
+      Every true part inside Q_i holds at least one element of B_i.  So Q_i
+      is exactly one true part, and c_i = r_j.
+
+    Both rest on two assumptions:
+
+    1. the audit answers are honest;
+    2. the oracle is the rank function of a simple partition, or of a
+       partition matroid whose every part is larger than its capacity.
+       Every CapacitatedPartition is one, and so is every simple instance
+       the matroid learners accept: they route singleton parts to
+       ``find_partition``.
+    """
+    _check_universe(structure.n, oracle)
+    parts, caps = structure.parts, structure.effective_capacities().tolist()
+    basis = np.concatenate([q[:c] for q, c in zip(parts, caps)])
+    size = basis.size
+
+    def check(s, want, claim):
+        if oracle.audit_rank(s) != want:
+            raise InvariantViolation(f"certificate check {claim} does not hold")
+
+    check(basis, size, "1 (rank(B) = |B|)")
+    check(np.arange(oracle.n, dtype=np.int64), size, "2 (rank(V) = |B|)")
+    for i, (q, c) in enumerate(zip(parts, caps)):
+        check(q, c, f"3 (rank(Q_{i}) = c_{i} = {c})")
+    swapped = basis.copy()
+    start = 0
+    for i, (q, c) in enumerate(zip(parts, caps)):
+        if c >= 2:
+            for pos in range(start, start + c):
+                swapped[pos] = q[c]
+                check(swapped, size, f"4 (rank(B - {int(basis[pos])} + u_{i}) = |B|)")
+                swapped[pos] = basis[pos]
+        start += c
 
 
 def _instance_payload(structure, meta=None):
@@ -469,8 +529,13 @@ def write_instance(path, structure, meta=None):
 
 
 def read_instance(path):
-    with open(path, "rb") as fh:
-        return instance_from_bytes(fh.read())
+    """Parse the instance file at ``path``; a file that cannot be read is a UsageError."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read instance file {path}: {exc.strerror or exc}") from exc
+    return instance_from_bytes(data)
 
 
 def instance_digest(structure):

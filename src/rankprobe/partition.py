@@ -148,7 +148,7 @@ def _size_class(size):
     return size.bit_length() - 1
 
 
-def find_partition_run(n, oracle, audit=False):
+def find_partition_run(n, oracle):
     """Run the full partition learner and keep the execution record.
 
     Phase 1 repeatedly merges the two most recently inserted sets of any size
@@ -156,9 +156,10 @@ def find_partition_run(n, oracle, audit=False):
     survive (asserted).  Phase 2 folds the survivors in ascending size order.
     Each merge with common parts writes its representative edges into one
     parent array, ``parent[removed] = reps``; the elements never removed, the
-    roots, are the final basis (checked).  Audit mode re-checks each merged
-    set's independence through separately counted audit queries.  ``n`` must
-    be the oracle's universe size, otherwise UsageError.
+    roots, are the final basis (checked).  The run asks rank queries only;
+    its answer can be checked afterwards with ``model.certify``, as
+    ``bench.run_learner`` does on request.  ``n`` must be the oracle's
+    universe size, otherwise UsageError.
     """
     _check_universe(n, oracle)
     parent = np.full(n, -1, dtype=np.int64)
@@ -189,9 +190,6 @@ def find_partition_run(n, oracle, audit=False):
         )
         if d:
             parent[outcome.removed] = outcome.reps
-        if audit:
-            if oracle.audit_rank(outcome.merged) != outcome.merged.size:
-                raise InvariantViolation("merged set is not independent")
         return outcome
 
     max_class = _size_class(n) + 1
@@ -227,9 +225,9 @@ def find_partition_run(n, oracle, audit=False):
     return PartitionRun(parts, parent, [pairwise, fold], stats, survivors_after_phase1)
 
 
-def find_partition(n, oracle, audit=False):
+def find_partition(n, oracle):
     """Learn the hidden partition exactly; returns canonically ordered parts."""
-    return find_partition_run(n, oracle, audit=audit).parts
+    return find_partition_run(n, oracle).parts
 
 
 def components(parent):

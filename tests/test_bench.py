@@ -164,17 +164,17 @@ class TestRunLearner:
             assert plain.ledger[key] == audited.ledger[key]
         assert audited.ledger["audit_count"] > 0
 
-    def test_baseline_audit_rejected_before_any_query(self, monkeypatch):
-        # the baseline has no audit checks: audit=True reported "audit": true
-        # with an audit count of 0
-        def unreachable(*args, **kwargs):
-            raise AssertionError("the baseline must not run")
-
-        monkeypatch.setattr(bench, "baseline_independence_learner_run", unreachable)
+    def test_baseline_audit_certifies(self):
+        # audit=True on the baseline was a UsageError: it had no checks
         for family in ("capacitated-random", "equal-blocks"):
             st, _ = generate(InstanceSpec(family, 64, k=4, seed=1))
-            with pytest.raises(UsageError, match="audit"):
-                run_learner(st, "baseline", audit=True)
+            plain = run_learner(st, "baseline")
+            audited = run_learner(st, "baseline", audit=True)
+            assert audited.correct and audited.audit and audited.routed_to is None
+            for key in ("rank_count", "independence_count", "per_phase"):
+                assert plain.ledger[key] == audited.ledger[key]
+            caps = audited.learned_capacities
+            assert audited.ledger["audit_count"] == len(caps) + 2 + sum(c for c in caps if c >= 2)
 
     def test_baseline_routed_to_find_partition_keeps_its_audit(self):
         st, _ = generate(InstanceSpec("singleton-heavy", 64, seed=2))
@@ -287,7 +287,7 @@ class TestPinnedReports:
         "audit,want",
         [
             (False, "fb6db9926279543d769ea0182d538414b3b36c658d005c8fa0226e771c7f5469"),
-            (True, "c0cc3d7e81daac742d592556ddf912f2679afca6dcb3a29d4e6852fd4897b68e"),
+            (True, "77f4b6cf8f4cc3e05e57ed841e74bbcdcf29f98ba33d56f8207e52051f016029"),
         ],
     )
     def test_find_partition(self, uniform, audit, want):
@@ -305,7 +305,7 @@ class TestPinnedReports:
             (
                 "learn_partition_matroid",
                 True,
-                "e29413b9282b19ccb324b2585b947adf61c922ada4b40547ae1288545e7e9cab",
+                "4c8c23be51a873eac85f833d40f4ec6ee619f0b0ce39dcf686464f6b9a27ae39",
             ),
             ("baseline", False, "8754a837d609f220ea381ae7dc140a87d5d393898722395344370ad3341e3e14"),
         ],
@@ -517,11 +517,23 @@ class TestCli:
         assert main(["run", "--instance", str(inst), "--learner", "find_partition"]) == 2
         assert "usage error:" in capsys.readouterr().err
 
-    def test_baseline_audit_exit_2(self, tmp_path, capsys):
+    def test_baseline_audit_exit_0(self, tmp_path, capsys):
+        # was exit 2: the baseline had no audit checks
         inst = tmp_path / "i.json"
         assert main(["gen", "--family", "capacitated-random", "--n", "64", "--seed", "1", "-o", str(inst)]) == 0
-        assert main(["run", "--instance", str(inst), "--learner", "baseline", "--audit"]) == 2
-        assert "usage error:" in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(["run", "--instance", str(inst), "--learner", "baseline", "--audit", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["audit"] and report["ledger"]["audit_count"] > 0
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_instance_exit_2(self, tmp_path, capsys, kind):
+        # a missing file printed a FileNotFoundError traceback and exited 1
+        inst = tmp_path / "missing.json"
+        if kind == "directory":
+            inst.mkdir()
+        assert main(["run", "--instance", str(inst), "--learner", "find_partition"]) == 2
+        assert f"usage error: cannot read instance file {inst}" in capsys.readouterr().err
 
     def test_sweep_writes_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"

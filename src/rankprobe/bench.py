@@ -23,6 +23,7 @@ from .model import (
     CapacitatedPartition,
     HiddenPartition,
     RankOracle,
+    _as_list,
     _check_int,
     certify,
     instance_digest,
@@ -363,7 +364,21 @@ def sweep(family, n_values, reps, learner, base_seed=0, k=None):
     interpreter lock.  The per-n summary statistic is the worst case: max
     queries/n over that n's rows (rank queries for rank learners,
     independence queries for the baseline).
+
+    The grid is checked before any run: ``family`` and ``learner`` must be
+    known, ``n_values`` an iterable of integers and ``reps`` an integer of at
+    least 1, otherwise UsageError.  An empty ``n_values`` gives empty lists.
     """
+    if family not in FAMILIES:
+        raise UsageError(f"unknown family {family!r}")
+    if learner not in LEARNERS:
+        raise UsageError(f"unknown learner {learner!r}")
+    _check_int(reps, "reps")
+    if reps < 1:
+        raise UsageError(f"reps must be at least 1, got {reps}")
+    n_values = _as_list(n_values, "n_values")
+    for n in n_values:
+        _check_int(n, "n")
     specs = []
     for n in sorted(n_values):
         for rep in range(reps):

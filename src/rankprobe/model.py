@@ -434,8 +434,9 @@ def certify(oracle, structure):
 
     The first check that fails raises InvariantViolation naming it.  The cost
     is k + 2 + (the sum of the c_i >= 2) queries: k + 2 on a simple answer,
-    at most k + r + 2 on any.  A ``structure`` over another universe size
-    than the oracle's is a UsageError, raised before any query.
+    at most k + r + 2 on any.  A ``structure`` that is not a
+    :class:`HiddenPartition` (a list of parts, None), or one over another
+    universe size than the oracle's, is a UsageError, raised before any query.
 
     Why passing proves the answer, for true parts P_j with capacities r_j:
 
@@ -460,6 +461,10 @@ def certify(oracle, structure):
        the matroid learners accept: they route singleton parts to
        ``find_partition``.
     """
+    if not isinstance(structure, HiddenPartition):
+        raise UsageError(
+            f"certify needs a HiddenPartition or one of its subclasses, got {type(structure).__name__}"
+        )
     _check_universe(structure.n, oracle)
     parts, caps = structure.parts, structure.effective_capacities().tolist()
     basis = np.concatenate([q[:c] for q, c in zip(parts, caps)])

@@ -13,6 +13,17 @@ I2 itself, before any sparse recovery: an answer of 0 means the union is
 independent and ends the merge after that one query.  Otherwise sparse
 recovery hands merge each detecting design as one block, and merge builds the
 block's query sets, row ∪ I2, with ``weighing._row_sets``.
+
+Phase 1 does not start from n singletons.  A chunk pre-phase (Dorfman's
+pooled test) asks k = rank(V), cuts 0..n-1 into consecutive chunks of c ids,
+c the largest power of two with c² <= k, and asks each chunk's rank before
+merging inside it: an independent chunk enters phase 1 whole, and a dependent
+one is halved, each half resolved the same way, and the two results merged
+with their root answer already known, d = |A| + |B| - rank(chunk).  That d is
+right because a merge removes only elements whose friend stays, so a resolved
+half hits the same parts as the half itself.  A chunk of m ids asks at most
+m - 1 ranks and its merges ask no root, where merging its ids bottom up would
+ask m - 1 roots (see ``find_partition_run``).
 """
 
 from __future__ import annotations
@@ -86,28 +97,30 @@ class PartitionRun:
     survivors_after_phase1: int = 0
 
 
-def merge(i1, i2, oracle):
+def merge(i1, i2, oracle, *, d=None):
     """Merge two disjoint independent sets, learning com(I1,I2) and the rep pairs.
 
     The root query is merge's own: one sum query over I1 against I2 gives
     d = |com(I1,I2)|, and d = 0 (an independent union) ends the merge there
     with the sorted union, so such a merge costs exactly one query (none when
-    I1 is empty).  Otherwise com discovery runs sparse recovery over sum
-    queries in both directions, each with d as its known total, since both
-    sides of the common set have size d.  The friend pairing is then a hidden
-    perfect matching between the two common sets, reconstructed from add
-    queries (skipped for d <= 1 where the outcome is forced).  The merged set
-    keeps I2's copies of the common parts; the outcome's ``removed`` and
-    ``reps`` are I1's copies and their friends (see MergeOutcome).  A root
-    sum outside [0, min(|I1|, |I2|)] cannot come from an honest oracle:
-    DecodeFailure.  I1 and I2 must be one-dimensional integer ids (UsageError
-    before any query otherwise).
+    I1 is empty).  A caller that already knows the root answer passes it as
+    ``d``, and the merge asks no root query.  Otherwise com discovery runs
+    sparse recovery over sum queries in both directions, each with d as its
+    known total, since both sides of the common set have size d.  The friend
+    pairing is then a hidden perfect matching between the two common sets,
+    reconstructed from add queries (skipped for d <= 1 where the outcome is
+    forced).  The merged set keeps I2's copies of the common parts; the
+    outcome's ``removed`` and ``reps`` are I1's copies and their friends (see
+    MergeOutcome).  A root sum outside [0, min(|I1|, |I2|)], asked or passed
+    in, cannot come from an honest oracle: DecodeFailure.  I1 and I2 must be
+    one-dimensional integer ids (UsageError before any query otherwise).
     """
     i1 = _int_array(i1, "I1")
     i2 = _int_array(i2, "I2")
     ledger = oracle.ledger
     with ledger.phase("com-discovery"):
-        d = int(_add_query(oracle, np.concatenate((i1, i2)))) if i1.size else 0
+        if d is None:
+            d = int(_add_query(oracle, np.concatenate((i1, i2)))) if i1.size else 0
         if not 0 <= d <= min(i1.size, i2.size):
             raise DecodeFailure(
                 f"sum oracle reported {d} common parts between sets of sizes "
@@ -151,8 +164,32 @@ def _size_class(size):
 def find_partition_run(n, oracle):
     """Run the full partition learner and keep the execution record.
 
-    Phase 1 repeatedly merges the two most recently inserted sets of any size
-    class holding two or more; afterwards at most floor(log2 n) + 1 sets can
+    Phase 1 (``pairwise-merge``) opens with the chunk pre-phase.  For n >= 2
+    it asks k = rank(V) (outside [1, n]: DecodeFailure) and cuts 0..n-1 into
+    consecutive chunks of c ids, c the largest power of two with c² <= k; the
+    last chunk may be shorter.  A chunk of one id asks nothing.  Otherwise
+    its rank r is asked, and r = |chunk| means the chunk is independent and
+    enters phase 1 as one set.  Otherwise both halves are resolved the same
+    way, to A and B, and merged with the known root answer
+    d = |A| + |B| - r, so that merge asks no root query.
+
+    Why d is known: each element a merge removes has a friend that stays,
+    so A hits exactly the parts its half hits, even when the half was itself
+    merged, and likewise B.  So rank(A ∪ B) = rank(chunk) = r, and A and B
+    being independent, |A| + |B| - r is the number of parts they share.
+    ``merge`` still checks 0 <= d <= min(|A|, |B|), so a lying chunk answer
+    raises DecodeFailure.
+
+    Worst case: a chunk of m ids asks at most m - 1 ranks, one per internal
+    node of its halving tree, and its merges ask no roots.  Merging the same
+    ids bottom up from singletons asks m - 1 roots, so the chunk ranks never
+    outnumber the roots they replace, and the pre-phase adds at most the
+    rank(V) query.  With k = 1 every chunk is one id, and the run asks n
+    queries where bottom-up merging asked n - 1.
+
+    Each chunk result enters phase 1 by its size class.  Phase 1 then
+    repeatedly merges the two most recently inserted sets of any size class
+    holding two or more; afterwards at most floor(log2 n) + 1 sets can
     survive (asserted).  Phase 2 folds the survivors in ascending size order.
     Each merge with common parts writes its representative edges into one
     parent array, ``parent[removed] = reps``; the elements never removed, the
@@ -169,9 +206,9 @@ def find_partition_run(n, oracle):
     if n == 0:
         return PartitionRun([], parent, [], stats, 0)
 
-    def run_merge(a, b, phase):
+    def run_merge(a, b, phase, d=None):
         before = ledger.rank_count
-        outcome = merge(a, b, oracle)
+        outcome = merge(a, b, oracle, d=d)
         spent = ledger.rank_count - before
         d = outcome.removed.size
         k1 = min(a.size, b.size)
@@ -192,12 +229,31 @@ def find_partition_run(n, oracle):
             parent[outcome.removed] = outcome.reps
         return outcome
 
+    def resolve(lo, hi):
+        # ids lo..hi-1 reduced to one independent set that hits the same parts
+        ids = np.arange(lo, hi, dtype=np.int64)
+        if ids.size == 1:
+            return ids
+        r = oracle.rank(ids)
+        if r == ids.size:
+            return ids
+        mid = (lo + hi) // 2
+        a, b = resolve(lo, mid), resolve(mid, hi)
+        return run_merge(a, b, "pairwise-merge", d=a.size + b.size - r).merged
+
     max_class = _size_class(n) + 1
     buckets = [[] for _ in range(max_class + 2)]
-    for e in range(n):
-        buckets[0].append(np.asarray([e], dtype=np.int64))
 
     with ledger.phase("pairwise-merge") as pairwise:
+        width = 1
+        if n >= 2:
+            k = oracle.rank(np.arange(n, dtype=np.int64))
+            if not 1 <= k <= n:
+                raise DecodeFailure(f"rank oracle reported rank {k} for all {n} elements")
+            width = 1 << (math.isqrt(k).bit_length() - 1)
+        for lo in range(0, n, width):
+            chunk = resolve(lo, min(lo + width, n))
+            buckets[_size_class(chunk.size)].append(chunk)
         for t in range(len(buckets)):
             stack = buckets[t]
             while len(stack) >= 2:

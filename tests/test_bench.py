@@ -234,6 +234,26 @@ class TestSweep:
         with pytest.raises(UsageError, match="must be an integer"):
             sweep("uniform-k", [64.9], 1, "find_partition")
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("uniform-k", [64], 2.5, "find_partition"), "reps must be an integer"),
+            (("uniform-k", [64], True, "find_partition"), "reps must be an integer"),
+            (("uniform-k", [64], -3, "find_partition"), "reps must be at least 1"),
+            (("uniform-k", [], 0, "find_partition"), "reps must be at least 1"),
+            (("uniform-k", 8, 1, "find_partition"), "n_values must be an array or an iterable"),
+            (("no-such-family", [], 1, "find_partition"), "unknown family"),
+            (("uniform-k", [], 1, "no-such-learner"), "unknown learner"),
+        ],
+        ids=["reps-float", "reps-bool", "reps-negative", "reps-0-empty-grid", "n-values-int",
+             "family-empty-grid", "learner-empty-grid"],
+    )
+    def test_grid_checked_before_any_run(self, args, message):
+        # 2.5 and 8 once raised a bare TypeError; -3 and an unknown family or
+        # learner over an empty grid once returned ([], [])
+        with pytest.raises(UsageError, match=message):
+            sweep(*args)
+
     def test_baseline_sweep_uses_independence_metric(self):
         rows, summaries = sweep("capacitated-random", [64], 1, "baseline")
         assert rows[0]["independence_queries"] > 0
@@ -286,8 +306,8 @@ class TestPinnedReports:
     @pytest.mark.parametrize(
         "audit,want",
         [
-            (False, "fb6db9926279543d769ea0182d538414b3b36c658d005c8fa0226e771c7f5469"),
-            (True, "77f4b6cf8f4cc3e05e57ed841e74bbcdcf29f98ba33d56f8207e52051f016029"),
+            (False, "fc5c50bafe4dd7f6f0afbc43ce88fdeb1f9be14f578ffd6d0408a324f6b7d63d"),
+            (True, "7c22560d852411e7835c4976804743ba1869c04153db91695487a17cd789828c"),
         ],
     )
     def test_find_partition(self, uniform, audit, want):
@@ -300,12 +320,12 @@ class TestPinnedReports:
             (
                 "learn_partition_matroid",
                 False,
-                "ef96964dd2694dbe84c9c46079728f6e756919d44bd9022e87b2d322fd00cf5f",
+                "338231c820fc893741c7a3e5e934ca2448a0422833c1ad48eb2c1536bc265248",
             ),
             (
                 "learn_partition_matroid",
                 True,
-                "4c8c23be51a873eac85f833d40f4ec6ee619f0b0ce39dcf686464f6b9a27ae39",
+                "fb85733c25387921786b2bd20c9467b18310d3128250df1b7203487cc929a5f2",
             ),
             ("baseline", False, "8754a837d609f220ea381ae7dc140a87d5d393898722395344370ad3341e3e14"),
         ],
@@ -320,7 +340,7 @@ class TestPinnedReports:
             (
                 "uniform-k",
                 "find_partition",
-                "6e83e43a0fe334cd3d746e1149c95dfba84dc46719a6be4f55a29b22198d5a1e",
+                "cae2efa18fe068080a19e2ab54e814eaab8129fec79558a6d3f0ec1db485c34d",
             ),
             (
                 "capacitated-random",
@@ -339,7 +359,7 @@ class TestPinnedReports:
             (
                 InstanceSpec("singleton-heavy", 256, seed=5),
                 "learn_partition_matroid",
-                "d842ea6e0023c96ed9c6d35deefc91f083c0430f144fffeec86f059a1b8863ac",
+                "d307ab5e2dde8a7a161df1b9baeadb449c2cf7a4c580cc78711b73d6a72672c4",
             ),
             (
                 InstanceSpec("equal-blocks", 256, k=4),
@@ -349,7 +369,7 @@ class TestPinnedReports:
             (
                 InstanceSpec("equal-blocks", 256, k=4, capacitated=True, capacity_rule="ones"),
                 "find_partition",
-                "740f1e04db467ebc6bca9eeb451bc270d69f73e84308cb1eca86a68427292f3f",
+                "a8ce0d7b36c209959e3268990bcfc3fc1954cdce246f7ca6354327274c00643c",
             ),
         ],
         ids=["routed-to-find-partition", "simple-as-all-ones", "all-ones-capacitated"],
@@ -416,7 +436,7 @@ class TestPinnedReports:
         rows, _ = bench.sweep("uniform-k", [512, 1024, 2048], 2, "find_partition", base_seed=1)
         assert len(oracles) == 6 and all(r["correct"] for r in rows)
         digest = hashlib.sha256(b"".join(o.digest.digest() for o in oracles)).hexdigest()
-        assert digest == "758165c490a1d7c8534c539db4dcb217dfe5a23b00681134334ee13922658aba"
+        assert digest == "925d89f9849e86b5ba29409e340730b497abc52bba8bbd32a2f0e0be4180575a"
 
 
 class TestRegressionConfig:

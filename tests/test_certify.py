@@ -68,6 +68,16 @@ class TestHonestAnswers:
             certify(o, HiddenPartition([[0, 1]]))
         assert o.ledger.audit_count == 0
 
+    @pytest.mark.parametrize(
+        "structure", [[[0, 1], [2]], None, np.array([0, 0, 1])], ids=["list", "none", "array"]
+    )
+    def test_non_structure_rejected_before_any_query(self, structure):
+        # a list of parts or None once raised a bare AttributeError
+        o = RankOracle(HiddenPartition([[0, 1], [2]]))
+        with pytest.raises(UsageError, match="HiddenPartition"):
+            certify(o, structure)
+        assert o.ledger.audit_count == 0
+
 
 class TestWrongAnswers:
     @pytest.mark.parametrize(

@@ -349,12 +349,12 @@ class TestPinnedLedgers:
         o = RankOracle(structure)
         run = learn_partition_matroid_run(2**11, o)
         assert run.matroid.matches(structure)
-        assert (o.ledger.rank_count, o.ledger.independence_count) == (15543, 0)
+        assert (o.ledger.rank_count, o.ledger.independence_count) == (13870, 0)
         assert self.stage_counts(run) == [
             ("basis", 2048),
             ("representatives", 3579),
-            ("inside-basis", 4992),
-            ("outside-basis", 4924),
+            ("inside-basis", 4156),
+            ("outside-basis", 4087),
             ("stitch", 0),
         ]
 
@@ -376,7 +376,7 @@ class TestPinnedLedgers:
         [
             (
                 learn_partition_matroid_run,
-                "e58451ccf30708025a6cea106bcd7d3212bdba6ae1d72a1a347eccdce2e5f62b",
+                "79f564ddaaf2be04bba856cb5718ff912340e1f17b732d0e9e022c42e9c468f9",
             ),
             (
                 baseline_independence_learner_run,

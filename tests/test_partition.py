@@ -19,7 +19,7 @@ from rankprobe import (
     merge,
 )
 from rankprobe import partition
-from rankprobe.bench import InstanceSpec, generate, run_learner
+from rankprobe.bench import FAMILIES, InstanceSpec, generate, run_learner
 from rankprobe.regression import load_regression_config
 
 from _bruteforce import brute_components, canonical, enumerate_set_partitions, random_partition
@@ -162,6 +162,22 @@ class TestMerge:
             merge(i1, i2, o)
         assert o.ledger.rank_count == 0
 
+    def test_known_root_answer_asks_no_root(self):
+        o = oracle([[0, 2], [1], [3]])
+        out = merge(np.array([0, 1]), np.array([2, 3]), o, d=1)
+        assert (out.removed.tolist(), out.reps.tolist()) == ([0], [2])
+        assert o.ledger.rank_count == 2  # one sum query per direction, no root
+        o = oracle([[0], [1], [2], [3]])
+        assert merge(np.array([0, 1]), np.array([2, 3]), o, d=0).merged.tolist() == [0, 1, 2, 3]
+        assert o.ledger.rank_count == 0
+
+    @pytest.mark.parametrize("d", [-1, 3])
+    def test_known_root_answer_range_checked(self, d):
+        o = oracle([[0], [1], [2], [3]])
+        with pytest.raises(DecodeFailure):
+            merge(np.array([0, 1]), np.array([2, 3]), o, d=d)
+        assert o.ledger.rank_count == 0
+
     @pytest.mark.parametrize("i1,i2,queries", [([], [1, 3], 0), ([1, 3], [], 1)])
     def test_empty_side(self, i1, i2, queries):
         o = oracle([[0, 1], [2, 3]])
@@ -297,8 +313,74 @@ class TestFindPartition:
         assert canonical(got) == canonical(parts)
 
 
-SMALL_PARTS_STREAM_SHA256 = "502e2d19a05225ef7737cb272890c5a57f0803714db5cbd36445f814978024ae"
-LARGE_PARTS_STREAM_SHA256 = "b83bf6abca0c60006a90ca9ce5cf7a77905682d3ec14b352ee7317895061971e"
+class _LyingOracle(RankOracle):
+    """Answers ``answer`` for the query set ``target`` and the truth elsewhere."""
+
+    def __init__(self, structure, target, answer):
+        super().__init__(structure)
+        self.target, self.answer = list(target), answer
+
+    def rank(self, s):
+        value = super().rank(s)
+        return self.answer if np.asarray(s).tolist() == self.target else value
+
+
+class TestChunkPrePhase:
+    """rank(V) sets the chunk width c (c² <= k); chunk ranks stand in for merge roots."""
+
+    def test_every_chunk_dependent(self):
+        # blocks of 64 consecutive ids, c = 8: every chunk and every half of
+        # one is dependent.  Merging bottom up from singletons asked 4299.
+        structure, _ = generate(InstanceSpec("equal-blocks", 4096, k=64))
+        o = RankOracle(structure)
+        run = find_partition_run(4096, o)
+        assert canonical(run.parts) == structure.as_tuples()
+        assert o.ledger.rank_count == 4300
+
+    def test_every_chunk_independent(self):
+        # n = k = 4096, c = 64: rank(V), 64 independent chunks, 63 merge roots
+        structure, _ = generate(InstanceSpec("uniform-k", 4096, k=4096))
+        o = RankOracle(structure)
+        run = find_partition_run(4096, o)
+        assert canonical(run.parts) == structure.as_tuples()
+        assert o.ledger.rank_count == 1 + 64 + 63
+
+    def test_one_part(self):
+        # k = 1, c = 1: rank(V), then n - 1 merge roots
+        n = 1000
+        o = oracle([range(n)])
+        assert canonical(find_partition(n, o)) == (tuple(range(n)),)
+        assert o.ledger.rank_count == n
+
+    @pytest.mark.parametrize(
+        "parts,target,answer",
+        [
+            # 64 singletons, c = 8: chunk 0..7 claimed rank 0, so d = 8 > 4
+            ([[e] for e in range(64)], range(8), 0),
+            # 32 pairs, c = 4: chunk 0..3 claimed rank 5, so d = 2 - 5 < 0
+            ([[e, e + 1] for e in range(0, 64, 2)], range(4), 5),
+            # rank(V) outside [1, n]
+            ([[e] for e in range(64)], range(64), 0),
+            ([[e] for e in range(64)], range(64), 65),
+        ],
+        ids=["chunk-too-low", "chunk-too-high", "universe-zero", "universe-above-n"],
+    )
+    def test_lying_chunk_rank_detected(self, parts, target, answer):
+        with pytest.raises(DecodeFailure):
+            find_partition(64, _LyingOracle(HiddenPartition(parts), target, answer))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_survivors_bound(self, family):
+        # n = 1003 leaves a short last chunk (3 ids at c = 8, 11 at c = 16);
+        # all-ones capacities are a simple rank
+        structure, _ = generate(InstanceSpec(family, 1003, seed=4, capacity_rule="ones"))
+        run = find_partition_run(1003, RankOracle(structure))
+        assert [p.tolist() for p in run.parts] == [p.tolist() for p in structure.parts]
+        assert run.survivors_after_phase1 <= math.floor(math.log2(1003)) + 1
+
+
+SMALL_PARTS_STREAM_SHA256 = "94367170345588c31ef993ceb128a08485a9e2aac2b6f9a2db7c67c14f050c78"
+LARGE_PARTS_STREAM_SHA256 = "bfaa7730c328851fe0162587ded8eb24dd782ad8763e656a1d6cd78740944245"
 
 
 class TestPinnedLedgers:
@@ -309,13 +391,13 @@ class TestPinnedLedgers:
         [
             (
                 InstanceSpec("uniform-k", 2**13, seed=1),
-                42862,
-                {"com-discovery": 23811, "matching": 19051, "pairwise-merge": 42609, "final-fold": 253},
+                37766,
+                {"com-discovery": 16722, "matching": 18991, "pairwise-merge": 37537, "final-fold": 229},
             ),
             (
                 InstanceSpec("uniform-k", 2**12, k=2**10, seed=1),
-                19361,
-                {"com-discovery": 11296, "matching": 8065, "pairwise-merge": 18171, "final-fold": 1190},
+                15887,
+                {"com-discovery": 7476, "matching": 8086, "pairwise-merge": 14235, "final-fold": 1652},
             ),
         ],
         ids=["small-parts", "large-parts"],

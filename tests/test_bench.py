@@ -309,6 +309,7 @@ class TestPinnedReports:
             (False, "fc5c50bafe4dd7f6f0afbc43ce88fdeb1f9be14f578ffd6d0408a324f6b7d63d"),
             (True, "7c22560d852411e7835c4976804743ba1869c04153db91695487a17cd789828c"),
         ],
+        ids=["plain", "audited"],
     )
     def test_find_partition(self, uniform, audit, want):
         report = run_learner(uniform, "find_partition", audit=audit)
@@ -329,6 +330,7 @@ class TestPinnedReports:
             ),
             ("baseline", False, "8754a837d609f220ea381ae7dc140a87d5d393898722395344370ad3341e3e14"),
         ],
+        ids=["learn_partition_matroid", "learn_partition_matroid-audited", "baseline"],
     )
     def test_matroid_learners(self, capacitated, learner, audit, want):
         report = run_learner(capacitated, learner, audit=audit)
@@ -348,6 +350,7 @@ class TestPinnedReports:
                 "9707a1b15274e6669bb21ff28085785229ae50a30f9dd5a61411754bbb19287a",
             ),
         ],
+        ids=["uniform-k-find_partition", "capacitated-random-baseline"],
     )
     def test_sweep_csv(self, family, learner, want):
         rows, summaries = sweep(family, [64, 128], 2, learner)

@@ -12,7 +12,10 @@ Most merges find no common part.  A merge asks the sum query of I1 against
 I2 itself, before any sparse recovery: an answer of 0 means the union is
 independent and ends the merge after that one query.  Otherwise sparse
 recovery hands merge each detecting design as one block, and merge builds the
-block's query sets, row ∪ I2, with ``weighing._row_sets``.
+block's query sets, row ∪ I2, with ``weighing._row_sets``.  The second
+recovery, over I2, asks row ∪ com12 rather than row ∪ I1: every friend in I1
+of an I2 element lies in com12, the first recovery's answer, so the sums are
+the same and each set is |I1| - d elements smaller.
 
 Phase 1 does not start from n singletons.  A chunk pre-phase (Dorfman's
 pooled test) asks k = rank(V), cuts 0..n-1 into consecutive chunks of c ids,
@@ -106,8 +109,11 @@ def merge(i1, i2, oracle, *, d=None):
     I1 is empty).  A caller that already knows the root answer passes it as
     ``d``, and the merge asks no root query.  Otherwise com discovery runs
     sparse recovery over sum queries in both directions, each with d as its
-    known total, since both sides of the common set have size d.  The friend
-    pairing is then a hidden perfect matching between the two common sets,
+    known total, since both sides of the common set have size d.  The second
+    recovery asks each row of I2 against com12, I1's copies of the common
+    parts that the first one found, not against all of I1: an I2 element's
+    friend in I1 is in com12, so sum(S, I1) = sum(S, com12) for every S in
+    I2.  The friend pairing is then a hidden perfect matching between the two common sets,
     reconstructed from add queries (skipped for d <= 1 where the outcome is
     forced).  The merged set keeps I2's copies of the common parts; the
     outcome's ``removed`` and ``reps`` are I1's copies and their friends (see
@@ -139,7 +145,8 @@ def merge(i1, i2, oracle, *, d=None):
 
         rec1 = recover_sparse(i1.size, sums(i1, i2), known_total=d)
         com12 = i1[rec1.support]
-        rec2 = recover_sparse(i2.size, sums(i2, i1), known_total=d)
+        # every friend in I1 of an I2 element lies in com12: sum(S, I1) = sum(S, com12)
+        rec2 = recover_sparse(i2.size, sums(i2, com12), known_total=d)
         com21 = i2[rec2.support]
     # I1 and I2 are disjoint, so dropping com12 from I1 and sorting the
     # concatenation is the sorted union minus com12

@@ -439,7 +439,7 @@ class TestPinnedReports:
         rows, _ = bench.sweep("uniform-k", [512, 1024, 2048], 2, "find_partition", base_seed=1)
         assert len(oracles) == 6 and all(r["correct"] for r in rows)
         digest = hashlib.sha256(b"".join(o.digest.digest() for o in oracles)).hexdigest()
-        assert digest == "925d89f9849e86b5ba29409e340730b497abc52bba8bbd32a2f0e0be4180575a"
+        assert digest == "a9934d96789e6825c8173134c15ae3470c06bf960c1dfc1ce031d7e81e98950c"
 
 
 class TestRegressionConfig:

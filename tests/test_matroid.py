@@ -376,7 +376,7 @@ class TestPinnedLedgers:
         [
             (
                 learn_partition_matroid_run,
-                "79f564ddaaf2be04bba856cb5718ff912340e1f17b732d0e9e022c42e9c468f9",
+                "d1cd5472e95423a71b853b978f2f32169266fece0004e4547666aba74875c3b6",
             ),
             (
                 baseline_independence_learner_run,

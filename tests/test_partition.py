@@ -145,6 +145,40 @@ class TestMerge:
         assert o.ledger.per_phase["com-discovery"] == 1 + sum(blocks)
         assert o.calls == o.ledger.rank_count
 
+    def test_second_recovery_asks_against_the_first_ones_answer(self, monkeypatch):
+        # every friend in I1 of an I2 element lies in com12, so the second
+        # recovery asks row ++ com12 where it asked row ++ I1
+        blocks = []
+        real = partition.recover_sparse
+
+        def recording(n, sum_oracle, **kwargs):
+            def block(cols, bounds):
+                blocks.append((len(recoveries), cols.copy(), bounds.copy()))
+                return sum_oracle(cols, bounds)
+
+            recoveries.append(n)
+            return real(n, block, **kwargs)
+
+        class Recording(RankOracle):
+            def rank(self, s):
+                asked.append(np.asarray(s).copy())
+                return super().rank(s)
+
+        recoveries, asked = [], []
+        monkeypatch.setattr(partition, "recover_sparse", recording)
+        parts = [[j, 64 + j] for j in range(40)] + [[j] for j in range(40, 64)]
+        parts += [[64 + j] for j in range(40, 70)]
+        rng = np.random.default_rng(3)
+        i1, i2 = rng.permutation(64), 64 + rng.permutation(70)
+        out = merge(i1, i2, Recording(HiddenPartition(parts)))
+        com12 = i1[np.isin(i1, out.removed)]  # in I1's order, as the first recovery finds it
+        want = [np.concatenate((i1, i2))]
+        for which, cols, bounds in blocks:
+            src, fixed = (i1, i2) if which == 1 else (i2, com12)
+            want += [np.concatenate((src[r], fixed)) for r in np.split(cols, bounds[1:-1])]
+        assert recoveries == [64, 70]
+        assert [s.tolist() for s in asked[: len(want)]] == [s.tolist() for s in want]
+
     @pytest.mark.parametrize(
         "i1,i2,message",
         [
@@ -379,8 +413,8 @@ class TestChunkPrePhase:
         assert run.survivors_after_phase1 <= math.floor(math.log2(1003)) + 1
 
 
-SMALL_PARTS_STREAM_SHA256 = "94367170345588c31ef993ceb128a08485a9e2aac2b6f9a2db7c67c14f050c78"
-LARGE_PARTS_STREAM_SHA256 = "bfaa7730c328851fe0162587ded8eb24dd782ad8763e656a1d6cd78740944245"
+SMALL_PARTS_STREAM_SHA256 = "1b157b14381ba429eae29d40999bce7998b333496d4158839b6d3afe5cd44c55"
+LARGE_PARTS_STREAM_SHA256 = "a111df503108102bb0f8ca125a0e73b7c7623c13cf9c9c91a444e46428b7c139"
 
 
 class TestPinnedLedgers:

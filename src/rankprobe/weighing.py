@@ -77,23 +77,43 @@ DecodeFailure.
 
 ``build_detecting_matrix(N)`` packs blocks of both families and identity
 columns with the fewest rows, found by one dynamic program over N shared by
-every design (ties go to the smaller block, identity columns first).  The
-row count is 16 at N = 33, 36 at N = 64, 99 at N = 256, 401 (about 0.28*N)
-at N = 1440 and 1015 (about 0.25*N) at N = 4096.
+every design (ties go to identity columns, then to the smaller block).
+
+Deleting columns from a detecting matrix keeps it detecting (Cantor & Mills
+1966), so a design may end in one cut block: the first j columns of a kind
+wider than j, each row restricted to them.  The program is
+
+    f(N) = min(f(N - 1) + 1, min over kinds c of f(max(0, N - c)) + rows_c),
+
+where a kind with c > N is that cut block, and a full block wins a tie
+against a cut one; so a design holds at most one.  No A_k row goes empty,
+since column 0 is all ones.  A seeded row may, below 8 columns, and an empty
+row is dropped, not asked (no design the program picks up to 2^17 columns
+drops one).  The cut block decodes through its kind's decoder unchanged,
+with the dropped rows measured 0 and the missing columns zeros; a decoded
+one in a missing column raises DecodeFailure.  The row count is 16 at
+N = 32, 32 at N = 64, 94 at N = 256, 256 at N = 1024, 384 (about 0.27*N) at
+N = 1440 and 1015 (about 0.25*N) at N = 4096, where no block is cut.  Cut
+blocks save rows at 90,936 of the 131,072 sizes up to 2^17 and cost a row
+at none.
 
 ``recover_sparse`` chooses between halving and a design by expected cost: on
 s columns known to hold w ones it asks the design exactly when the design's
 rows are at most the expected queries of halving, the ones placed at random
-(``_band``).  Those w form one band [a(s), s - a(s)], from a(13) = 4 and
-a(16) = 6 to a(1024) = 82.  Below 13 columns (and at 25) the band is empty,
-so A_2 enters only as a part of larger designs.  Above 1024 columns the
-band's edge a(1024)/1024 scales with s.
+(``_band``).  Those w form one band [a(s), s - a(s)], from a(12) = 5 and
+a(16) = 6 through a(25) = 9, a(32) = 6, a(64) = 14, a(128) = 20,
+a(256) = 27 and a(512) = 42 to a(1024) = 60.  Below 12 columns the band is
+empty, so A_2 enters only as a part of larger designs.  Above 1024 columns
+the band's edge a(1024)/1024 scales with s.
 
-A design is a list of (block, count) pairs.  Each block kind keeps its rows
-in one form only, one flat array of column ids with row bounds, built once,
-on first use, from its 0/1 matrix; ``DetectingMatrix.flat_rows`` tiles those
-into one flat block per call and caches nothing per design.  Decoding hands
-all blocks of one kind to that kind as one batch.
+A design is a list of (block, count) pairs and at most one cut block.  Each
+block kind keeps its rows in one form only, one flat array of column ids
+with row bounds, built once, on first use, from its 0/1 matrix;
+``DetectingMatrix.flat_rows`` tiles those into one flat block per call and
+caches nothing per design but its row count.  A cut block's rows are built
+per call, in time proportional to the rows returned: each row's ids ascend,
+so its kept part is a prefix, found by one search of the kind's row-major
+keys.  Decoding hands all blocks of one kind to that kind as one batch.
 
 Matching recovery
 -----------------
@@ -157,7 +177,28 @@ def _flat(mat):
     return cols, bounds
 
 
-class _Table:
+class _Kind:
+    """A block kind's rows in one form: flat column ids ``cols``, each row's
+    ids ascending, and the R + 1 row ``bounds``."""
+
+    def __init__(self, mat):
+        self.n_rows, self.n_cols = mat.shape
+        self.cols, self.bounds = _flat(mat)
+
+    @functools.cached_property
+    def _keys(self):
+        """row * n_cols + column id per entry, ascending: each row's ids ascend."""
+        row = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.bounds))
+        return row * self.n_cols + self.cols
+
+    def prefix_lengths(self, j):
+        """Each row's number of column ids below j, the row's kept part when the
+        block is cut to its first j columns: one search per row."""
+        ends = np.searchsorted(self._keys, np.arange(self.n_rows, dtype=np.int64) * self.n_cols + j)
+        return ends - self.bounds[:-1]
+
+
+class _Table(_Kind):
     """Block kind of at most 16 columns, decoded by one lookup (see the module docstring).
 
     With ``free`` the block is A_3 with its all-ones column 0 left free, the
@@ -166,8 +207,7 @@ class _Table:
     """
 
     def __init__(self, mat, free=False):
-        self.n_rows, self.n_cols = mat.shape
-        self.cols, self.bounds = _flat(mat)
+        super().__init__(mat)
         mat = mat.astype(np.int64)
         self.row0 = mat[0, 1:] if free else None
         if free:
@@ -213,7 +253,7 @@ class _Table:
         return x
 
 
-class _Level:
+class _Level(_Kind):
     """Seeded block D_k, k >= 2: the rows ``mat`` of D'_k except its all-ones row.
 
     Each decoding pass splits a (b, 2m or 2m + 1) batch, rows of D'_j without
@@ -222,8 +262,7 @@ class _Level:
     """
 
     def __init__(self, mat, leaf):
-        self.n_rows, self.n_cols = mat.shape
-        self.cols, self.bounds = _flat(mat)
+        super().__init__(mat)
         self.leaf = leaf
 
     def decode(self, meas):
@@ -345,27 +384,29 @@ def _block_kinds():
 _KINDS = _block_kinds()
 
 # The shared dynamic program: _fewest[N] rows for N columns, ending in a block
-# of _last[N] columns (1: an identity column).  Grown on demand.
+# of _last[N] columns (1: an identity column; more than N: a block of that
+# kind cut to its first N columns).  Grown on demand.
 _fewest = [0]
 _last = [1]
 
 
 def _plan(N):
-    """Block counts by column count of a fewest-rows design for N columns."""
+    """A fewest-rows design for N columns: (full block counts by column count,
+    and (column count, width) of the one cut block, or None)."""
     for n in range(len(_fewest), N + 1):
         best, last = _fewest[n - 1] + 1, 1
+        # kinds ascend, so on a tie identity columns beat blocks, a smaller
+        # kind a larger one, and a full block a cut one
         for cols, (rows, _) in _KINDS.items():
-            if cols > n:
-                break
-            if _fewest[n - cols] + rows < best:
-                best, last = _fewest[n - cols] + rows, cols
+            if _fewest[max(0, n - cols)] + rows < best:
+                best, last = _fewest[max(0, n - cols)] + rows, cols
         _fewest.append(best)
         _last.append(last)
     counts = {}
-    while N:
+    while N >= _last[N]:
         counts[_last[N]] = counts.get(_last[N], 0) + 1
         N -= _last[N]
-    return counts
+    return counts, ((_last[N], N) if N else None)
 
 
 @dataclass(frozen=True)
@@ -373,23 +414,26 @@ class DetectingMatrix:
     """A binary query design whose measurement map is injective on {0,1}^n_cols.
 
     Its columns are ``_blocks`` (block, count) side by side, the largest
-    block first, then one identity row per remaining column.
+    block first, then ``_cut`` (block, width), the first ``width`` columns of
+    one block wider than that with its empty rows dropped, if the design has
+    one, then one identity row per remaining column.  ``n_rows`` is the only
+    thing kept of the cut block's rows; they are rebuilt on each call.
     """
 
     n_cols: int
+    n_rows: int
     _blocks: tuple = field(repr=False)
-
-    @property
-    def n_rows(self):
-        return self.n_cols - sum(count * (b.n_cols - b.n_rows) for b, count in self._blocks)
+    _cut: tuple = field(default=None, repr=False)
 
     def flat_rows(self, lo=0):
         """Every row's column ids plus ``lo`` as one block: (cols, bounds).
 
         ``cols`` is one flat int64 array and row i is
-        ``cols[bounds[i]:bounds[i + 1]]``: each block's rows in turn, then
-        one row per identity column.  Built per call from each block kind's
-        flat rows; nothing is kept per design.
+        ``cols[bounds[i]:bounds[i + 1]]``: each block's rows in turn, the cut
+        block's nonempty rows, then one row per identity column.  Built per
+        call from each block kind's flat rows; nothing is kept per design.
+        The cut block's rows cost time in the rows they return: each row's
+        ids ascend, so its kept part is a prefix, found by one search.
         """
         cols, bounds = [], [np.zeros(1, dtype=np.int64)]
         base, end = lo, 0
@@ -399,6 +443,15 @@ class DetectingMatrix:
             bounds.append((block.bounds[1:] + (end + block.cols.size * copies)[:, None]).ravel())
             base += count * block.n_cols
             end += count * block.cols.size
+        if self._cut:
+            block, width = self._cut
+            lengths = block.prefix_lengths(width)
+            starts, lengths = block.bounds[:-1][lengths > 0], lengths[lengths > 0]
+            stops = np.cumsum(lengths)
+            cols.append(block.cols[np.repeat(starts - stops + lengths, lengths) + np.arange(stops[-1])] + base)
+            bounds.append(stops + end)
+            base += width
+            end += int(stops[-1])
         tail = lo + self.n_cols - base
         cols.append(np.arange(base, base + tail, dtype=np.int64))
         bounds.append(np.arange(end + 1, end + tail + 1, dtype=np.int64))
@@ -421,7 +474,10 @@ class DetectingMatrix:
 
         Measurements must be integers (UsageError otherwise).  A block kind's
         blocks are contiguous in rows and columns, so each kind decodes all of
-        its blocks as one batch; the identity tail follows.
+        its blocks as one batch.  The cut block's kind decodes it with its
+        dropped rows measured 0 and its missing columns as zeros; a decoded
+        one in a missing column raises DecodeFailure.  The identity tail
+        follows.
         """
         meas = _int_array(measurements, "measurements")
         if meas.shape != (self.n_rows,):
@@ -434,6 +490,17 @@ class DetectingMatrix:
             out[col : col + width] = block.decode(batch).ravel()
             pos += n_rows
             col += width
+        if self._cut:
+            block, width = self._cut
+            kept = block.prefix_lengths(width) > 0
+            padded = np.zeros((1, block.n_rows), dtype=np.int64)
+            padded[0, kept] = meas[pos : pos + np.count_nonzero(kept)]
+            x = block.decode(padded)[0]
+            if x[width:].any():
+                raise DecodeFailure("a cut block decodes a one in a column it does not have")
+            out[col : col + width] = x[:width]
+            pos += np.count_nonzero(kept)
+            col += width
         tail = meas[pos:]
         if ((tail < 0) | (tail > 1)).any():
             raise DecodeFailure("identity-tail measurements must be 0/1")
@@ -443,16 +510,22 @@ class DetectingMatrix:
 
 @functools.cache
 def _design(N):
-    counts = _plan(N)
-    blocks = [(_KINDS[c][1](), counts[c]) for c in sorted(counts, reverse=True) if c > 1]
-    return DetectingMatrix(N, tuple(blocks))
+    counts, cut = _plan(N)
+    blocks = tuple((_KINDS[c][1](), counts[c]) for c in sorted(counts, reverse=True) if c > 1)
+    n_rows = counts.get(1, 0) + sum(block.n_rows * count for block, count in blocks)
+    if cut:
+        block = _KINDS[cut[0]][1]()
+        cut = (block, cut[1])
+        n_rows += int(np.count_nonzero(block.prefix_lengths(cut[1])))
+    return DetectingMatrix(N, n_rows, blocks, cut)
 
 
 def build_detecting_matrix(N):
     """Deterministic detecting design for N columns with the fewest rows the packing allows.
 
     Packs Cantor-Mills blocks (5 to 5121 columns), blocks of the B16-seeded
-    family (16 to 3202 columns) and identity columns (see the module
+    family (16 to 3202 columns) and identity columns, and may end in one
+    block of either family cut to the columns it has left (see the module
     docstring).  Row count is at most N.
     """
     _check_int(N, "N")
@@ -561,8 +634,9 @@ def recover_sparse(N, sum_oracle, *, known_total=None):
     halving tree holds at most min(2^t, m) sub-universes with both a one and
     a zero.  A design replaces a subtree only where its rows are at most the
     subtree's expected cost, so at most that subtree's bound; above 1024
-    columns the rows stay under the bound too (checked for every N up to
-    2^17).  So the rule keeps the O(d log(k/d)) cost, for d ones among k
+    columns the rows stay under the bound too.  With cut blocks this was
+    re-checked for every N up to 2^17: at the fewest ones that take the
+    design, its rows are at most 0.926 of the bound (at N = 1801).  So the rule keeps the O(d log(k/d)) cost, for d ones among k
     columns, that halving gives the merges in the paper's O(n) argument.
 
     ``known_total`` skips the root query when the caller already knows the

@@ -143,12 +143,18 @@ def as_dense(design):
     """A detecting design's 0/1 matrix by definition (int64).
 
     The blocks of ``design._blocks`` (B16 for 16 columns, A_k or the seeded
-    D_k otherwise) sit side by side on the diagonal, each repeated ``count`` times,
-    then one identity row per remaining column.
+    D_k otherwise) sit side by side on the diagonal, each repeated ``count``
+    times, then the cut block ``design._cut``, if any: the first ``width``
+    columns of its kind's matrix without the rows left all zero, then one
+    identity row per remaining column.
     """
     mats = []
     for block, count in design._blocks:
         mats += [_B16 if block.n_cols == 16 else family_block(block.n_cols)] * count
+    if design._cut:
+        block, width = design._cut
+        cut = (_B16 if block.n_cols == 16 else family_block(block.n_cols))[:, :width]
+        mats.append(cut[cut.any(axis=1)])
     tail = design.n_cols - sum(b.shape[1] for b in mats)
     dense = np.zeros((sum(b.shape[0] for b in mats) + tail, design.n_cols), dtype=np.int64)
     r = c = 0

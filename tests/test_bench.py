@@ -306,8 +306,8 @@ class TestPinnedReports:
     @pytest.mark.parametrize(
         "audit,want",
         [
-            (False, "fc5c50bafe4dd7f6f0afbc43ce88fdeb1f9be14f578ffd6d0408a324f6b7d63d"),
-            (True, "7c22560d852411e7835c4976804743ba1869c04153db91695487a17cd789828c"),
+            (False, "678fee18c52729faed63ebb93e80977f9fd5d7159e2b5126fa89af0d0762b0eb"),
+            (True, "dce25d20d8879aaed0dc0f38ced905880224b045f81169dfebba4ece2f9c22c1"),
         ],
         ids=["plain", "audited"],
     )
@@ -321,12 +321,12 @@ class TestPinnedReports:
             (
                 "learn_partition_matroid",
                 False,
-                "338231c820fc893741c7a3e5e934ca2448a0422833c1ad48eb2c1536bc265248",
+                "e863e988e9e5d4bc965689993f0509781ab438863a5948eae9650f78862c9008",
             ),
             (
                 "learn_partition_matroid",
                 True,
-                "fb85733c25387921786b2bd20c9467b18310d3128250df1b7203487cc929a5f2",
+                "2c83e2cf1854ef40eeb2ccfa1b5f64e2c1e2448af509ef09b13abebfacfb5e57",
             ),
             ("baseline", False, "8754a837d609f220ea381ae7dc140a87d5d393898722395344370ad3341e3e14"),
         ],
@@ -342,7 +342,7 @@ class TestPinnedReports:
             (
                 "uniform-k",
                 "find_partition",
-                "cae2efa18fe068080a19e2ab54e814eaab8129fec79558a6d3f0ec1db485c34d",
+                "58b0cc326485bbcdb7564ee0bfe1fcedacb5007f2dddc09895d3ad72a0e644ac",
             ),
             (
                 "capacitated-random",
@@ -439,7 +439,7 @@ class TestPinnedReports:
         rows, _ = bench.sweep("uniform-k", [512, 1024, 2048], 2, "find_partition", base_seed=1)
         assert len(oracles) == 6 and all(r["correct"] for r in rows)
         digest = hashlib.sha256(b"".join(o.digest.digest() for o in oracles)).hexdigest()
-        assert digest == "a9934d96789e6825c8173134c15ae3470c06bf960c1dfc1ce031d7e81e98950c"
+        assert digest == "6021312006b8e80acc9eb6b7bfe7bb849570c35dce12e7306070393604223798"
 
 
 class TestRegressionConfig:

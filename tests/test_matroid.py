@@ -349,12 +349,12 @@ class TestPinnedLedgers:
         o = RankOracle(structure)
         run = learn_partition_matroid_run(2**11, o)
         assert run.matroid.matches(structure)
-        assert (o.ledger.rank_count, o.ledger.independence_count) == (13870, 0)
+        assert (o.ledger.rank_count, o.ledger.independence_count) == (13685, 0)
         assert self.stage_counts(run) == [
             ("basis", 2048),
             ("representatives", 3579),
-            ("inside-basis", 4156),
-            ("outside-basis", 4087),
+            ("inside-basis", 4069),
+            ("outside-basis", 3989),
             ("stitch", 0),
         ]
 
@@ -376,7 +376,7 @@ class TestPinnedLedgers:
         [
             (
                 learn_partition_matroid_run,
-                "d1cd5472e95423a71b853b978f2f32169266fece0004e4547666aba74875c3b6",
+                "fc011ac323c9185f3c6ffdf3b3f3a76b73b34c4f6d3aeae3f8e03c6917e920f1",
             ),
             (
                 baseline_independence_learner_run,

@@ -413,8 +413,8 @@ class TestChunkPrePhase:
         assert run.survivors_after_phase1 <= math.floor(math.log2(1003)) + 1
 
 
-SMALL_PARTS_STREAM_SHA256 = "1b157b14381ba429eae29d40999bce7998b333496d4158839b6d3afe5cd44c55"
-LARGE_PARTS_STREAM_SHA256 = "a111df503108102bb0f8ca125a0e73b7c7623c13cf9c9c91a444e46428b7c139"
+SMALL_PARTS_STREAM_SHA256 = "87b948e2f2d44a10e47876260a328d863460bb75d715fc1dc1622bf24e34f778"
+LARGE_PARTS_STREAM_SHA256 = "817577287bfb41bf69fca88bc3f7dc9477e043a753e669b64281a0f751f7ee8b"
 
 
 class TestPinnedLedgers:
@@ -425,13 +425,13 @@ class TestPinnedLedgers:
         [
             (
                 InstanceSpec("uniform-k", 2**13, seed=1),
-                37766,
-                {"com-discovery": 16722, "matching": 18991, "pairwise-merge": 37537, "final-fold": 229},
+                36747,
+                {"com-discovery": 16486, "matching": 18208, "pairwise-merge": 36515, "final-fold": 232},
             ),
             (
                 InstanceSpec("uniform-k", 2**12, k=2**10, seed=1),
-                15887,
-                {"com-discovery": 7476, "matching": 8086, "pairwise-merge": 14235, "final-fold": 1652},
+                15328,
+                {"com-discovery": 7272, "matching": 7731, "pairwise-merge": 13816, "final-fold": 1512},
             ),
         ],
         ids=["small-parts", "large-parts"],

@@ -107,17 +107,21 @@ def _cmd_sweep(args):
     while n <= args.n_max:
         n_values.append(n)
         n *= 2
-    rows, summaries = sweep(
-        args.family,
-        n_values,
-        args.reps,
-        args.learner,
-        base_seed=args.seed,
-        k=args.k,
-    )
-    csv_text = sweep_rows_to_csv(rows, summaries)
-    with open(args.output, "w") as fh:
-        fh.write(csv_text)
+    # open the output before the sweep runs, so an unwritable path costs no run
+    try:
+        fh = open(args.output, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write sweep file {args.output}: {exc.strerror or exc}") from exc
+    with fh:
+        rows, summaries = sweep(
+            args.family,
+            n_values,
+            args.reps,
+            args.learner,
+            base_seed=args.seed,
+            k=args.k,
+        )
+        fh.write(sweep_rows_to_csv(rows, summaries))
     failed = [s for s in summaries if not s["all_correct"]]
     regression_failed = [s for s in summaries if s["max_queries_per_n"] > limit]
     for s in summaries:

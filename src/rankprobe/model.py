@@ -529,8 +529,13 @@ def instance_from_bytes(data):
 
 
 def write_instance(path, structure, meta=None):
-    with open(path, "wb") as fh:
-        fh.write(instance_to_bytes(structure, meta))
+    """Write the instance file at ``path``; a file that cannot be written is a UsageError."""
+    data = instance_to_bytes(structure, meta)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise UsageError(f"cannot write instance file {path}: {exc.strerror or exc}") from exc
 
 
 def read_instance(path):

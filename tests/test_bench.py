@@ -13,6 +13,7 @@ from rankprobe.bench import (
     sweep,
     sweep_rows_to_csv,
 )
+from rankprobe import cli
 from rankprobe.cli import main
 from rankprobe.model import instance_to_bytes
 from rankprobe.regression import ENV_VAR, RegressionConfig, load_regression_config
@@ -557,6 +558,31 @@ class TestCli:
             inst.mkdir()
         assert main(["run", "--instance", str(inst), "--learner", "find_partition"]) == 2
         assert f"usage error: cannot read instance file {inst}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen", "sweep"])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        # each printed a FileNotFoundError traceback and exited 1, the sweep
+        # only after running in full
+        ran = []
+        monkeypatch.setattr(cli, "sweep", lambda *a, **kw: ran.append(a))
+        out = tmp_path / "missing" / "out"
+        argv = {
+            "gen": ["gen", "--family", "uniform-k", "--n", "64", "--seed", "1", "-o", str(out)],
+            "sweep": [
+                "sweep", "--family", "uniform-k", "--n-min", "64", "--n-max", "64",
+                "--reps", "1", "--learner", "find_partition", "-o", str(out),
+            ],
+        }[command]
+        assert main(argv) == 2
+        assert f"usage error: cannot write {'instance' if command == 'gen' else 'sweep'} file {out}" in (
+            capsys.readouterr().err
+        )
+        assert ran == [] and not out.parent.exists()
+
+    def test_write_instance_to_a_directory_is_a_usage_error(self, tmp_path):
+        structure, meta = generate(InstanceSpec("uniform-k", 16, seed=1))
+        with pytest.raises(UsageError, match="cannot write instance file"):
+            write_instance(tmp_path, structure, meta)
 
     def test_sweep_writes_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -205,6 +205,15 @@ class TestMerge:
         assert merge(np.array([0, 1]), np.array([2, 3]), o, d=0).merged.tolist() == [0, 1, 2, 3]
         assert o.ledger.rank_count == 0
 
+    @pytest.mark.parametrize("d", ["1", True, 1.0, 0.0, False], ids=["str", "true", "1.0", "0.0", "false"])
+    def test_known_root_answer_follows_the_integer_rule(self, d):
+        # "1" raised a bare TypeError, True and 1.0 a UsageError naming
+        # known_total, and 0.0 and False ran as an independent union
+        o = oracle([[0, 2], [1], [3]])
+        with pytest.raises(UsageError, match="d must be an integer"):
+            merge(np.array([0, 1]), np.array([2, 3]), o, d=d)
+        assert o.ledger.rank_count == 0
+
     @pytest.mark.parametrize("d", [-1, 3])
     def test_known_root_answer_range_checked(self, d):
         o = oracle([[0], [1], [2], [3]])

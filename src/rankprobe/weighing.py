@@ -508,16 +508,22 @@ class DetectingMatrix:
         return out
 
 
+def _matrix(blocks, cut, tail):
+    """The DetectingMatrix of (block, count) ``blocks``, the ``cut`` block
+    (block, width) or None, and ``tail`` identity columns."""
+    n_cols = tail + sum(block.n_cols * count for block, count in blocks)
+    n_rows = tail + sum(block.n_rows * count for block, count in blocks)
+    if cut:
+        n_cols += cut[1]
+        n_rows += int(np.count_nonzero(cut[0].prefix_lengths(cut[1])))
+    return DetectingMatrix(n_cols, n_rows, tuple(blocks), cut)
+
+
 @functools.cache
 def _design(N):
     counts, cut = _plan(N)
-    blocks = tuple((_KINDS[c][1](), counts[c]) for c in sorted(counts, reverse=True) if c > 1)
-    n_rows = counts.get(1, 0) + sum(block.n_rows * count for block, count in blocks)
-    if cut:
-        block = _KINDS[cut[0]][1]()
-        cut = (block, cut[1])
-        n_rows += int(np.count_nonzero(block.prefix_lengths(cut[1])))
-    return DetectingMatrix(N, n_rows, blocks, cut)
+    blocks = [(_KINDS[c][1](), counts[c]) for c in sorted(counts, reverse=True) if c > 1]
+    return _matrix(blocks, cut and (_KINDS[cut[0]][1](), cut[1]), counts.get(1, 0))
 
 
 def build_detecting_matrix(N):

@@ -23,16 +23,7 @@ from rankprobe import (
 from rankprobe import weighing
 from rankprobe.errors import InternalConsistencyError, InvariantViolation
 from rankprobe.regression import load_regression_config
-from rankprobe.weighing import (
-    _B16,
-    DetectingMatrix,
-    _Table,
-    _cantor_mills,
-    _free_leaf,
-    _halve,
-    _level,
-    _row_sets,
-)
+from rankprobe.weighing import _B16, _Table, _cantor_mills, _free_leaf, _halve, _level, _row_sets
 
 from _bruteforce import as_dense, family_block
 
@@ -40,11 +31,7 @@ from _bruteforce import as_dense, family_block
 def design(blocks=(), cut=None, tail=0):
     """A DetectingMatrix built by hand: (block, count) pairs, then the cut
     block (block, width) and ``tail`` identity columns."""
-    n_cols = sum(b.n_cols * c for b, c in blocks) + (cut[1] if cut else 0) + tail
-    n_rows = sum(b.n_rows * c for b, c in blocks) + tail
-    if cut:
-        n_rows += int(np.count_nonzero(cut[0].prefix_lengths(cut[1])))
-    return DetectingMatrix(n_cols, n_rows, tuple(blocks), cut)
+    return weighing._matrix(blocks, cut, tail)
 
 
 # two blocks of each of three tiers (block kinds: Cantor-Mills A_8 and A_5,

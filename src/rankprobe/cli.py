@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .bench import (
@@ -113,14 +114,20 @@ def _cmd_sweep(args):
     except OSError as exc:
         raise UsageError(f"cannot write sweep file {args.output}: {exc.strerror or exc}") from exc
     with fh:
-        rows, summaries = sweep(
-            args.family,
-            n_values,
-            args.reps,
-            args.learner,
-            base_seed=args.seed,
-            k=args.k,
-        )
+        try:
+            rows, summaries = sweep(
+                args.family,
+                n_values,
+                args.reps,
+                args.learner,
+                base_seed=args.seed,
+                k=args.k,
+            )
+        except BaseException:
+            # a sweep that stops (a bad --k, an interrupt) leaves no empty file
+            fh.close()
+            os.remove(args.output)
+            raise
         fh.write(sweep_rows_to_csv(rows, summaries))
     failed = [s for s in summaries if not s["all_correct"]]
     regression_failed = [s for s in summaries if s["max_queries_per_n"] > limit]

@@ -579,6 +579,18 @@ class TestCli:
         )
         assert ran == [] and not out.parent.exists()
 
+    def test_sweep_stopped_by_a_usage_error_leaves_no_file(self, tmp_path, capsys):
+        # the output is opened before the sweep runs, and removed when the
+        # sweep stops: here its first instance rejects k = 0
+        out = tmp_path / "s.csv"
+        argv = [
+            "sweep", "--family", "capacitated-random", "--n-min", "64", "--n-max", "64",
+            "--reps", "1", "--learner", "baseline", "--k", "0", "-o", str(out),
+        ]
+        assert main(argv) == 2
+        assert "usage error: capacitated-random needs k >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_write_instance_to_a_directory_is_a_usage_error(self, tmp_path):
         structure, meta = generate(InstanceSpec("uniform-k", 16, seed=1))
         with pytest.raises(UsageError, match="cannot write instance file"):

@@ -448,7 +448,8 @@ class DetectingMatrix:
             lengths = block.prefix_lengths(width)
             starts, lengths = block.bounds[:-1][lengths > 0], lengths[lengths > 0]
             stops = np.cumsum(lengths)
-            cols.append(block.cols[np.repeat(starts - stops + lengths, lengths) + np.arange(stops[-1])] + base)
+            take = np.repeat(starts - stops + lengths, lengths) + np.arange(stops[-1])
+            cols.append(block.cols[take] + base)
             bounds.append(stops + end)
             base += width
             end += int(stops[-1])
@@ -493,13 +494,14 @@ class DetectingMatrix:
         if self._cut:
             block, width = self._cut
             kept = block.prefix_lengths(width) > 0
+            n_rows = int(np.count_nonzero(kept))
             padded = np.zeros((1, block.n_rows), dtype=np.int64)
-            padded[0, kept] = meas[pos : pos + np.count_nonzero(kept)]
+            padded[0, kept] = meas[pos : pos + n_rows]
             x = block.decode(padded)[0]
             if x[width:].any():
                 raise DecodeFailure("a cut block decodes a one in a column it does not have")
             out[col : col + width] = x[:width]
-            pos += np.count_nonzero(kept)
+            pos += n_rows
             col += width
         tail = meas[pos:]
         if ((tail < 0) | (tail > 1)).any():
@@ -640,10 +642,11 @@ def recover_sparse(N, sum_oracle, *, known_total=None):
     halving tree holds at most min(2^t, m) sub-universes with both a one and
     a zero.  A design replaces a subtree only where its rows are at most the
     subtree's expected cost, so at most that subtree's bound; above 1024
-    columns the rows stay under the bound too.  With cut blocks this was
-    re-checked for every N up to 2^17: at the fewest ones that take the
-    design, its rows are at most 0.926 of the bound (at N = 1801).  So the rule keeps the O(d log(k/d)) cost, for d ones among k
-    columns, that halving gives the merges in the paper's O(n) argument.
+    columns the rows stay under the bound too (checked for every N up to
+    2^17: at the fewest ones that take the design, its rows are at most 0.926
+    of the bound, at N = 1801).  So the rule keeps the O(d log(k/d)) cost,
+    for d ones among k columns, that halving gives the merges in the
+    paper's O(n) argument.
 
     ``known_total`` skips the root query when the caller already knows the
     number of ones; the public contract with d unknown always spends the root

@@ -28,17 +28,11 @@ from rankprobe.weighing import _B16, _Table, _cantor_mills, _free_leaf, _halve, 
 from _bruteforce import as_dense, family_block
 
 
-def design(blocks=(), cut=None, tail=0):
-    """A DetectingMatrix built by hand: (block, count) pairs, then the cut
-    block (block, width) and ``tail`` identity columns."""
-    return weighing._matrix(blocks, cut, tail)
-
-
 # two blocks of each of three tiers (block kinds: Cantor-Mills A_8 and A_5,
 # and the A_2 table), A_4 cut to 30 columns, then 2 identity columns.  Built
 # by hand: once a design may end in a cut block, no fewest-rows design below
 # 2^17 columns repeats more than two kinds.
-MULTI_BLOCK = design(
+MULTI_BLOCK = weighing._matrix(
     [(_cantor_mills(8), 2), (_cantor_mills(5), 2), (_cantor_mills(2), 2)], (_cantor_mills(4), 30), 2
 )
 
@@ -200,7 +194,7 @@ class TestFamily:
         rng = np.random.default_rng(block.n_cols)
         widths = {1, 2, 7, 8, block.n_cols // 2, block.n_cols - 2, block.n_cols - 1}
         for width in sorted(widths & set(range(1, block.n_cols))):
-            m = design(cut=(block, width))
+            m = weighing._matrix((), (block, width), 0)
             dense = as_dense(m)
             assert dense.shape == (m.n_rows, width) and dense.any(axis=1).all()
             x = (rng.random((12, width)) < rng.random((12, 1))).astype(np.int64)
@@ -212,7 +206,7 @@ class TestFamily:
     def test_cut_block_exhaustive(self):
         # A_4 cut to 14 columns: a Cantor-Mills pass and the free leaf on
         # zero-padded measurements, every 0/1 vector
-        m = design(cut=(_cantor_mills(4), 14))
+        m = weighing._matrix((), (_cantor_mills(4), 14), 0)
         x = all_binary(14)
         meas = x @ as_dense(m).T
         assert m.n_rows == 16 and len(np.unique(meas, axis=0)) == 1 << 14
@@ -221,7 +215,7 @@ class TestFamily:
     def test_cut_seeded_block_drops_an_empty_row(self):
         # B16's row 2 has no one among its first 7 columns: that row is
         # dropped, not asked, and decoded as a measurement of 0
-        m = design(cut=(_level(1), 7))
+        m = weighing._matrix((), (_level(1), 7), 0)
         assert m.n_rows == 9
         rows = [r.tolist() for r in rows_of(*m.flat_rows())]
         assert rows == [np.flatnonzero(r).tolist() for i, r in enumerate(_B16[:, :7]) if i != 2]
@@ -234,7 +228,7 @@ class TestFamily:
     def test_cut_block_one_in_a_missing_column_fails(self, block):
         # the whole block's measurements of a vector with a one past the cut:
         # the kind decodes it, and the cut rejects the one it cannot have
-        m = design(cut=(block, 20))
+        m = weighing._matrix((), (block, 20), 0)
         kept = block.prefix_lengths(20) > 0
         x = (np.random.default_rng(2).random((1, block.n_cols)) < 0.5).astype(np.int64)
         x[0, 20:] = 0
@@ -330,7 +324,8 @@ class TestBuild:
             for fewest, kinds in ((full, cantor_mills | seeded), (unseeded, first | seeded)):
                 options = [fewest[n - c] + r for c, r in kinds.items() if c <= n]
                 fewest.append(min([fewest[n - 1] + 1] + options))
-            cut.append(min([cut[n - 1] + 1] + [cut[max(0, n - c)] + r for c, r in (cantor_mills | seeded).items()]))
+            options = [cut[max(0, n - c)] + r for c, r in (cantor_mills | seeded).items()]
+            cut.append(min([cut[n - 1] + 1] + options))
             rows = build_detecting_matrix(n).n_rows
             assert rows == weighing._rows(n) == cut[n]  # no cut block the DP picks drops a row
             assert rows <= full[n] <= unseeded[n]

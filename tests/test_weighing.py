@@ -909,7 +909,9 @@ class TestRecoverMatching:
             assert res.queries_used <= limit * d, d
 
     @pytest.mark.parametrize(
-        "d,queries", [(32, 79), (33, 81), (64, 175), (100, 262), (256, 674), (300, 822)]
+        "d,queries",
+        [(32, 79), (33, 81), (64, 175), (100, 262), (256, 674), (300, 822)],
+        ids=["32", "33", "64", "100", "256", "300"],
     )
     def test_pinned_query_counts(self, d, queries):
         # all planes over all d columns asked 100, 110, 222, 336, 832 and 1044

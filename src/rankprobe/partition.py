@@ -115,12 +115,13 @@ def merge(i1, i2, oracle, *, d=None):
     friend in I1 is in com12, so sum(S, I1) = sum(S, com12) for every S in
     I2.  The friend pairing is then a hidden perfect matching between the
     two common sets, reconstructed from add queries (skipped for d <= 1
-    where the outcome is forced).  The merged set keeps I2's copies of the common parts; the
-    outcome's ``removed`` and ``reps`` are I1's copies and their friends (see
-    MergeOutcome).  A root sum outside [0, min(|I1|, |I2|)], asked or passed
-    in, cannot come from an honest oracle: DecodeFailure.  I1 and I2 must be
-    one-dimensional integer ids, and a passed ``d`` an integer (a bool is
-    not): UsageError before any query otherwise.
+    where the outcome is forced).  The merged set keeps I2's copies of the
+    common parts; the outcome's ``removed`` and ``reps`` are I1's copies and
+    their friends (see MergeOutcome).  A root sum outside
+    [0, min(|I1|, |I2|)], asked or passed in, cannot come from an honest
+    oracle: DecodeFailure.  I1 and I2 must be one-dimensional integer ids,
+    and a passed ``d`` an integer (a bool is not): UsageError before any
+    query otherwise.
     """
     i1 = _int_array(i1, "I1")
     i2 = _int_array(i2, "I2")

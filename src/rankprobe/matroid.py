@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, UsageError
-from .model import CapacitatedPartition, _check_universe, _int_array
+from .model import CapacitatedPartition, _check_universe, _int_array, _rank_answer
 from .partition import find_partition
 from .weighing import _halve
 
@@ -88,7 +88,8 @@ class MatroidRun:
 
 def _rank_test(oracle):
     """Independence as one rank query: S is independent iff rank(S) = |S|."""
-    return lambda s: oracle.rank(s) == s.size
+    rank = oracle.rank
+    return lambda s: _rank_answer(rank(s)) == s.size
 
 
 def _stage(ledger, label, stages):
@@ -177,7 +178,8 @@ class _SimulatedOracle:
     ``probe(pos)`` gives the base query set for positions S and an offset;
     rank(S) is the base rank of that set minus the offset, one base query per
     call.  Positions come from find_partition_run and are trusted; the base
-    oracle validates each probe it is asked.  It answers rank queries only:
+    oracle validates each probe it is asked, and its answer is checked to be
+    an integer as it is read.  It answers rank queries only:
     a learned answer is checked on the base oracle (``model.certify``).
     """
 
@@ -189,7 +191,7 @@ class _SimulatedOracle:
 
     def rank(self, pos):
         query, offset = self._probe(pos)
-        return self.base.rank(query) - offset
+        return _rank_answer(self.base.rank(query)) - offset
 
 
 def _inside_oracle(base, b, t2):

@@ -15,6 +15,13 @@ leave the check to it: a sum query asks S ++ I2, so an id that S and I2
 share is a repeated id.  No learner asks ``audit_rank``: only
 :func:`certify` does, after the learner has answered.
 
+Answer contract: a rank answer must be an integer (a bool is not).  The
+learners check each answer once, with ``_rank_answer``, where they read it,
+and trust it from there on: ``partition.find_partition_run`` its rank(V) and
+chunk ranks, ``partition.merge`` its one rank callback, and ``matroid`` its
+rank test and simulated oracles.  A misbehaving oracle's non-integer answer
+is a :class:`UsageError`.
+
 One class family holds a partition: :class:`HiddenPartition` canonicalises
 and checks the parts once, :class:`CapacitatedPartition` adds capacities,
 and ``matroid.LearnedMatroid`` extends that.  Instance constructors hold part
@@ -97,6 +104,15 @@ def _check_int(value, what):
     """Raise UsageError unless ``value`` is an integer scalar (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise UsageError(f"{what} must be an integer, got {value!r}")
+
+
+def _rank_answer(value):
+    """A rank oracle's answer as an int, checked where a learner reads it:
+    UsageError unless it is an integer scalar (a bool is not)."""
+    if type(value) is not int:
+        _check_int(value, "a rank answer")
+        value = int(value)
+    return value
 
 
 def _check_universe(n, oracle):

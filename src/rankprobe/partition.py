@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DecodeFailure, InternalConsistencyError, InvariantViolation, UsageError
-from .model import _add_query, _check_int, _check_universe, _int_array
-from .weighing import _row_sets, recover_matching, recover_sparse
+from .model import _check_int, _check_universe, _int_array, _rank_answer
+from .weighing import _recover_matching, _recover_sparse, _row_sets
 
 __all__ = [
     "PartitionRun",
@@ -121,16 +121,23 @@ def merge(i1, i2, oracle, *, d=None):
     [0, min(|I1|, |I2|)], asked or passed in, cannot come from an honest
     oracle: DecodeFailure.  I1 and I2 must be one-dimensional integer ids,
     and a passed ``d`` an integer (a bool is not): UsageError before any
-    query otherwise.
+    query otherwise.  Every query reads the oracle's rank through one
+    callback that checks the answer is an integer (UsageError otherwise);
+    sparse recovery and the matching trust the sums built from it.
     """
     i1 = _int_array(i1, "I1")
     i2 = _int_array(i2, "I2")
     if d is not None:
         _check_int(d, "d")
-    ledger = oracle.ledger
+    ledger, rank = oracle.ledger, oracle.rank
+
+    def add(s):
+        # add(S) = |S| - rank(S), the rank answer checked as it is read
+        return s.size - _rank_answer(rank(s))
+
     with ledger.phase("com-discovery"):
         if d is None:
-            d = int(_add_query(oracle, np.concatenate((i1, i2)))) if i1.size else 0
+            d = add(np.concatenate((i1, i2))) if i1.size else 0
         if not 0 <= d <= min(i1.size, i2.size):
             raise DecodeFailure(
                 f"sum oracle reported {d} common parts between sets of sizes "
@@ -143,14 +150,12 @@ def merge(i1, i2, oracle, *, d=None):
             return MergeOutcome(merged, _NO_IDS, _NO_IDS)
         def sums(src, other):
             # sum(S, other) = add(S ∪ other), as the root query asks it
-            return lambda cols, bounds: [
-                _add_query(oracle, s) for s in _row_sets(src, cols, bounds, other)
-            ]
+            return lambda cols, bounds: [add(s) for s in _row_sets(src, cols, bounds, other)]
 
-        rec1 = recover_sparse(i1.size, sums(i1, i2), known_total=d)
+        rec1 = _recover_sparse(i1.size, sums(i1, i2), d)
         com12 = i1[rec1.support]
         # every friend in I1 of an I2 element lies in com12: sum(S, I1) = sum(S, com12)
-        rec2 = recover_sparse(i2.size, sums(i2, com12), known_total=d)
+        rec2 = _recover_sparse(i2.size, sums(i2, com12), d)
         com21 = i2[rec2.support]
     # I1 and I2 are disjoint, so dropping com12 from I1 and sorting the
     # concatenation is the sorted union minus com12
@@ -158,12 +163,15 @@ def merge(i1, i2, oracle, *, d=None):
     keep[rec1.support] = False
     merged = np.concatenate((i1[keep], i2))
     merged.sort()
-    # recover_sparse returns exactly known_total ones or raises, so |com21| = d
+    # _recover_sparse returns exactly its total of ones or raises, so |com21| = d
     if d == 1:
         return MergeOutcome(merged, com12, com21)
-    com12.sort()  # already ascending when I1 is, as in find_partition
+    # already ascending when I1 and I2 are, as in find_partition; disjoint
+    # and free of repeats, as merge's contract has I1 and I2
+    com12.sort()
+    com21.sort()
     with ledger.phase("matching"):
-        pairs = recover_matching(com12, com21, lambda s: _add_query(oracle, s)).pairs
+        pairs = _recover_matching(com12, com21, add).pairs
     reps = np.array([pairs[e] for e in com12.tolist()], dtype=np.int64)
     return MergeOutcome(merged, com12, reps)
 
@@ -182,7 +190,8 @@ def find_partition_run(n, oracle):
     its rank r is asked, and r = |chunk| means the chunk is independent and
     enters phase 1 as one set.  Otherwise both halves are resolved the same
     way, to A and B, and merged with the known root answer
-    d = |A| + |B| - r, so that merge asks no root query.
+    d = |A| + |B| - r, so that merge asks no root query.  A rank(V) or chunk
+    rank that is not an integer (a bool is not) raises UsageError.
 
     Why d is known: each element a merge removes has a friend that stays,
     so A hits exactly the parts its half hits, even when the half was itself
@@ -245,7 +254,7 @@ def find_partition_run(n, oracle):
         ids = np.arange(lo, hi, dtype=np.int64)
         if ids.size == 1:
             return ids
-        r = oracle.rank(ids)
+        r = _rank_answer(oracle.rank(ids))
         if r == ids.size:
             return ids
         mid = (lo + hi) // 2
@@ -258,7 +267,7 @@ def find_partition_run(n, oracle):
     with ledger.phase("pairwise-merge") as pairwise:
         width = 1
         if n >= 2:
-            k = oracle.rank(np.arange(n, dtype=np.int64))
+            k = _rank_answer(oracle.rank(np.arange(n, dtype=np.int64)))
             if not 1 <= k <= n:
                 raise DecodeFailure(f"rank oracle reported rank {k} for all {n} elements")
             width = 1 << (math.isqrt(k).bit_length() - 1)

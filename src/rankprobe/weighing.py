@@ -13,6 +13,11 @@ all known before the first answer, so the callback gets them as one block
 halving query is a one-row block.  ``_row_sets`` turns a block into the query
 sets its callers ask, one concatenate ``src[row] ++ fixed`` per row.
 
+``recover_sparse`` and ``recover_matching`` check their inputs and each
+answer of their callback, then run a private core, ``_recover_sparse`` and
+``_recover_matching``, that trusts both.  ``partition.merge``, which checks
+each rank answer as it reads it, and the matching planes call the cores.
+
 Detecting designs
 -----------------
 A design is *detecting* if x -> (row sums of x) is injective on {0,1}^n.
@@ -90,8 +95,9 @@ against a cut one; so a design holds at most one.  No A_k row goes empty,
 since column 0 is all ones.  A seeded row may, below 8 columns, and an empty
 row is dropped, not asked (no design the program picks up to 2^17 columns
 drops one).  The cut block decodes through its kind's decoder unchanged,
-with the dropped rows measured 0 and the missing columns zeros; a decoded
-one in a missing column raises DecodeFailure.  The row count is 16 at
+with the dropped rows measured 0 and the missing columns zeros, in one batch
+with the design's full blocks of its kind, if it has any; a decoded one in a
+missing column raises DecodeFailure.  The row count is 16 at
 N = 32, 32 at N = 64, 94 at N = 256, 256 at N = 1024, 384 (about 0.27*N) at
 N = 1440 and 1015 (about 0.25*N) at N = 4096, where no block is cut.  Cut
 blocks save rows at 90,936 of the 131,072 sizes up to 2^17 and cost a row
@@ -107,13 +113,15 @@ empty, so A_2 enters only as a part of larger designs.  Above 1024 columns
 the band's edge a(1024)/1024 scales with s.
 
 A design is a list of (block, count) pairs and at most one cut block.  Each
-block kind keeps its rows in one form only, one flat array of column ids
-with row bounds, built once, on first use, from its 0/1 matrix;
-``DetectingMatrix.flat_rows`` tiles those into one flat block per call and
-caches nothing per design but its row count.  A cut block's rows are built
-per call, in time proportional to the rows returned: each row's ids ascend,
-so its kept part is a prefix, found by one search of the kind's row-major
-keys.  Decoding hands all blocks of one kind to that kind as one batch.
+block kind keeps its rows as one flat array of column ids with row bounds,
+built once, on first use, from its 0/1 matrix.  A design tiles those into
+its own rows once, on first use, and keeps them compactly: the column ids in
+the narrowest integer type that holds its column count, the bounds as one
+read-only int64 array.  The cut block's kept rows are worked out in the
+same pass: each row's ids ascend, so its kept part is its ids below the
+width.  ``DetectingMatrix.flat_rows(lo)`` returns the ids plus ``lo`` as a
+fresh int64 array, with the shared bounds.  Decoding hands all blocks of one
+kind, the cut block among them, to that kind as one batch.
 
 Matching recovery
 -----------------
@@ -185,17 +193,10 @@ class _Kind:
         self.n_rows, self.n_cols = mat.shape
         self.cols, self.bounds = _flat(mat)
 
-    @functools.cached_property
-    def _keys(self):
-        """row * n_cols + column id per entry, ascending: each row's ids ascend."""
-        row = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.bounds))
-        return row * self.n_cols + self.cols
-
     def prefix_lengths(self, j):
         """Each row's number of column ids below j, the row's kept part when the
-        block is cut to its first j columns: one search per row."""
-        ends = np.searchsorted(self._keys, np.arange(self.n_rows, dtype=np.int64) * self.n_cols + j)
-        return ends - self.bounds[:-1]
+        block is cut to its first j columns (no kind has an empty row)."""
+        return np.add.reduceat(self.cols < j, self.bounds[:-1])
 
 
 class _Table(_Kind):
@@ -416,8 +417,10 @@ class DetectingMatrix:
     Its columns are ``_blocks`` (block, count) side by side, the largest
     block first, then ``_cut`` (block, width), the first ``width`` columns of
     one block wider than that with its empty rows dropped, if the design has
-    one, then one identity row per remaining column.  ``n_rows`` is the only
-    thing kept of the cut block's rows; they are rebuilt on each call.
+    one, then one identity row per remaining column.  Its rows are built
+    once, on first use, and kept with the design, compactly (see
+    ``_layout``); the cut block decodes in one batch with its kind's full
+    blocks.
     """
 
     n_cols: int
@@ -425,38 +428,51 @@ class DetectingMatrix:
     _blocks: tuple = field(repr=False)
     _cut: tuple = field(default=None, repr=False)
 
-    def flat_rows(self, lo=0):
-        """Every row's column ids plus ``lo`` as one block: (cols, bounds).
+    @functools.cached_property
+    def _layout(self):
+        """(cols, bounds, kept), built on first use from each block kind's flat rows.
 
-        ``cols`` is one flat int64 array and row i is
-        ``cols[bounds[i]:bounds[i + 1]]``: each block's rows in turn, the cut
-        block's nonempty rows, then one row per identity column.  Built per
-        call from each block kind's flat rows; nothing is kept per design.
-        The cut block's rows cost time in the rows they return: each row's
-        ids ascend, so its kept part is a prefix, found by one search.
+        ``cols`` holds every row's column ids at offset 0, in the narrowest
+        integer type that holds ``n_cols``, and ``bounds`` the read-only int64
+        row bounds: each block's rows in turn, the cut block's nonempty rows,
+        then one row per identity column.  ``kept`` marks the rows of the cut
+        block's kind that the cut keeps (None without a cut block): each row's
+        ids ascend, so its kept part is the ids below the width, in order.
         """
         cols, bounds = [], [np.zeros(1, dtype=np.int64)]
-        base, end = lo, 0
+        base = end = 0
         for block, count in self._blocks:
             copies = np.arange(count, dtype=np.int64)
             cols.append((block.cols + (base + block.n_cols * copies)[:, None]).ravel())
             bounds.append((block.bounds[1:] + (end + block.cols.size * copies)[:, None]).ravel())
             base += count * block.n_cols
             end += count * block.cols.size
+        kept = None
         if self._cut:
             block, width = self._cut
             lengths = block.prefix_lengths(width)
-            starts, lengths = block.bounds[:-1][lengths > 0], lengths[lengths > 0]
-            stops = np.cumsum(lengths)
-            take = np.repeat(starts - stops + lengths, lengths) + np.arange(stops[-1])
-            cols.append(block.cols[take] + base)
-            bounds.append(stops + end)
+            kept = lengths > 0
+            cols.append(block.cols[block.cols < width] + base)
+            bounds.append(np.cumsum(lengths[kept]) + end)
             base += width
-            end += int(stops[-1])
-        tail = lo + self.n_cols - base
-        cols.append(np.arange(base, base + tail, dtype=np.int64))
-        bounds.append(np.arange(end + 1, end + tail + 1, dtype=np.int64))
-        return np.concatenate(cols), np.concatenate(bounds)
+            end += int(lengths.sum())
+        cols.append(np.arange(base, self.n_cols, dtype=np.int64))
+        bounds.append(np.arange(end + 1, end + self.n_cols - base + 1, dtype=np.int64))
+        cols = np.concatenate(cols).astype(np.min_scalar_type(self.n_cols))
+        bounds = np.concatenate(bounds)
+        cols.flags.writeable = bounds.flags.writeable = False
+        return cols, bounds, kept
+
+    def flat_rows(self, lo=0):
+        """Every row's column ids plus ``lo`` as one block: (cols, bounds).
+
+        ``cols`` is a fresh flat int64 array and row i is
+        ``cols[bounds[i]:bounds[i + 1]]``: each block's rows in turn, the cut
+        block's nonempty rows, then one row per identity column.  ``bounds``
+        is the design's own read-only int64 array, shared by every call.
+        """
+        cols, bounds, _ = self._layout
+        return np.add(cols, lo, dtype=np.int64), bounds
 
     def measure(self, x):
         """Forward map: one subset sum per row (the test-side oracle).
@@ -475,33 +491,39 @@ class DetectingMatrix:
 
         Measurements must be integers (UsageError otherwise).  A block kind's
         blocks are contiguous in rows and columns, so each kind decodes all of
-        its blocks as one batch.  The cut block's kind decodes it with its
-        dropped rows measured 0 and its missing columns as zeros; a decoded
-        one in a missing column raises DecodeFailure.  The identity tail
-        follows.
+        its blocks as one batch.  The cut block is padded to its kind's rows,
+        its dropped rows measured 0 and its missing columns zeros, and joins
+        the batch of its kind's full blocks as the last row, or forms a batch
+        of its own; a decoded one in a missing column raises DecodeFailure.
+        The identity tail follows.
         """
         meas = _int_array(measurements, "measurements")
         if meas.shape != (self.n_rows,):
             raise DecodeFailure(f"expected {self.n_rows} measurements, got {meas.shape}")
-        out = np.empty(self.n_cols, dtype=np.int64)
-        pos = col = 0
+        batches, pos = {}, 0
         for block, count in self._blocks:
-            n_rows, width = count * block.n_rows, count * block.n_cols
-            batch = meas[pos : pos + n_rows].reshape(count, -1)
-            out[col : col + width] = block.decode(batch).ravel()
-            pos += n_rows
-            col += width
+            batches[block] = meas[pos : pos + count * block.n_rows].reshape(count, -1)
+            pos += count * block.n_rows
         if self._cut:
-            block, width = self._cut
-            kept = block.prefix_lengths(width) > 0
-            n_rows = int(np.count_nonzero(kept))
-            padded = np.zeros((1, block.n_rows), dtype=np.int64)
-            padded[0, kept] = meas[pos : pos + n_rows]
-            x = block.decode(padded)[0]
+            kind, width = self._cut
+            kept = self._layout[2]
+            rows = int(np.count_nonzero(kept))
+            padded = np.zeros((1, kind.n_rows), dtype=np.int64)
+            padded[0, kept] = meas[pos : pos + rows]
+            pos += rows
+            full = batches.get(kind)
+            batches[kind] = padded if full is None else np.concatenate((full, padded))
+        decoded = {block: block.decode(batch) for block, batch in batches.items()}
+        out = np.empty(self.n_cols, dtype=np.int64)
+        col = 0
+        for block, count in self._blocks:
+            out[col : col + count * block.n_cols] = decoded[block][:count].ravel()
+            col += count * block.n_cols
+        if self._cut:
+            x = decoded[kind][-1]
             if x[width:].any():
                 raise DecodeFailure("a cut block decodes a one in a column it does not have")
             out[col : col + width] = x[:width]
-            pos += n_rows
             col += width
         tail = meas[pos:]
         if ((tail < 0) | (tail > 1)).any():
@@ -652,12 +674,21 @@ def recover_sparse(N, sum_oracle, *, known_total=None):
     number of ones; the public contract with d unknown always spends the root
     query, so x = 0 costs exactly one query.  It must be an integer in
     [0, N] (UsageError before any query otherwise).
-    """
-    state = {"queries": 0, "matrix_used": False}
 
-    def answer(cols, bounds):
+    Every input and answer check above is made here, once; the recovery
+    itself runs in ``_recover_sparse``, which trusts its callback's answers.
+    """
+    _check_int(N, "N")
+    if N < 0:
+        raise UsageError("N must be nonnegative")
+    if known_total is not None:
+        _check_int(known_total, "known_total")
+        if not 0 <= known_total <= N:
+            raise UsageError(f"known_total must lie in [0, {N}], got {known_total}")
+        known_total = int(known_total)
+
+    def checked(cols, bounds):
         rows = len(bounds) - 1
-        state["queries"] += rows
         got = sum_oracle(cols, bounds)
         try:
             count = len(got)
@@ -671,6 +702,19 @@ def recover_sparse(N, sum_oracle, *, known_total=None):
             for value in got:
                 _check_int(value, "a sum-query answer")
         return got
+
+    return _recover_sparse(int(N), checked, known_total)
+
+
+def _recover_sparse(N, sum_oracle, total):
+    """recover_sparse on checked inputs: ``sum_oracle`` returns exactly one
+    integer answer per row, and ``total`` is the known number of ones in
+    [0, N], or None to spend the root query."""
+    state = {"queries": 0, "matrix_used": False}
+
+    def answer(cols, bounds):
+        state["queries"] += len(bounds) - 1
+        return sum_oracle(cols, bounds)
 
     def ask(lo, hi):
         row = np.arange(lo, hi, dtype=np.int64)
@@ -702,18 +746,8 @@ def recover_sparse(N, sum_oracle, *, known_total=None):
         solve(lo, mid, left)
         solve(mid, hi, ones - left)
 
-    _check_int(N, "N")
-    if N < 0:
-        raise UsageError("N must be nonnegative")
-    if known_total is not None:
-        _check_int(known_total, "known_total")
-        if not 0 <= known_total <= N:
-            raise UsageError(f"known_total must lie in [0, {N}], got {known_total}")
-        total = int(known_total)
-    elif N == 0:
-        total = 0
-    else:
-        total = ask(0, N)
+    if total is None:
+        total = ask(0, N) if N else 0
     solve(0, N, total)
     strategy = "hybrid" if state["matrix_used"] else "binary-split"
     return SparseRecovery(np.asarray(support, dtype=np.int64), state["queries"], strategy)
@@ -786,7 +820,9 @@ def recover_matching(x_side, y_side, add_oracle):
     yields another perfect matching of the two sides.
 
     Each side must hold distinct integer ids, the sides disjoint and of equal
-    size, otherwise UsageError; so must each add answer be an integer.
+    size, otherwise UsageError; so must each add answer be an integer.  These
+    checks are made here, once; the learning runs in ``_recover_matching``,
+    which trusts its sides and its callback's answers.
     """
     xs = np.sort(_int_array(x_side, "matching ids"))
     ys = np.sort(_int_array(y_side, "matching ids"))
@@ -796,6 +832,19 @@ def recover_matching(x_side, y_side, add_oracle):
         raise UsageError("a matching side must not repeat an id")
     if np.intersect1d(xs, ys).size:
         raise UsageError("matching sides must be disjoint")
+
+    def checked(subset):
+        value = add_oracle(subset)
+        _check_int(value, "an add-query answer")
+        return int(value)
+
+    return _recover_matching(xs, ys, checked)
+
+
+def _recover_matching(xs, ys, add_oracle):
+    """recover_matching on checked inputs: ``xs`` and ``ys`` ascending int64
+    arrays of equal size, each without a repeated id, disjoint, and
+    ``add_oracle`` returning an int."""
     d = int(xs.size)
     if d == 0:
         return MatchingResult({}, 0)
@@ -806,9 +855,7 @@ def recover_matching(x_side, y_side, add_oracle):
 
     def ask(subset):
         state["queries"] += 1
-        value = add_oracle(subset)
-        _check_int(value, "an add-query answer")
-        return int(value)
+        return add_oracle(subset)
 
     pairs = {}
     if d < MATCHING_SEARCH_CUTOFF:
@@ -837,8 +884,8 @@ def recover_matching(x_side, y_side, add_oracle):
         asked = order[asked]
         src, x_b = ys[asked], xs[high]
         try:
-            rec = recover_sparse(
-                asked.size, lambda cols, bounds: [ask(s) for s in _row_sets(src, cols, bounds, x_b)]
+            rec = _recover_sparse(
+                asked.size, lambda cols, bounds: [ask(s) for s in _row_sets(src, cols, bounds, x_b)], None
             )
         except DecodeFailure as exc:
             raise ProtocolError(f"bit-plane {b} decode failed: {exc}") from exc

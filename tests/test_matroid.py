@@ -465,3 +465,62 @@ class TestExtremeShapes:
         for key in ("rank_count", "independence_count", "per_phase"):
             assert plain.ledger[key] == audited.ledger[key]
         assert plain.ledger["audit_count"] == 0 < audited.ledger["audit_count"]
+
+
+class _ConvertedRank(RankOracle):
+    """Answers every rank query with ``convert`` applied to the true rank."""
+
+    def __init__(self, structure, convert):
+        super().__init__(structure)
+        self.convert = convert
+
+    def rank(self, s):
+        return self.convert(super().rank(s))
+
+
+class TestRankAnswerTypes:
+    """Each learner checks a rank answer once, where it reads it."""
+
+    # learner, its instance family, and whether its answer is the truth
+    LEARNERS = {
+        "find_partition": (
+            find_partition,
+            "uniform-k",
+            lambda parts, st: canonical(parts) == st.as_tuples(),
+        ),
+        "learn_partition_matroid": (
+            learn_partition_matroid,
+            "capacitated-random",
+            lambda matroid, st: matroid.matches(st),
+        ),
+    }
+
+    # find_partition raised a bare TypeError on a float rank(V) (math.isqrt)
+    # and took bools as ranks 0 and 1; learn_partition_matroid raised a bare
+    # TypeError on floats and an IndexError on half-integers (an empty basis)
+    @pytest.mark.parametrize("convert", [float, lambda r: r + 0.5, bool], ids=["float", "half", "bool"])
+    @pytest.mark.parametrize("learner", LEARNERS)
+    def test_non_integer_answers_are_usage_errors(self, learner, convert):
+        learn, family, _ = self.LEARNERS[learner]
+        st, _ = generate(InstanceSpec(family, 256, k=16, seed=1))
+        with pytest.raises(UsageError, match="a rank answer must be an integer"):
+            learn(256, _ConvertedRank(st, convert))
+
+    @pytest.mark.parametrize("learner", LEARNERS)
+    def test_numpy_integer_answers_are_accepted(self, learner):
+        learn, family, is_truth = self.LEARNERS[learner]
+        st, _ = generate(InstanceSpec(family, 256, k=16, seed=1))
+        plain, converted = RankOracle(st), _ConvertedRank(st, np.int64)
+        assert is_truth(learn(256, converted), st) and is_truth(learn(256, plain), st)
+        assert converted.ledger.snapshot() == plain.ledger.snapshot()
+
+    @pytest.mark.parametrize("convert", [float, bool], ids=["float", "bool"])
+    def test_simulated_oracles_check_the_base_answer(self, convert):
+        from rankprobe.matroid import _inside_oracle, _outside_oracle, _side_complement
+
+        b, reps = _small_basis_and_reps()
+        odd = _ConvertedRank(_small_oracle().structure, convert)
+        outside = _side_complement(10, b)
+        for sim in (_inside_oracle(odd, b, reps.outside), _outside_oracle(odd, b, outside, reps.inside)):
+            with pytest.raises(UsageError, match="a rank answer must be an integer"):
+                sim.rank(np.array([0, 1]))

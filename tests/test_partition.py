@@ -98,12 +98,25 @@ class TestMerge:
         with pytest.raises(DecodeFailure):
             merge(np.array(i1), np.array(i2), Lying())
 
+    @pytest.mark.parametrize("d", [None, 2], ids=["root-asked", "root-passed"])
+    @pytest.mark.parametrize("convert", [float, bool, lambda r: r + 0.5], ids=["float", "bool", "half"])
+    def test_rank_answers_follow_the_integer_rule(self, convert, d):
+        # the root query and every design or halving row read the oracle's
+        # rank through merge's one checked callback
+        class Converted(RankOracle):
+            def rank(self, s):
+                return convert(super().rank(s))
+
+        o = Converted(HiddenPartition([[0, 4], [1, 5], [2], [3], [6], [7]]))
+        with pytest.raises(UsageError, match="a rank answer must be an integer"):
+            merge(np.arange(4), np.arange(4, 8), o, d=d)
+
     def test_independent_union_ends_after_one_query(self, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("an independent union needs no recovery")
 
-        monkeypatch.setattr(partition, "recover_sparse", unreachable)
-        monkeypatch.setattr(partition, "recover_matching", unreachable)
+        monkeypatch.setattr(partition, "_recover_sparse", unreachable)
+        monkeypatch.setattr(partition, "_recover_matching", unreachable)
         o = oracle([[0, 1], [2, 3], [4], [5], [6], [7]])
         out = merge(np.array([4, 6, 0]), np.array([7, 2, 5]), o)
         assert out.merged.tolist() == [0, 2, 4, 5, 6, 7]
@@ -115,16 +128,16 @@ class TestMerge:
         # 40 of I1's 64 elements share a part with one of I2's 70, so com
         # discovery asks a 64-column and then a 70-column design block
         blocks = []
-        real = partition.recover_sparse
+        real = partition._recover_sparse
 
-        def recording(n, sum_oracle, **kwargs):
+        def recording(n, sum_oracle, total):
             def block(cols, bounds):
                 sums = sum_oracle(cols, bounds)
                 assert len(sums) == bounds.size - 1
                 blocks.append(bounds.size - 1)
                 return sums
 
-            return real(n, block, **kwargs)
+            return real(n, block, total)
 
         class Counting(RankOracle):
             calls = 0
@@ -133,7 +146,7 @@ class TestMerge:
                 self.calls += 1
                 return super().rank(s)
 
-        monkeypatch.setattr(partition, "recover_sparse", recording)
+        monkeypatch.setattr(partition, "_recover_sparse", recording)
         parts = [[j, 64 + j] for j in range(40)] + [[j] for j in range(40, 64)]
         parts += [[64 + j] for j in range(40, 70)]
         o = Counting(HiddenPartition(parts))
@@ -149,15 +162,15 @@ class TestMerge:
         # every friend in I1 of an I2 element lies in com12, so the second
         # recovery asks row ++ com12 where it asked row ++ I1
         blocks = []
-        real = partition.recover_sparse
+        real = partition._recover_sparse
 
-        def recording(n, sum_oracle, **kwargs):
+        def recording(n, sum_oracle, total):
             def block(cols, bounds):
                 blocks.append((len(recoveries), cols.copy(), bounds.copy()))
                 return sum_oracle(cols, bounds)
 
             recoveries.append(n)
-            return real(n, block, **kwargs)
+            return real(n, block, total)
 
         class Recording(RankOracle):
             def rank(self, s):
@@ -165,7 +178,7 @@ class TestMerge:
                 return super().rank(s)
 
         recoveries, asked = [], []
-        monkeypatch.setattr(partition, "recover_sparse", recording)
+        monkeypatch.setattr(partition, "_recover_sparse", recording)
         parts = [[j, 64 + j] for j in range(40)] + [[j] for j in range(40, 64)]
         parts += [[64 + j] for j in range(40, 70)]
         rng = np.random.default_rng(3)

@@ -238,6 +238,37 @@ class TestFamily:
         with pytest.raises(DecodeFailure, match="column it does not have"):
             m.decode(meas)
 
+    def test_cut_block_in_its_kinds_batch_one_in_a_missing_column_fails(self):
+        # A_4 beside A_4 cut to 20 columns: the cut block decodes in one
+        # batch with the full one and still rejects a one past the cut
+        block = _cantor_mills(4)
+        m = weighing._matrix([(block, 1)], (block, 20), 0)
+        rng = np.random.default_rng(4)
+        full, cut = (rng.random((2, block.n_cols)) < 0.5).astype(np.int64)
+        cut[20:] = 0
+        meas = np.concatenate((block_measure(block, full[None, :])[0], block_measure(block, cut[None, :])[0]))
+        assert np.array_equal(m.decode(meas), np.concatenate((full, cut[:20])))
+        cut[25] = 1
+        meas = np.concatenate((block_measure(block, full[None, :])[0], block_measure(block, cut[None, :])[0]))
+        with pytest.raises(DecodeFailure, match="column it does not have"):
+            m.decode(meas)
+
+    def test_cut_block_joins_its_kinds_batch(self, monkeypatch):
+        # 63 columns are A_4 and A_4 cut to 30: one decode call of the kind
+        m = build_detecting_matrix(63)
+        block = _cantor_mills(4)
+        assert (m._blocks, m._cut) == (((block, 1),), (block, 30))
+        batches = []
+
+        def decode(meas):
+            batches.append(meas.shape)
+            return type(block).decode(block, meas)
+
+        monkeypatch.setattr(block, "decode", decode)
+        x = (np.random.default_rng(63).random(63) < 0.5).astype(np.int64)
+        assert np.array_equal(m.decode(m.measure(x)), x)
+        assert batches == [(2, block.n_rows)]
+
 
 class TestSeededFamily:
     """The family seeded with D'_1 = [B16; all-ones], whose leaves decode through B16."""
@@ -411,6 +442,35 @@ class TestBuild:
     def test_measure_rejects_wrong_length(self):
         with pytest.raises(UsageError, match="length 20"):
             build_detecting_matrix(20).measure([0] * 19)
+
+    def test_returned_rows_do_not_touch_the_design(self):
+        # the rows are kept per design: the ids come back as a fresh array,
+        # the bounds as the design's own read-only one
+        m = build_detecting_matrix(300)
+        cols, bounds = m.flat_rows(7)
+        want_cols, want_bounds = cols.copy(), bounds.copy()
+        cols[:] = -1
+        with pytest.raises(ValueError, match="read-only"):
+            bounds[1] = 0
+        again = m.flat_rows(7)
+        assert np.array_equal(again[0], want_cols) and np.array_equal(again[1], want_bounds)
+        assert again[0] is not cols and np.array_equal(m.flat_rows()[0], want_cols - 7)
+
+    # the kept column ids take the narrowest integer type that holds n_cols
+    @pytest.mark.parametrize(
+        "n,dtype",
+        [(255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.uint32)],
+    )
+    def test_rows_round_trip_on_both_sides_of_a_width(self, n, dtype):
+        m = build_detecting_matrix(n)
+        assert m._layout[0].dtype == dtype
+        cols, bounds = m.flat_rows(70000)
+        assert cols.dtype == bounds.dtype == np.int64
+        assert cols.min() == 70000 and cols.max() == 70000 + n - 1
+        x = (np.random.default_rng(n).random(n) < 0.3).astype(np.int64)
+        meas = m.measure(x)
+        assert np.array_equal(meas, np.add.reduceat(np.append(np.zeros(70000, np.int64), x)[cols], bounds[:-1]))
+        assert np.array_equal(m.decode(meas), x)
 
     def test_deterministic(self):
         a = build_detecting_matrix(100)
@@ -929,12 +989,14 @@ class TestRecoverMatching:
         # that has bit b set need no query
         sizes = []
 
-        def recording(n, sum_oracle, **kw):
-            assert kw == {}  # the root query is spent: the total is unknown
-            sizes.append(n)
-            return recover_sparse(n, sum_oracle)
+        core = weighing._recover_sparse
 
-        monkeypatch.setattr(weighing, "recover_sparse", recording)
+        def recording(n, sum_oracle, total):
+            assert total is None  # the root query is spent: the total is unknown
+            sizes.append(n)
+            return core(n, sum_oracle, total)
+
+        monkeypatch.setattr(weighing, "_recover_sparse", recording)
         xs, ys, partner, add = random_matching(d, 1)
         assert recover_matching(xs, ys, add).pairs == partner
         assert sizes == [d - 2**b for b in range(math.ceil(math.log2(d)))]

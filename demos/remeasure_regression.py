@@ -5,6 +5,10 @@ workloads the shipped values were measured on.  Review the output and edit
 the config by hand if an intentional change moved a number; the suite pins
 the frozen values, so silent drift fails tests instead of hiding.
 
+Last it prints the worst ratio, over every N up to 2^17, of the design's
+rows to halving's worst-case bound at the fewest ones that take the design:
+the check behind recover_sparse's docstring, which needs it at most 1.
+
 Takes a few minutes.
 """
 
@@ -17,6 +21,7 @@ from rankprobe import RankOracle, recover_matching, recover_sparse
 from rankprobe.bench import InstanceSpec, generate
 from rankprobe.matroid import baseline_independence_learner_run, learn_partition_matroid_run
 from rankprobe.partition import find_partition_run
+from rankprobe.weighing import _RULE_CAP, _band, _rows
 
 t0 = time.perf_counter()
 
@@ -123,4 +128,21 @@ for n, d in ((4096, 64), (1024, 32), (256, 16)):
         )
         worst = max(worst, rec.queries_used)
     print(f"B({n},{d}): observed {worst}")
+
+
+def halving_bound(n, w):
+    """Queries after the root that halving can ask for w ones in n columns."""
+    m = min(w, n - w)
+    return min(n - 1, sum(min(1 << t, m) for t in range((n - 1).bit_length())))
+
+
+worst, worst_n = 0.0, None
+edge_at_cap = _band(_RULE_CAP).size
+for n in range(2, 2**17 + 1):
+    # the fewest ones that take the design: the band's lower edge a(n), which
+    # above the cap scales as a(cap) / cap
+    w = _band(n).size if n <= _RULE_CAP else -(-edge_at_cap * n // _RULE_CAP)
+    if w <= n // 2 and _rows(n) / halving_bound(n, w) > worst:
+        worst, worst_n = _rows(n) / halving_bound(n, w), n
+print(f"design rows / halving bound, N <= 2^17: worst {worst:.3f} at N = {worst_n} {elapsed()}")
 print(f"done {elapsed()}")

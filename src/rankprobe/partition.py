@@ -120,15 +120,19 @@ def merge(i1, i2, oracle, *, d=None):
     their friends (see MergeOutcome).  A root sum outside
     [0, min(|I1|, |I2|)], asked or passed in, cannot come from an honest
     oracle: DecodeFailure.  I1 and I2 must be one-dimensional integer ids,
-    and a passed ``d`` an integer (a bool is not): UsageError before any
-    query otherwise.  Every query reads the oracle's rank through one
-    callback that checks the answer is an integer (UsageError otherwise);
-    sparse recovery and the matching trust the sums built from it.
+    and a passed ``d`` an integer (a bool is not) with I1 and I2 sharing no
+    id: UsageError before any query otherwise (without ``d`` the root
+    query's own check rejects a shared id).  Every query reads the oracle's
+    rank through one callback that checks the answer is an integer
+    (UsageError otherwise); sparse recovery and the matching trust the sums
+    built from it.
     """
     i1 = _int_array(i1, "I1")
     i2 = _int_array(i2, "I2")
     if d is not None:
         _check_int(d, "d")
+        if not set(i1.tolist()).isdisjoint(i2.tolist()):
+            raise UsageError("I1 and I2 must not share an id")
     ledger, rank = oracle.ledger, oracle.rank
 
     def add(s):

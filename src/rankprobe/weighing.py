@@ -21,8 +21,8 @@ each rank answer as it reads it, and the matching planes call the cores.
 Detecting designs
 -----------------
 A design is *detecting* if x -> (row sums of x) is injective on {0,1}^n.
-Designs pack blocks of two families in the line of Lindström (1964) and
-Cantor & Mills (1966).
+Designs pack the blocks of Cantor & Mills (1966), in the line of Lindström
+(1964).
 
 The Cantor-Mills blocks A_k, k = 2..10, have 2^k rows for k*2^(k-1) + 1
 columns: 4 x 5, 8 x 13, 16 x 33, 32 x 81, 64 x 193, 128 x 449, 256 x 1025,
@@ -49,40 +49,21 @@ outside {0, 1} raises DecodeFailure.
 Each step reproduces its rows exactly for any integer measurements: the leaf
 by construction, and a pass because (g - c) + (h + c) + I'z = top and, with
 c = w_h - p and |x2| = w_h + c, (g - c) - (h + c) + |x2| = g - h + p = mid.
-So an accepted vector reproduces the measurements exactly.  For a binary x the same steps are forced (p, z
-and c are functions of the measurements, and y - y_0 of A_3 with column 0
-free is injective on the other 12 columns, which the leaf checks when it
-builds its codes), which proves every A_k detecting.
+So an accepted vector reproduces the measurements exactly.  For a binary x
+the same steps are forced (p, z and c are functions of the measurements, and
+y - y_0 of A_3 with column 0 free is injective on the other 12 columns, which
+the leaf checks when it builds its codes), which proves every A_k detecting.
 
-The second family is seeded with the 10 x 16 base ``_B16`` and carries an
-all-ones row per level:
+A_2, A_3 and the free leaf are each a ``_Table``: it reads a measurement as
+one number in base (widest row range + 1) and looks it up in the sorted
+codes of all its patterns, built on first decode; two patterns with one code
+raise InternalConsistencyError, so a table proves itself detecting on first
+use.  With those checks every decoded vector reproduces the measurements
+exactly, or the decode raises DecodeFailure.
 
-    D'_{j+1} = [[D'_j, D'_j,     I'],
-                [D'_j, J - D'_j, 0 ],
-                [1  ...            1]],
-
-D'_1 = [B16; all-ones] (11 x 16), I' the identity on every row of D'_j except
-its all-ones row.  A block D_k is D'_k without its all-ones row: D_1..D_7
-have 16, 42, 106, 258, 610, 1410 and 3202 columns in 10, 22, 46, 94, 190, 382
-and 766 rows.  The all-ones rows of the two copies of D'_j one level down
-give |x1| and |x2|; on every other row the top and middle measurements add up
-to 2*(D'_j x1) + z + |x2|, so parity gives z, and y1 = (top + middle - |x2| - z)/2
-and y2 = y1 - (middle - |x2|) recurse with |x1| and |x2| as their all-ones
-rows.  A pass below the top also requires the all-ones row to equal
-|x1| + |x2| + |z|, and the leaf, B16, requires its decoded weight to equal
-its all-ones row.
-
-Each block of at most 16 columns, A_2, A_3 and B16 (D_1), is a ``_Table``:
-it reads a measurement as one number in base (widest row range + 1), 6 for
-B16, and looks it up in the sorted codes of all its patterns, built on first
-decode; two patterns with one code raise InternalConsistencyError, so a
-table proves itself detecting on first use.  With those checks every
-decoded vector reproduces the measurements exactly, or the decode raises
-DecodeFailure.
-
-``build_detecting_matrix(N)`` packs blocks of both families and identity
-columns with the fewest rows, found by one dynamic program over N shared by
-every design (ties go to identity columns, then to the smaller block).
+``build_detecting_matrix(N)`` packs A_k blocks and identity columns with the
+fewest rows, found by one dynamic program over N shared by every design
+(ties go to identity columns, then to the smaller block).
 
 Deleting columns from a detecting matrix keeps it detecting (Cantor & Mills
 1966), so a design may end in one cut block: the first j columns of a kind
@@ -91,35 +72,33 @@ wider than j, each row restricted to them.  The program is
     f(N) = min(f(N - 1) + 1, min over kinds c of f(max(0, N - c)) + rows_c),
 
 where a kind with c > N is that cut block, and a full block wins a tie
-against a cut one; so a design holds at most one.  No A_k row goes empty,
-since column 0 is all ones.  A seeded row may, below 8 columns, and an empty
-row is dropped, not asked (no design the program picks up to 2^17 columns
-drops one).  The cut block decodes through its kind's decoder unchanged,
-with the dropped rows measured 0 and the missing columns zeros, in one batch
-with the design's full blocks of its kind, if it has any; a decoded one in a
-missing column raises DecodeFailure.  The row count is 16 at
-N = 32, 32 at N = 64, 94 at N = 256, 256 at N = 1024, 384 (about 0.27*N) at
-N = 1440 and 1015 (about 0.25*N) at N = 4096, where no block is cut.  Cut
-blocks save rows at 90,936 of the 131,072 sizes up to 2^17 and cost a row
-at none.
+against a cut one; so a design holds at most one.  No cut row goes empty,
+since column 0 is all ones, so the cut block's measurements are its kind's
+rows with the missing columns zeros: it decodes through its kind's decoder
+unchanged, in one batch with the design's full blocks of its kind, if it has
+any, and a decoded one in a missing column raises DecodeFailure.  The row
+count is 16 at N = 32, 32 at N = 64, 96 at N = 256, 256 at N = 1024, 384
+(about 0.27*N) at N = 1440 and 1016 (about 0.25*N) at N = 4096, where no
+block is cut.  Cut blocks save rows at 91,580 of the 131,072 sizes up to
+2^17 and cost a row at none.
 
 ``recover_sparse`` chooses between halving and a design by expected cost: on
 s columns known to hold w ones it asks the design exactly when the design's
 rows are at most the expected queries of halving, the ones placed at random
-(``_band``).  Those w form one band [a(s), s - a(s)], from a(12) = 5 and
-a(16) = 6 through a(25) = 9, a(32) = 6, a(64) = 14, a(128) = 20,
-a(256) = 27 and a(512) = 42 to a(1024) = 60.  Below 12 columns the band is
-empty, so A_2 enters only as a part of larger designs.  Above 1024 columns
-the band's edge a(1024)/1024 scales with s.
+(``_band``).  Those w form one band [a(s), s - a(s)], from a(12) = 5 through
+a(16) = 9, a(32) = 6, a(64) = 14, a(128) = 20, a(256) = 28 and a(512) = 42
+to a(1024) = 60.  Below 12 columns the band is empty, so A_2 enters only as
+a part of larger designs.  Above 1024 columns the band's edge a(1024)/1024
+scales with s.
 
 A design is a list of (block, count) pairs and at most one cut block.  Each
 block kind keeps its rows as one flat array of column ids with row bounds,
 built once, on first use, from its 0/1 matrix.  A design tiles those into
 its own rows once, on first use, and keeps them compactly: the column ids in
 the narrowest integer type that holds its column count, the bounds as one
-read-only int64 array.  The cut block's kept rows are worked out in the
-same pass: each row's ids ascend, so its kept part is its ids below the
-width.  ``DetectingMatrix.flat_rows(lo)`` returns the ids plus ``lo`` as a
+read-only int64 array.  The cut block's rows come in the same pass: each
+row's ids ascend, so a cut row is its ids below the width.
+``DetectingMatrix.flat_rows(lo)`` returns the ids plus ``lo`` as a
 fresh int64 array, with the shared bounds.  Decoding hands all blocks of one
 kind, the cut block among them, to that kind as one batch.
 
@@ -159,22 +138,6 @@ __all__ = [
 # recover_matching uses per-element binary search below this size.
 MATCHING_SEARCH_CUTOFF = 32
 
-_B16 = np.array(
-    [
-        [0, 1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 1],
-        [1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1],
-        [0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 0, 0, 0, 1],
-        [0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0],
-        [0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0],
-        [0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0],
-        [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1],
-        [1, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0],
-        [0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0],
-    ],
-    dtype=np.int64,
-)
-
 
 def _flat(mat):
     """The rows of a 0/1 matrix as one block: flat column ids and the R + 1 row bounds."""
@@ -194,13 +157,13 @@ class _Kind:
         self.cols, self.bounds = _flat(mat)
 
     def prefix_lengths(self, j):
-        """Each row's number of column ids below j, the row's kept part when the
-        block is cut to its first j columns (no kind has an empty row)."""
+        """Each row's number of column ids below j, its part when the block is
+        cut to its first j columns: at least 1, as column 0 of A_k is all ones."""
         return np.add.reduceat(self.cols < j, self.bounds[:-1])
 
 
 class _Table(_Kind):
-    """Block kind of at most 16 columns, decoded by one lookup (see the module docstring).
+    """Block kind A_2 or A_3, decoded by one lookup (see the module docstring).
 
     With ``free`` the block is A_3 with its all-ones column 0 left free, the
     leaf of every larger Cantor-Mills block: the lookup reads y - y_0 on the
@@ -234,10 +197,9 @@ class _Table(_Kind):
 
     def decode(self, meas):
         """Decode a (b, rows) batch to a (b, n_cols) batch of 0/1 vectors, or with
-        ``free`` to vectors whose column 0 is any integer; in a (b, rows + 1)
-        leaf batch the last column, the all-ones row, must be the weight."""
+        ``free`` to vectors whose column 0 is any integer."""
         codes, patterns = self.table
-        y = meas[:, : self.n_rows]
+        y = meas
         if self.row0 is not None:
             y = y[:, 1:] - y[:, :1]
         if (y < self.lo).any() or (y > self.hi).any():
@@ -249,54 +211,16 @@ class _Table(_Kind):
         x = (patterns[idx][:, None] >> self.shifts) & 1
         if self.row0 is not None:
             return np.column_stack((meas[:, 0] - x @ self.row0, x))
-        if meas.shape[1] > self.n_rows and (x.sum(axis=1) != meas[:, -1]).any():
-            raise DecodeFailure("a leaf's all-ones row disagrees with its decoded weight")
         return x
 
 
-class _Level(_Kind):
-    """Seeded block D_k, k >= 2: the rows ``mat`` of D'_k except its all-ones row.
-
-    Each decoding pass splits a (b, 2m or 2m + 1) batch, rows of D'_j without
-    or with its all-ones row, into a (2b, m) batch of D'_{j-1} rows; ``leaf``,
-    the B16 ``_Table``, decodes the batch of D'_1 rows the last pass leaves.
-    """
+class _CantorMills(_Kind):
+    """Cantor-Mills block A_k, k >= 4, its passes stopping at A_3 blocks whose
+    column 0 ``leaf`` leaves free (see the module docstring)."""
 
     def __init__(self, mat, leaf):
         super().__init__(mat)
         self.leaf = leaf
-
-    def decode(self, meas):
-        """Decode a (b, rows) batch of block measurements to a (b, n_cols) batch."""
-        y = meas
-        zs = []
-        while y.shape[1] > self.leaf.n_rows + 1:
-            m = y.shape[1] // 2
-            top, mid = y[:, :m], y[:, m : 2 * m]
-            w1 = mid[:, -1]
-            w2 = top[:, -1] - w1
-            u = top[:, :-1] + mid[:, :-1]
-            u -= w2[:, None]  # 2 * y1 + z
-            z = u & 1
-            if y.shape[1] > 2 * m and (y[:, -1] - top[:, -1] != z.sum(axis=1)).any():
-                raise DecodeFailure("an all-ones row disagrees with its halves' weights")
-            halves = np.empty((y.shape[0], 2, m), dtype=np.int64)
-            y1 = np.right_shift(u, 1, out=halves[:, 0, :-1])
-            np.subtract(y1, mid[:, :-1], out=halves[:, 1, :-1])
-            halves[:, 1, :-1] += w2[:, None]  # y2 = y1 - (mid - |x2|)
-            halves[:, 0, -1] = w1
-            halves[:, 1, -1] = w2
-            y = halves.reshape(-1, m)
-            zs.append(z)
-        x = self.leaf.decode(y)
-        for z in reversed(zs):
-            x = np.concatenate((x.reshape(z.shape[0], -1), z), axis=1)
-        return x
-
-
-class _CantorMills(_Level):
-    """Cantor-Mills block A_k, k >= 4, its passes stopping at A_3 blocks whose
-    column 0 ``leaf`` leaves free (see the module docstring)."""
 
     def decode(self, meas):
         """Decode a (b, rows) batch of block measurements to a (b, n_cols) batch."""
@@ -353,36 +277,9 @@ def _free_leaf():
     return _Table(_cantor_mills_matrix(3), free=True)
 
 
-@functools.cache
-def _level(k):
-    """Block kind D_k of the family seeded with D'_1 = [B16; all-ones], built
-    on first use: the B16 ``_Table`` for k = 1, above it a ``_Level``."""
-    d = np.vstack((_B16, np.ones(16, dtype=np.int64))).astype(bool)
-    for _ in range(1, k):
-        m, n = d.shape
-        eye = np.eye(m, m - 1, dtype=bool)  # I': no entry on the all-ones row
-        ones = np.ones((1, 2 * n + m - 1), dtype=bool)
-        d = np.block([[d, d, eye], [d, ~d, np.zeros_like(eye)], [ones]])
-    if k == 1:
-        return _Table(d[:-1])
-    return _Level(d[:-1], _level(1))
-
-
-def _block_kinds():
-    """Each block kind a design may use, by column count: (row count, factory).
-
-    Smallest first: the DP stops at the first kind too wide for N and keeps
-    the first of equal row counts.
-    """
-    kinds = {k * 2 ** (k - 1) + 1: (2**k, functools.partial(_cantor_mills, k)) for k in range(2, 11)}
-    cols, rows = 16, 10  # the seeded family's D_1, the B16 block
-    for k in range(1, 8):
-        kinds[cols] = (rows, functools.partial(_level, k))
-        cols, rows = 2 * cols + rows, 2 * rows + 2
-    return dict(sorted(kinds.items()))
-
-
-_KINDS = _block_kinds()
+# Each block kind a design may use, A_2..A_10 by column count, smallest first
+# for _plan's ties: (row count, factory).
+_KINDS = {k * 2 ** (k - 1) + 1: (2**k, functools.partial(_cantor_mills, k)) for k in range(2, 11)}
 
 # The shared dynamic program: _fewest[N] rows for N columns, ending in a block
 # of _last[N] columns (1: an identity column; more than N: a block of that
@@ -416,11 +313,10 @@ class DetectingMatrix:
 
     Its columns are ``_blocks`` (block, count) side by side, the largest
     block first, then ``_cut`` (block, width), the first ``width`` columns of
-    one block wider than that with its empty rows dropped, if the design has
-    one, then one identity row per remaining column.  Its rows are built
-    once, on first use, and kept with the design, compactly (see
-    ``_layout``); the cut block decodes in one batch with its kind's full
-    blocks.
+    one block wider than that, every row of it kept, if the design has one,
+    then one identity row per remaining column.  Its rows are built once, on
+    first use, and kept with the design, compactly (see ``_layout``); the cut
+    block decodes in one batch with its kind's full blocks.
     """
 
     n_cols: int
@@ -430,14 +326,13 @@ class DetectingMatrix:
 
     @functools.cached_property
     def _layout(self):
-        """(cols, bounds, kept), built on first use from each block kind's flat rows.
+        """(cols, bounds), built on first use from each block kind's flat rows.
 
         ``cols`` holds every row's column ids at offset 0, in the narrowest
         integer type that holds ``n_cols``, and ``bounds`` the read-only int64
-        row bounds: each block's rows in turn, the cut block's nonempty rows,
-        then one row per identity column.  ``kept`` marks the rows of the cut
-        block's kind that the cut keeps (None without a cut block): each row's
-        ids ascend, so its kept part is the ids below the width, in order.
+        row bounds: each block's rows in turn, the cut block's rows, then one
+        row per identity column.  Each row's ids ascend, so a cut row is its
+        kind's ids below the width, in order.
         """
         cols, bounds = [], [np.zeros(1, dtype=np.int64)]
         base = end = 0
@@ -447,13 +342,11 @@ class DetectingMatrix:
             bounds.append((block.bounds[1:] + (end + block.cols.size * copies)[:, None]).ravel())
             base += count * block.n_cols
             end += count * block.cols.size
-        kept = None
         if self._cut:
             block, width = self._cut
             lengths = block.prefix_lengths(width)
-            kept = lengths > 0
             cols.append(block.cols[block.cols < width] + base)
-            bounds.append(np.cumsum(lengths[kept]) + end)
+            bounds.append(np.cumsum(lengths) + end)
             base += width
             end += int(lengths.sum())
         cols.append(np.arange(base, self.n_cols, dtype=np.int64))
@@ -461,17 +354,17 @@ class DetectingMatrix:
         cols = np.concatenate(cols).astype(np.min_scalar_type(self.n_cols))
         bounds = np.concatenate(bounds)
         cols.flags.writeable = bounds.flags.writeable = False
-        return cols, bounds, kept
+        return cols, bounds
 
     def flat_rows(self, lo=0):
         """Every row's column ids plus ``lo`` as one block: (cols, bounds).
 
         ``cols`` is a fresh flat int64 array and row i is
         ``cols[bounds[i]:bounds[i + 1]]``: each block's rows in turn, the cut
-        block's nonempty rows, then one row per identity column.  ``bounds``
+        block's rows, then one row per identity column.  ``bounds``
         is the design's own read-only int64 array, shared by every call.
         """
-        cols, bounds, _ = self._layout
+        cols, bounds = self._layout
         return np.add(cols, lo, dtype=np.int64), bounds
 
     def measure(self, x):
@@ -491,11 +384,11 @@ class DetectingMatrix:
 
         Measurements must be integers (UsageError otherwise).  A block kind's
         blocks are contiguous in rows and columns, so each kind decodes all of
-        its blocks as one batch.  The cut block is padded to its kind's rows,
-        its dropped rows measured 0 and its missing columns zeros, and joins
-        the batch of its kind's full blocks as the last row, or forms a batch
-        of its own; a decoded one in a missing column raises DecodeFailure.
-        The identity tail follows.
+        its blocks as one batch.  The cut block's measurements are its kind's
+        rows with the missing columns zeros, so they join the batch of its
+        kind's full blocks as the last row, or form a batch of their own; a
+        decoded one in a missing column raises DecodeFailure.  The identity
+        tail follows.
         """
         meas = _int_array(measurements, "measurements")
         if meas.shape != (self.n_rows,):
@@ -506,13 +399,10 @@ class DetectingMatrix:
             pos += count * block.n_rows
         if self._cut:
             kind, width = self._cut
-            kept = self._layout[2]
-            rows = int(np.count_nonzero(kept))
-            padded = np.zeros((1, kind.n_rows), dtype=np.int64)
-            padded[0, kept] = meas[pos : pos + rows]
-            pos += rows
+            cut = meas[None, pos : pos + kind.n_rows]
+            pos += kind.n_rows
             full = batches.get(kind)
-            batches[kind] = padded if full is None else np.concatenate((full, padded))
+            batches[kind] = cut if full is None else np.concatenate((full, cut))
         decoded = {block: block.decode(batch) for block, batch in batches.items()}
         out = np.empty(self.n_cols, dtype=np.int64)
         col = 0
@@ -539,7 +429,7 @@ def _matrix(blocks, cut, tail):
     n_rows = tail + sum(block.n_rows * count for block, count in blocks)
     if cut:
         n_cols += cut[1]
-        n_rows += int(np.count_nonzero(cut[0].prefix_lengths(cut[1])))
+        n_rows += cut[0].n_rows
     return DetectingMatrix(n_cols, n_rows, tuple(blocks), cut)
 
 
@@ -553,10 +443,9 @@ def _design(N):
 def build_detecting_matrix(N):
     """Deterministic detecting design for N columns with the fewest rows the packing allows.
 
-    Packs Cantor-Mills blocks (5 to 5121 columns), blocks of the B16-seeded
-    family (16 to 3202 columns) and identity columns, and may end in one
-    block of either family cut to the columns it has left (see the module
-    docstring).  Row count is at most N.
+    Packs Cantor-Mills blocks A_2..A_10 (5 to 5121 columns) and identity
+    columns, and may end in one block cut to the columns it has left (see
+    the module docstring).  Row count is at most N.
     """
     _check_int(N, "N")
     if N < 1:
@@ -665,8 +554,8 @@ def recover_sparse(N, sum_oracle, *, known_total=None):
     a zero.  A design replaces a subtree only where its rows are at most the
     subtree's expected cost, so at most that subtree's bound; above 1024
     columns the rows stay under the bound too (checked for every N up to
-    2^17: at the fewest ones that take the design, its rows are at most 0.926
-    of the bound, at N = 1801).  So the rule keeps the O(d log(k/d)) cost,
+    2^17: at the fewest ones that take the design, its rows are at most 0.929
+    of the bound, at N = 1803).  So the rule keeps the O(d log(k/d)) cost,
     for d ones among k columns, that halving gives the merges in the
     paper's O(n) argument.
 

@@ -8,8 +8,6 @@ import functools
 
 import numpy as np
 
-from rankprobe.weighing import _B16
-
 
 def brute_rank(parts, capacities, subset):
     """Direct sum of min(|S ∩ P_i|, r_i)."""
@@ -112,49 +110,41 @@ def brute_components(parent):
 
 @functools.cache
 def family_block(n_cols):
-    """The design block of ``n_cols`` columns, from its family's recursion.
+    """The Cantor-Mills block A_k of ``n_cols`` columns, from its recursion.
 
-    Cantor-Mills A_k: A_1 = [[1, 0], [1, 1]] and A_{k+1} stacks
-    [A_k, A_k, I'] over [A_k, 1 - A_k, 0], where I' has a 1 at (i, i) for
-    every row i of A_k but its last.  Seeded D_k: D'_1 = [B16; all-ones] and
-    D'_{j+1} stacks [D'_j, D'_j, I'], [D'_j, 1 - D'_j, 0] and an all-ones row,
-    I' as above, its last row the all-ones row; D_k is D'_k without that last
-    row.  No column count occurs in both families.
+    A_1 = [[1, 0], [1, 1]] and A_{k+1} stacks [A_k, A_k, I'] over
+    [A_k, 1 - A_k, 0], where I' has a 1 at (i, i) for every row i of A_k but
+    its last.
     """
-    # (seed, rows added per level beyond the two halves: the all-ones row)
-    for seed, ones in (([[1, 0], [1, 1]], 0), (np.vstack((_B16, np.ones(16, dtype=np.int64))), 1)):
-        d = np.array(seed, dtype=np.uint8)
-        while d.shape[1] < n_cols:
-            m, n = d.shape
-            nxt = np.zeros((2 * m + ones, 2 * n + m - 1), dtype=np.uint8)
-            nxt[:m, :n] = d
-            nxt[:m, n : 2 * n] = d
-            nxt[np.arange(m - 1), 2 * n + np.arange(m - 1)] = 1
-            nxt[m : 2 * m, :n] = d
-            nxt[m : 2 * m, n : 2 * n] = 1 - d
-            nxt[2 * m :] = 1
-            d = nxt
-        if d.shape[1] == n_cols:
-            return d[: d.shape[0] - ones]
-    raise AssertionError(f"no family block has {n_cols} columns")
+    d = np.array([[1, 0], [1, 1]], dtype=np.uint8)
+    while d.shape[1] < n_cols:
+        m, n = d.shape
+        nxt = np.zeros((2 * m, 2 * n + m - 1), dtype=np.uint8)
+        nxt[:m, :n] = d
+        nxt[:m, n : 2 * n] = d
+        nxt[np.arange(m - 1), 2 * n + np.arange(m - 1)] = 1
+        nxt[m:, :n] = d
+        nxt[m:, n : 2 * n] = 1 - d
+        d = nxt
+    if d.shape[1] != n_cols:
+        raise AssertionError(f"no Cantor-Mills block has {n_cols} columns")
+    return d
 
 
 def as_dense(design):
     """A detecting design's 0/1 matrix by definition (int64).
 
-    The blocks of ``design._blocks`` (B16 for 16 columns, A_k or the seeded
-    D_k otherwise) sit side by side on the diagonal, each repeated ``count``
-    times, then the cut block ``design._cut``, if any: the first ``width``
-    columns of its kind's matrix without the rows left all zero, then one
-    identity row per remaining column.
+    The A_k blocks of ``design._blocks`` sit side by side on the diagonal,
+    each repeated ``count`` times, then the cut block ``design._cut``, if
+    any: the first ``width`` columns of its kind's matrix, every row of it,
+    then one identity row per remaining column.
     """
     mats = []
     for block, count in design._blocks:
-        mats += [_B16 if block.n_cols == 16 else family_block(block.n_cols)] * count
+        mats += [family_block(block.n_cols)] * count
     if design._cut:
         block, width = design._cut
-        cut = (_B16 if block.n_cols == 16 else family_block(block.n_cols))[:, :width]
-        mats.append(cut[cut.any(axis=1)])
+        mats.append(family_block(block.n_cols)[:, :width])
     tail = design.n_cols - sum(b.shape[1] for b in mats)
     dense = np.zeros((sum(b.shape[0] for b in mats) + tail, design.n_cols), dtype=np.int64)
     r = c = 0

@@ -307,8 +307,8 @@ class TestPinnedReports:
     @pytest.mark.parametrize(
         "audit,want",
         [
-            (False, "678fee18c52729faed63ebb93e80977f9fd5d7159e2b5126fa89af0d0762b0eb"),
-            (True, "dce25d20d8879aaed0dc0f38ced905880224b045f81169dfebba4ece2f9c22c1"),
+            (False, "8ccaf936e6a4aebdb87697424620e7d0c7227802703b71d5f034799aa422e837"),
+            (True, "c6938490536311930fc387c83142b706b138a45e1d90eb1fe56334b501ec2cf1"),
         ],
         ids=["plain", "audited"],
     )
@@ -322,12 +322,12 @@ class TestPinnedReports:
             (
                 "learn_partition_matroid",
                 False,
-                "e863e988e9e5d4bc965689993f0509781ab438863a5948eae9650f78862c9008",
+                "d4ea23504fcfefd6cef3e320d11c2881434c6036d077a9a3711efa1cdf6bd2ef",
             ),
             (
                 "learn_partition_matroid",
                 True,
-                "2c83e2cf1854ef40eeb2ccfa1b5f64e2c1e2448af509ef09b13abebfacfb5e57",
+                "0c8f620de159746112d3d7300469e45be427ba62080452ecbe1dea736bf0fbc0",
             ),
             ("baseline", False, "8754a837d609f220ea381ae7dc140a87d5d393898722395344370ad3341e3e14"),
         ],
@@ -343,7 +343,7 @@ class TestPinnedReports:
             (
                 "uniform-k",
                 "find_partition",
-                "58b0cc326485bbcdb7564ee0bfe1fcedacb5007f2dddc09895d3ad72a0e644ac",
+                "32eaf6cc9fab2fba87a89ba1756f447daf00f8ae94cd76de98e57ed709e5669d",
             ),
             (
                 "capacitated-random",
@@ -440,7 +440,7 @@ class TestPinnedReports:
         rows, _ = bench.sweep("uniform-k", [512, 1024, 2048], 2, "find_partition", base_seed=1)
         assert len(oracles) == 6 and all(r["correct"] for r in rows)
         digest = hashlib.sha256(b"".join(o.digest.digest() for o in oracles)).hexdigest()
-        assert digest == "6021312006b8e80acc9eb6b7bfe7bb849570c35dce12e7306070393604223798"
+        assert digest == "664e9e6b7c8cb9f8917151e92e693acb2d2dd3d5be0a825928fffb0a0c98fd09"
 
 
 class TestRegressionConfig:

@@ -234,6 +234,15 @@ class TestMerge:
             merge(np.array([0, 1]), np.array([2, 3]), o, d=d)
         assert o.ledger.rank_count == 0
 
+    @pytest.mark.parametrize("d", [2, None], ids=["known-root", "asked-root"])
+    def test_shared_id_rejected_before_any_query(self, d):
+        # with d = 2 this returned merged = [2, 2, 3, 4]; without d the root
+        # query's own check rejects the repeated id
+        o = oracle([[0, 3], [1, 4], [2, 5], [6], [7]])
+        with pytest.raises(UsageError):
+            merge(np.array([0, 1, 2]), np.array([2, 3, 4]), o, d=d)
+        assert o.ledger.snapshot() == QueryLedger().snapshot()
+
     @pytest.mark.parametrize("i1,i2,queries", [([], [1, 3], 0), ([1, 3], [], 1)])
     def test_empty_side(self, i1, i2, queries):
         o = oracle([[0, 1], [2, 3]])
@@ -435,8 +444,8 @@ class TestChunkPrePhase:
         assert run.survivors_after_phase1 <= math.floor(math.log2(1003)) + 1
 
 
-SMALL_PARTS_STREAM_SHA256 = "87b948e2f2d44a10e47876260a328d863460bb75d715fc1dc1622bf24e34f778"
-LARGE_PARTS_STREAM_SHA256 = "817577287bfb41bf69fca88bc3f7dc9477e043a753e669b64281a0f751f7ee8b"
+SMALL_PARTS_STREAM_SHA256 = "d7b0b8b5460e5620043e24482168628aa5b72958dee53d2336064d5c3d352930"
+LARGE_PARTS_STREAM_SHA256 = "f8507b0af4d690d676b1de82213fc70726f28dc408b7eb44093df46365fcbd8b"
 
 
 class TestPinnedLedgers:
@@ -447,13 +456,13 @@ class TestPinnedLedgers:
         [
             (
                 InstanceSpec("uniform-k", 2**13, seed=1),
-                36747,
-                {"com-discovery": 16486, "matching": 18208, "pairwise-merge": 36515, "final-fold": 232},
+                36850,
+                {"com-discovery": 16530, "matching": 18267, "pairwise-merge": 36617, "final-fold": 233},
             ),
             (
                 InstanceSpec("uniform-k", 2**12, k=2**10, seed=1),
-                15328,
-                {"com-discovery": 7272, "matching": 7731, "pairwise-merge": 13816, "final-fold": 1512},
+                15354,
+                {"com-discovery": 7276, "matching": 7753, "pairwise-merge": 13842, "final-fold": 1512},
             ),
         ],
         ids=["small-parts", "large-parts"],

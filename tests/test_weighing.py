@@ -23,7 +23,7 @@ from rankprobe import (
 from rankprobe import weighing
 from rankprobe.errors import InternalConsistencyError, InvariantViolation
 from rankprobe.regression import load_regression_config
-from rankprobe.weighing import _B16, _Table, _cantor_mills, _free_leaf, _halve, _level, _row_sets
+from rankprobe.weighing import _Table, _cantor_mills, _free_leaf, _halve, _row_sets
 
 from _bruteforce import as_dense, family_block
 
@@ -82,33 +82,14 @@ def check_decodes_exactly_or_fails(block, seed):
 
 
 class TestFrozenBases:
-    def test_b16_binary_detecting_exhaustive(self):
-        x = all_binary(16)
-        meas = x @ _B16.T
-        assert len(np.unique(meas, axis=0)) == 1 << 16
-        assert int(_B16.sum(axis=1).max()) <= 5
-
-    def test_b16_table_decodes_every_pattern(self):
-        x = all_binary(16)
-        assert np.array_equal(_level(1).decode(x @ _B16.T), x)
-
-    def test_b16_table_is_the_sorted_codes(self):
-        # the codes of every 16-bit pattern, encoded row by row in base 6
-        codes, patterns = _level(1).table
-        want = (all_binary(16) @ _B16.T) @ 6 ** np.arange(10)
-        assert np.array_equal(codes, np.sort(want))
-        assert np.array_equal(want[patterns], codes)
-
     def test_small_kinds_and_every_leaf_are_tables(self):
-        # one table per kind: every larger block of a family ends in the same one
+        # one table per kind: every larger block ends in the same one
         assert all(isinstance(_cantor_mills(k), _Table) for k in (2, 3))
-        assert isinstance(_level(1), _Table)
         assert all(_cantor_mills(k).leaf is _free_leaf() for k in range(4, 11))
-        assert all(_level(k).leaf is _level(1) for k in range(2, 8))
 
     def test_one_cache_entry_per_block_kind(self):
         # the free leaf is its own table (2^12 codes), not the A_3 kind's (2^13)
-        assert _cantor_mills(4) is _cantor_mills(4) and _level(2) is _level(2)
+        assert _cantor_mills(4) is _cantor_mills(4)
         assert _free_leaf() is not _cantor_mills(3)
         assert _free_leaf().table[0].size == 1 << 12
         assert _cantor_mills(3).table[0].size == 1 << 13
@@ -184,12 +165,11 @@ class TestFamily:
         with pytest.raises(DecodeFailure, match="outside 0/1"):
             block.decode(block_measure(block, x))
 
-    # every block kind a design may use, by column count: A_2..A_10 and the
-    # seeded D_1..D_7
+    # every block kind a design may use, by column count: A_2..A_10
     @pytest.mark.parametrize("cols", list(weighing._KINDS))
     def test_cut_block_round_trips(self, cols):
-        # a design may end in a block cut to its first j columns: the rows
-        # restricted to them, empty ones dropped, decode by zero padding
+        # a design may end in a block cut to its first j columns: every row
+        # restricted to them, decoded with the missing columns zeros
         block = weighing._KINDS[cols][1]()
         rng = np.random.default_rng(block.n_cols)
         widths = {1, 2, 7, 8, block.n_cols // 2, block.n_cols - 2, block.n_cols - 1}
@@ -212,29 +192,24 @@ class TestFamily:
         assert m.n_rows == 16 and len(np.unique(meas, axis=0)) == 1 << 14
         assert all(np.array_equal(m.decode(y), v) for y, v in zip(meas, x))
 
-    def test_cut_seeded_block_drops_an_empty_row(self):
-        # B16's row 2 has no one among its first 7 columns: that row is
-        # dropped, not asked, and decoded as a measurement of 0
-        m = weighing._matrix((), (_level(1), 7), 0)
-        assert m.n_rows == 9
-        rows = [r.tolist() for r in rows_of(*m.flat_rows())]
-        assert rows == [np.flatnonzero(r).tolist() for i, r in enumerate(_B16[:, :7]) if i != 2]
-        assert np.array_equal(as_dense(m), np.delete(_B16[:, :7], 2, axis=0))
-        x = all_binary(7)
-        assert all(np.array_equal(m.decode(m.measure(v)), v) for v in x)
-        assert len({tuple(m.measure(v)) for v in x}) == 1 << 7
+    def test_column_0_covers_every_row(self):
+        # column 0 of every A_k is all ones, so a cut block keeps every row
+        for cols, (rows, kind) in weighing._KINDS.items():
+            block = kind()
+            assert block.n_rows == rows and (block.cols[block.bounds[:-1]] == 0).all()
+            assert (block.prefix_lengths(1) == 1).all()
+            assert weighing._matrix((), (block, 1), 0).n_rows == rows
 
-    @pytest.mark.parametrize("block", [_cantor_mills(4), _level(2)], ids=["A_4", "D_2"])
+    @pytest.mark.parametrize("block", [_cantor_mills(4)], ids=["A_4"])
     def test_cut_block_one_in_a_missing_column_fails(self, block):
         # the whole block's measurements of a vector with a one past the cut:
         # the kind decodes it, and the cut rejects the one it cannot have
         m = weighing._matrix((), (block, 20), 0)
-        kept = block.prefix_lengths(20) > 0
         x = (np.random.default_rng(2).random((1, block.n_cols)) < 0.5).astype(np.int64)
         x[0, 20:] = 0
         x[0, 25] = 1
         meas = block_measure(block, x)[0]
-        assert kept.all() and np.array_equal(block.decode(meas[None, :]), x)
+        assert np.array_equal(block.decode(meas[None, :]), x)
         with pytest.raises(DecodeFailure, match="column it does not have"):
             m.decode(meas)
 
@@ -270,48 +245,6 @@ class TestFamily:
         assert batches == [(2, block.n_rows)]
 
 
-class TestSeededFamily:
-    """The family seeded with D'_1 = [B16; all-ones], whose leaves decode through B16."""
-
-    def test_sizes(self):
-        sizes = [(_level(k).n_cols, _level(k).n_rows) for k in range(1, 8)]
-        assert sizes == [(16, 10), (42, 22), (106, 46), (258, 94), (610, 190), (1410, 382), (3202, 766)]
-        assert all(_level(k).bounds.size == _level(k).n_rows + 1 for k in range(1, 8))
-
-    def test_designs_use_it_from_106_columns(self):
-        assert [(b.n_cols, c) for b, c in build_detecting_matrix(106)._blocks] == [(106, 1)]
-        assert [(b.n_cols, c) for b, c in build_detecting_matrix(300)._blocks] == [(193, 1), (106, 1)]
-        cut = build_detecting_matrix(256)  # the 258-column block cut to 256 columns
-        assert (cut._blocks, cut._cut[0].n_cols, cut._cut[1], cut.n_rows) == ((), 258, 256, 94)
-
-    # k = 1 is the B16 block kind itself
-    @pytest.mark.parametrize("k", range(1, 8))
-    def test_level_round_trips(self, k):
-        check_round_trips(_level(k), k)
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_level_decodes_exactly_or_fails(self, k):
-        check_decodes_exactly_or_fails(_level(k), k)
-
-    @pytest.mark.parametrize("extra", [0, 1, -1])
-    def test_leaf_weight_must_match_its_b16_vector(self, extra):
-        # D_2 rows that hand the pass's first leaf (B16 x1, |x1| + extra): B16
-        # alone decodes x1, so only the leaf's all-ones row can catch extra
-        rng = np.random.default_rng(1)
-        x1, x2, z = rng.integers(0, 2, 16), rng.integers(0, 2, 16), rng.integers(0, 2, 10)
-        w1, w2 = x1.sum() + extra, x2.sum()
-        top = np.append(_B16 @ (x1 + x2) + z, w1 + w2)  # D'_1 x1 + D'_1 x2 + I' z
-        mid = np.append(_B16 @ (x1 - x2) + w2, w1)  # D'_1 x1 + (J - D'_1) x2
-        meas = np.concatenate((top, mid))[None, :]
-        if extra:
-            with pytest.raises(DecodeFailure, match="decoded weight"):
-                _level(2).decode(meas)
-            with pytest.raises(DecodeFailure, match="decoded weight"):
-                _level(1).decode(np.append(_B16 @ x1, w1)[None, :])
-        else:
-            assert np.array_equal(_level(2).decode(meas)[0], np.concatenate((x1, x2, z)))
-
-
 class TestBuild:
     def test_n1_single_row(self):
         m = build_detecting_matrix(1)
@@ -338,54 +271,56 @@ class TestBuild:
         assert covered.all()
 
     def test_sublinear_at_scale(self):
-        assert build_detecting_matrix(1440).n_rows <= 384
-        assert build_detecting_matrix(4096).n_rows <= 1015
+        assert build_detecting_matrix(1440).n_rows == 384
+        assert build_detecting_matrix(4096).n_rows == 1016
 
     def test_never_more_rows_than_the_unseeded_family(self):
-        # the fewest rows from identity columns and whole blocks: of the
-        # Cantor-Mills A_2..A_10 and the B16-seeded D_1..D_7 (``full``), and
-        # of the first family's D_2..D_9, which A_k replaced, beside the
-        # seeded blocks (``unseeded``); with one block cut to the columns
-        # left (``cut``), the shipped rows, which only ever save rows
+        # the fewest rows from identity columns and whole A_2..A_10 blocks
+        # (``full``); with one block cut to the columns left (``cut``), the
+        # shipped rows, which only ever save rows.  ``seeded`` also cuts and
+        # packs the B16-seeded blocks D_1..D_7, kept here as sizes only: the
+        # price of designs without them is at most 2 rows, at 967 sizes
         cantor_mills = {5: 4, 13: 8, 33: 16, 81: 32, 193: 64, 449: 128, 1025: 256, 2305: 512, 5121: 1024}
-        first = {5: 4, 14: 10, 38: 22, 98: 46, 242: 94, 578: 190, 1346: 382, 3074: 766}
-        seeded = {16: 10, 42: 22, 106: 46, 258: 94, 610: 190, 1410: 382, 3202: 766}
-        full, unseeded, cut = [0], [0], [0]
+        with_seeded = cantor_mills | {16: 10, 42: 22, 106: 46, 258: 94, 610: 190, 1410: 382, 3202: 766}
+        full, cut, seeded = [0], [0], [0]
+        risen = 0
         for n in range(1, 4097):
-            for fewest, kinds in ((full, cantor_mills | seeded), (unseeded, first | seeded)):
-                options = [fewest[n - c] + r for c, r in kinds.items() if c <= n]
+            options = [full[n - c] + r for c, r in cantor_mills.items() if c <= n]
+            full.append(min([full[n - 1] + 1] + options))
+            for fewest, kinds in ((cut, cantor_mills), (seeded, with_seeded)):
+                options = [fewest[max(0, n - c)] + r for c, r in kinds.items()]
                 fewest.append(min([fewest[n - 1] + 1] + options))
-            options = [cut[max(0, n - c)] + r for c, r in (cantor_mills | seeded).items()]
-            cut.append(min([cut[n - 1] + 1] + options))
             rows = build_detecting_matrix(n).n_rows
-            assert rows == weighing._rows(n) == cut[n]  # no cut block the DP picks drops a row
-            assert rows <= full[n] <= unseeded[n]
+            assert rows == weighing._rows(n) == cut[n] <= full[n]
+            assert seeded[n] <= rows <= seeded[n] + 2
+            risen += rows > seeded[n]
             if n in (32, 64, 192, 1024, 1440, 2048):
                 assert rows < full[n]
+        assert risen == 967
 
     # n:rows:blocks, each block kind as columns x count, largest first, then
     # a cut block as columns "to" width
     BELOW_98 = """
         1:1: 2:2: 3:3: 4:4: 5:4:5x1 6:5:5x1 7:6:5x1 8:7:5x1 9:8:5x1 10:8:5x2 11:8:13to11 12:8:13to12
-        13:8:13x1 14:9:13x1 15:10:13x1 16:10:16x1 17:11:16x1 18:12:16x1 19:13:16x1 20:14:16x1
-        21:14:16x1,5x1 22:15:16x1,5x1 23:16:16x1,5x1 24:16:13x1,13to11 25:16:13x1,13to12 26:16:13x2
-        27:16:33to27 28:16:33to28 29:16:33to29 30:16:33to30 31:16:33to31 32:16:33to32 33:16:33x1
-        34:17:33x1 35:18:33x1 36:19:33x1 37:20:33x1 38:20:33x1,5x1 39:21:33x1,5x1 40:22:33x1,5x1
-        41:22:42to41 42:22:42x1 43:23:42x1 44:24:42x1 45:24:13x1,33to32 46:24:33x1,13x1
-        47:25:33x1,13x1 48:26:33x1,13x1 49:26:33x1,16x1 50:27:33x1,16x1 51:28:33x1,16x1
-        52:29:33x1,16x1 53:30:33x1,16x1 54:30:33x1,16x1,5x1 55:30:42x1,13x1 56:31:42x1,13x1
-        57:32:42x1,13x1 58:32:13x2,33to32 59:32:33x1,13x2 60:32:33x1,33to27 61:32:33x1,33to28
-        62:32:33x1,33to29 63:32:33x1,33to30 64:32:33x1,33to31 65:32:33x1,33to32 66:32:33x2
-        67:32:81to67 68:32:81to68 69:32:81to69 70:32:81to70 71:32:81to71 72:32:81to72 73:32:81to73
-        74:32:81to74 75:32:81to75 76:32:81to76 77:32:81to77 78:32:81to78 79:32:81to79 80:32:81to80
-        81:32:81x1 82:33:81x1 83:34:81x1 84:35:81x1 85:36:81x1 86:36:81x1,5x1 87:37:81x1,5x1
-        88:38:81x1,5x1 89:39:81x1,5x1 90:40:81x1,5x1 91:40:81x1,5x2 92:40:13x1,81to79
-        93:40:13x1,81to80 94:40:81x1,13x1 95:41:81x1,13x1 96:42:81x1,13x1 97:42:81x1,16x1
+        13:8:13x1 14:9:13x1 15:10:13x1 16:11:13x1 17:12:13x1 18:12:13x1,5x1 19:13:13x1,5x1
+        20:14:13x1,5x1 21:15:13x1,5x1 22:16:13x1,5x1 23:16:13x1,5x2 24:16:13x1,13to11 25:16:13x1,13to12
+        26:16:13x2 27:16:33to27 28:16:33to28 29:16:33to29 30:16:33to30 31:16:33to31 32:16:33to32
+        33:16:33x1 34:17:33x1 35:18:33x1 36:19:33x1 37:20:33x1 38:20:33x1,5x1 39:21:33x1,5x1
+        40:22:33x1,5x1 41:23:33x1,5x1 42:24:33x1,5x1 43:24:33x1,5x2 44:24:13x1,33to31 45:24:13x1,33to32
+        46:24:33x1,13x1 47:25:33x1,13x1 48:26:33x1,13x1 49:27:33x1,13x1 50:28:33x1,13x1
+        51:28:33x1,13x1,5x1 52:29:33x1,13x1,5x1 53:30:33x1,13x1,5x1 54:31:33x1,13x1,5x1
+        55:32:33x1,13x1,5x1 56:32:33x1,13x1,5x2 57:32:13x2,33to31 58:32:13x2,33to32 59:32:33x1,13x2
+        60:32:33x1,33to27 61:32:33x1,33to28 62:32:33x1,33to29 63:32:33x1,33to30 64:32:33x1,33to31
+        65:32:33x1,33to32 66:32:33x2 67:32:81to67 68:32:81to68 69:32:81to69 70:32:81to70 71:32:81to71
+        72:32:81to72 73:32:81to73 74:32:81to74 75:32:81to75 76:32:81to76 77:32:81to77 78:32:81to78
+        79:32:81to79 80:32:81to80 81:32:81x1 82:33:81x1 83:34:81x1 84:35:81x1 85:36:81x1 86:36:81x1,5x1
+        87:37:81x1,5x1 88:38:81x1,5x1 89:39:81x1,5x1 90:40:81x1,5x1 91:40:81x1,5x2 92:40:13x1,81to79
+        93:40:13x1,81to80 94:40:81x1,13x1 95:41:81x1,13x1 96:42:81x1,13x1 97:43:81x1,13x1
     """
 
     def test_below_98_columns_exact_structure(self):
-        # every design below 98 columns: the kinds of 5, 13, 16, 33, 42 and
-        # 81 columns, a cut block of 13, 33, 42 or 81, then an identity tail
+        # every design below 98 columns: the kinds of 5, 13, 33 and 81
+        # columns, a cut block of 13, 33 or 81, then an identity tail
         got = []
         for n in range(1, 98):
             m = build_detecting_matrix(n)
@@ -403,7 +338,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("lo", [0, 1000])
     def test_flat_rows_match_definition(self, lo):
-        # against the dense design built from the D'_k recursion and B16
+        # against the dense design built from the A_k recursion
         for m in [build_detecting_matrix(n) for n in range(1, 301)] + [MULTI_BLOCK]:
             cols, bounds = m.flat_rows(lo)
             rows = [lo + np.flatnonzero(r) for r in as_dense(m)]
@@ -413,10 +348,10 @@ class TestBuild:
             assert (np.diff(bounds) > 0).all()  # np.add.reduceat needs nonempty rows
             assert m.n_rows == len(rows)
 
-    # 256 is the seeded 258-column block cut to 256 columns; 300 mixes both
-    # families; 700 is the seeded 258 beside A_7 cut to 442 columns; 2925
-    # ends in A_9 cut to 2283 columns, 6901 in A_10 cut to 5120 after five
-    # kinds, and 6957 in A_10 cut to 5098 after the seeded 1410 and A_7
+    # 256 is A_5 twice beside A_6 cut to 190 columns; 300 packs three kinds,
+    # A_3 twice; 700 ends in A_7 cut to 448 columns, 2925 in A_9 cut to 2283,
+    # 6901 in A_10 cut to 5120 after five kinds, and 6957 in A_10 cut to 5097
+    # after A_8, A_7 and A_6 twice
     @pytest.mark.parametrize(
         "n", [1, 15, 16, 17, 100, 256, 300, 700, 1440, 2224, 2925, 6901, 6957, 4096]
     )
@@ -794,7 +729,7 @@ class TestDesignRule:
     the design's rows are at most halving's expected cost H(s, w)."""
 
     # a(s), the band's lower edge; a(s) = s // 2 + 1 is an empty band
-    EDGES = {12: 5, 15: 6, 16: 6, 20: 9, 25: 9, 32: 6, 64: 14, 128: 20, 215: 22, 256: 27, 512: 42, 1024: 60}
+    EDGES = {12: 5, 15: 6, 16: 9, 20: 9, 25: 9, 32: 6, 64: 14, 128: 20, 215: 23, 256: 28, 512: 42, 1024: 60}
 
     def test_pinned_edges(self):
         assert {s: weighing._band(s).size for s in self.EDGES} == self.EDGES
@@ -970,14 +905,15 @@ class TestRecoverMatching:
 
     @pytest.mark.parametrize(
         "d,queries",
-        [(32, 79), (33, 81), (64, 175), (100, 262), (256, 674), (300, 822)],
+        [(32, 81), (33, 83), (64, 176), (100, 263), (256, 682), (300, 829)],
         ids=["32", "33", "64", "100", "256", "300"],
     )
     def test_pinned_query_counts(self, d, queries):
         # all planes over all d columns asked 100, 110, 222, 336, 832 and 1044
         # with the first design family; grouped planes over it, 94, 101, 191,
         # 313, 785 and 910; over A_k without cut blocks, 89, 93, 185, 265, 706
-        # and 840
+        # and 840; with cut blocks of A_k and the B16-seeded family, 79, 81,
+        # 175, 262, 674 and 822
         xs, ys, partner, add = random_matching(d, 0)
         res = recover_matching(xs, ys, add)
         assert (res.pairs, res.queries_used) == (partner, queries)
@@ -1144,7 +1080,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 class TestMemory:
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
     def test_design_warm_up_peak_rss(self):
-        # encoding all 2^16 B16 patterns as a 65,536 x 16 int64 matrix would add ~13 MB
+        # builds the A_7 and A_8 kinds, the free leaf's 2^12-code table and the design's rows
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)

@@ -23,24 +23,26 @@ print(f"decode round trip exact: {np.array_equal(recovered, x)} (|x| = {int(x.su
 
 # --- adaptive sparse recovery from a block sum-query callback ---
 # Each call answers one block of rows: a whole detecting design at once, or a
-# single halving query.  Row i is cols[bounds[i]:bounds[i + 1]].
+# single halving query.  Row i is cols[bounds[i]:bounds[i + 1]], and each row
+# is one sum query, so the callback is where queries are counted.
 support = set(rng.choice(4096, size=64, replace=False).tolist())
 hidden = np.zeros(4096, dtype=np.int64)
 hidden[list(support)] = 1
-calls = {"n": 0}
+blocks = []  # rows per block
 
 
 def sum_oracle(cols, bounds):
-    calls["n"] += 1
+    blocks.append(len(bounds) - 1)
     return [int(hidden[cols[a:b]].sum()) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-result = recover_sparse(4096, sum_oracle)
+found = recover_sparse(4096, sum_oracle)
+strategy = "hybrid" if max(blocks) > 1 else "binary-split"  # a block of several rows is a design
 print(
-    f"sparse recovery: found {result.support.size} of 64 ones in 4096 columns "
-    f"using {result.queries_used} sum queries in {calls['n']} blocks ({result.strategy})"
+    f"sparse recovery: found {found.size} of 64 ones in 4096 columns "
+    f"using {sum(blocks)} sum queries in {len(blocks)} blocks ({strategy})"
 )
-assert set(result.support.tolist()) == support
+assert set(found.tolist()) == support
 
 # --- hidden perfect matching from additive queries ---
 d = 512
@@ -54,7 +56,11 @@ for a, b in partner.items():
     pair_arr[b] = a
 
 
+add_queries = [0]
+
+
 def add_oracle(subset):
+    add_queries[0] += 1
     arr = np.asarray(subset, dtype=np.int64)
     mask = np.zeros(2 * d, dtype=bool)
     mask[arr] = True
@@ -63,6 +69,6 @@ def add_oracle(subset):
 
 match = recover_matching(xs, ys, add_oracle)
 print(
-    f"matching reconstruction: {d} pairs from {match.queries_used} add queries "
-    f"({match.queries_used / d:.2f} per pair), exact: {match.pairs == partner}"
+    f"matching reconstruction: {d} pairs from {add_queries[0]} add queries "
+    f"({add_queries[0] / d:.2f} per pair), exact: {match == partner}"
 )

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DecodeFailure, InternalConsistencyError, InvariantViolation, UsageError
-from .model import _check_int, _check_universe, _int_array, _rank_answer
+from .model import _check_int, _check_universe, _int_array, _out_of_range, _rank_answer
 from .weighing import _recover_matching, _recover_sparse, _row_sets
 
 __all__ = [
@@ -120,19 +120,27 @@ def merge(i1, i2, oracle, *, d=None):
     their friends (see MergeOutcome).  A root sum outside
     [0, min(|I1|, |I2|)], asked or passed in, cannot come from an honest
     oracle: DecodeFailure.  I1 and I2 must be one-dimensional integer ids,
-    and a passed ``d`` an integer (a bool is not) with I1 and I2 sharing no
-    id: UsageError before any query otherwise (without ``d`` the root
-    query's own check rejects a shared id).  Every query reads the oracle's
-    rank through one callback that checks the answer is an integer
-    (UsageError otherwise); sparse recovery and the matching trust the sums
-    built from it.
+    and a passed ``d`` an integer (a bool is not): UsageError before any
+    query otherwise.  Together I1 and I2 must hold distinct ids in
+    [0, oracle.n).  The root query checks that, since it asks I1 ∪ I2 as
+    one set; when no root is asked (``d`` passed, or I1 empty) merge checks
+    it once itself, before any query, with the same UsageError.  Every
+    query reads the oracle's rank through one callback that checks the
+    answer is an integer (UsageError otherwise); sparse recovery and the
+    matching trust the sums built from it.
     """
     i1 = _int_array(i1, "I1")
     i2 = _int_array(i2, "I2")
     if d is not None:
         _check_int(d, "d")
-        if not set(i1.tolist()).isdisjoint(i2.tolist()):
-            raise UsageError("I1 and I2 must not share an id")
+    if d is not None or not i1.size:
+        # no root query will check the ids of I1 ∪ I2, so check them here
+        ids = i1.tolist() + i2.tolist()
+        lo, hi = min(ids, default=0), max(ids, default=0)
+        if lo < 0 or hi >= oracle.n:
+            raise _out_of_range(oracle.n, lo if lo < 0 else hi)
+        if len(set(ids)) != len(ids):
+            raise UsageError("I1 and I2 must not repeat an id")
     ledger, rank = oracle.ledger, oracle.rank
 
     def add(s):
@@ -156,15 +164,14 @@ def merge(i1, i2, oracle, *, d=None):
             # sum(S, other) = add(S ∪ other), as the root query asks it
             return lambda cols, bounds: [add(s) for s in _row_sets(src, cols, bounds, other)]
 
-        rec1 = _recover_sparse(i1.size, sums(i1, i2), d)
-        com12 = i1[rec1.support]
+        support = _recover_sparse(i1.size, sums(i1, i2), d)
+        com12 = i1[support]
         # every friend in I1 of an I2 element lies in com12: sum(S, I1) = sum(S, com12)
-        rec2 = _recover_sparse(i2.size, sums(i2, com12), d)
-        com21 = i2[rec2.support]
+        com21 = i2[_recover_sparse(i2.size, sums(i2, com12), d)]
     # I1 and I2 are disjoint, so dropping com12 from I1 and sorting the
     # concatenation is the sorted union minus com12
     keep = np.ones(i1.size, dtype=bool)
-    keep[rec1.support] = False
+    keep[support] = False
     merged = np.concatenate((i1[keep], i2))
     merged.sort()
     # _recover_sparse returns exactly its total of ones or raises, so |com21| = d
@@ -175,7 +182,7 @@ def merge(i1, i2, oracle, *, d=None):
     com12.sort()
     com21.sort()
     with ledger.phase("matching"):
-        pairs = _recover_matching(com12, com21, add).pairs
+        pairs = _recover_matching(com12, com21, add)
     reps = np.array([pairs[e] for e in com12.tolist()], dtype=np.int64)
     return MergeOutcome(merged, com12, reps)
 

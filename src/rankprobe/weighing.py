@@ -17,6 +17,9 @@ sets its callers ask, one concatenate ``src[row] ++ fixed`` per row.
 answer of their callback, then run a private core, ``_recover_sparse`` and
 ``_recover_matching``, that trusts both.  ``partition.merge``, which checks
 each rank answer as it reads it, and the matching planes call the cores.
+They return only what they learn: the support as an int64 array, and the
+matching as a dict.  Queries are counted where they are answered, in the
+callback (and, for the learners, in the oracle's ledger), never here.
 
 Detecting designs
 -----------------
@@ -129,9 +132,7 @@ from .model import _check_int, _int_array
 __all__ = [
     "DetectingMatrix",
     "build_detecting_matrix",
-    "SparseRecovery",
     "recover_sparse",
-    "MatchingResult",
     "recover_matching",
 ]
 
@@ -519,17 +520,12 @@ def _takes_design(s, w):
     return w >= _band(s).size
 
 
-@dataclass
-class SparseRecovery:
-    """Result of recover_sparse: the support plus the sum-query budget it used."""
-
-    support: np.ndarray
-    queries_used: int
-    strategy: str
-
-
 def recover_sparse(N, sum_oracle, *, known_total=None):
     """Recover the support of an unknown x in {0,1}^N from a block sum-query callback.
+
+    Returns the support, the indices of x's ones in ascending order, as an
+    int64 array.  No query count comes back: a caller that wants one counts
+    the rows its callback answers.
 
     ``sum_oracle(cols, bounds)`` answers one block of R sum queries: ``cols``
     is one flat int64 array of column ids in [0, N), row i is
@@ -599,15 +595,10 @@ def _recover_sparse(N, sum_oracle, total):
     """recover_sparse on checked inputs: ``sum_oracle`` returns exactly one
     integer answer per row, and ``total`` is the known number of ones in
     [0, N], or None to spend the root query."""
-    state = {"queries": 0, "matrix_used": False}
-
-    def answer(cols, bounds):
-        state["queries"] += len(bounds) - 1
-        return sum_oracle(cols, bounds)
 
     def ask(lo, hi):
         row = np.arange(lo, hi, dtype=np.int64)
-        return int(answer(row, np.array([0, row.size], dtype=np.int64))[0])
+        return int(sum_oracle(row, np.array([0, row.size], dtype=np.int64))[0])
 
     support = []
 
@@ -623,9 +614,8 @@ def _recover_sparse(N, sum_oracle, total):
             support.extend(range(lo, hi))
             return
         if _takes_design(size, ones):
-            state["matrix_used"] = True
             matrix = build_detecting_matrix(size)
-            bits = matrix.decode(answer(*matrix.flat_rows(lo)))
+            bits = matrix.decode(sum_oracle(*matrix.flat_rows(lo)))
             if int(bits.sum()) != ones:
                 raise DecodeFailure("decoded weight disagrees with the known sub-universe sum")
             support.extend((lo + np.flatnonzero(bits)).tolist())
@@ -638,8 +628,7 @@ def _recover_sparse(N, sum_oracle, total):
     if total is None:
         total = ask(0, N) if N else 0
     solve(0, N, total)
-    strategy = "hybrid" if state["matrix_used"] else "binary-split"
-    return SparseRecovery(np.asarray(support, dtype=np.int64), state["queries"], strategy)
+    return np.asarray(support, dtype=np.int64)
 
 
 def _row_sets(src, cols, bounds, fixed):
@@ -673,16 +662,12 @@ def _halve(lo, hi, in_upper):
     return lo
 
 
-@dataclass
-class MatchingResult:
-    """A learned perfect matching, as a map from X-elements to Y-elements."""
-
-    pairs: dict
-    queries_used: int
-
-
 def recover_matching(x_side, y_side, add_oracle):
     """Learn the hidden perfect matching between X and Y from an add-query callback.
+
+    Returns the matching as a dict from each X element to its Y partner, as
+    ints.  No query count comes back: a caller that wants one counts the
+    calls of its callback.
 
     Below ``MATCHING_SEARCH_CUTOFF`` (32) pairs each X element, in turn,
     binary-searches the Y elements not yet taken: at most ceil(log2 d) add
@@ -736,15 +721,9 @@ def _recover_matching(xs, ys, add_oracle):
     ``add_oracle`` returning an int."""
     d = int(xs.size)
     if d == 0:
-        return MatchingResult({}, 0)
+        return {}
     if d == 1:
-        return MatchingResult({int(xs[0]): int(ys[0])}, 0)
-
-    state = {"queries": 0}
-
-    def ask(subset):
-        state["queries"] += 1
-        return add_oracle(subset)
+        return {int(xs[0]): int(ys[0])}
 
     pairs = {}
     if d < MATCHING_SEARCH_CUTOFF:
@@ -753,10 +732,10 @@ def _recover_matching(xs, ys, add_oracle):
 
             def in_upper(lo, mid, hi):
                 # x's partner is in pool[lo:mid] iff x and that half hold a pair
-                return not ask(np.asarray([x] + pool[lo:mid], dtype=np.int64))
+                return not add_oracle(np.asarray([x] + pool[lo:mid], dtype=np.int64))
 
             pairs[x] = pool.pop(_halve(0, len(pool), in_upper))
-        return MatchingResult(pairs, state["queries"])
+        return pairs
 
     ids = np.arange(d, dtype=np.int64)
     partner_id = np.zeros(d, dtype=np.int64)  # bits below plane b, known before it
@@ -773,13 +752,13 @@ def _recover_matching(xs, ys, add_oracle):
         asked = order[asked]
         src, x_b = ys[asked], xs[high]
         try:
-            rec = _recover_sparse(
-                asked.size, lambda cols, bounds: [ask(s) for s in _row_sets(src, cols, bounds, x_b)], None
+            support = _recover_sparse(
+                asked.size, lambda cols, bounds: [add_oracle(s) for s in _row_sets(src, cols, bounds, x_b)], None
             )
         except DecodeFailure as exc:
             raise ProtocolError(f"bit-plane {b} decode failed: {exc}") from exc
         plane = np.zeros(d, dtype=np.int64)
-        plane[asked[rec.support]] = 1
+        plane[asked[support]] = 1
         derived = ones - np.add.reduceat(plane[order], last + 1 - size)
         if np.any((derived < 0) | (derived > 1)):
             raise ProtocolError(f"bit-plane {b}: a group's last partner bit derives outside 0/1")
@@ -789,4 +768,4 @@ def _recover_matching(xs, ys, add_oracle):
         raise ProtocolError("decoded partner ids are not a bijection")
     for j in range(d):
         pairs[int(xs[partner_id[j]])] = int(ys[j])
-    return MatchingResult(pairs, state["queries"])
+    return pairs

@@ -228,7 +228,7 @@ def test_criterion_08_weighing_correctness():
                 ss = set(int(v) for v in np.asarray(subset).tolist())
                 return sum(1 for a, b in partner.items() if a in ss and b in ss)
 
-            assert recover_matching(xs, ys, add).pairs == partner
+            assert recover_matching(xs, ys, add) == partner
 
     c_match = CONFIG.value("c_match")
     worst_ratio = 0.0
@@ -244,16 +244,18 @@ def test_criterion_08_weighing_correctness():
                 pair_arr[a] = b
                 pair_arr[b] = a
 
+            asked = [0]
+
             def add(subset):
+                asked[0] += 1
                 arr = np.asarray(subset, dtype=np.int64)
                 mask = np.zeros(2 * d, dtype=bool)
                 mask[arr] = True
                 return int(np.count_nonzero(mask[arr] & mask[pair_arr[arr]])) // 2
 
-            res = recover_matching(xs, ys, add)
-            assert res.pairs == partner
-            assert res.queries_used <= c_match * d
-            worst_ratio = max(worst_ratio, res.queries_used / d)
+            assert recover_matching(xs, ys, add) == partner
+            assert asked[0] <= c_match * d
+            worst_ratio = max(worst_ratio, asked[0] / d)
     _report(8, "weighing correctness", True, f"matching worst queries/d = {worst_ratio:.2f} (limit {c_match})")
 
 

@@ -234,13 +234,34 @@ class TestMerge:
             merge(np.array([0, 1]), np.array([2, 3]), o, d=d)
         assert o.ledger.rank_count == 0
 
-    @pytest.mark.parametrize("d", [2, None], ids=["known-root", "asked-root"])
-    def test_shared_id_rejected_before_any_query(self, d):
-        # with d = 2 this returned merged = [2, 2, 3, 4]; without d the root
-        # query's own check rejects the repeated id
+    @pytest.mark.parametrize(
+        "i1,i2,d",
+        [
+            ([0, 1, 2], [2, 3, 4], 2),  # returned merged = [2, 2, 3, 4]
+            ([0, 1, 2], [2, 3, 4], None),  # the root query's own check
+            ([0, 0], [1], 0),  # returned [0, 0, 1]
+            ([0, 1], [4, 4], 0),  # returned [0, 1, 4, 4]
+            ([0, 1, 2, 8], [3, 4, 5], 3),  # id n: returned a set holding 8
+            ([0, 99], [1], 0),  # returned [0, 1, 99]
+            ([-1, 1], [3], 0),
+            ([], [5, 5, 99], None),  # I1 empty asks no root either
+        ],
+        ids=[
+            "known-root",
+            "asked-root",
+            "repeat-in-i1",
+            "repeat-in-i2",
+            "id-n",
+            "id-99",
+            "id-minus-1",
+            "i1-empty",
+        ],
+    )
+    def test_shared_id_rejected_before_any_query(self, i1, i2, d):
+        # without a root query merge checks I1 ++ I2 itself: distinct ids in [0, n)
         o = oracle([[0, 3], [1, 4], [2, 5], [6], [7]])
         with pytest.raises(UsageError):
-            merge(np.array([0, 1, 2]), np.array([2, 3, 4]), o, d=d)
+            merge(np.array(i1, dtype=np.int64), np.array(i2, dtype=np.int64), o, d=d)
         assert o.ledger.snapshot() == QueryLedger().snapshot()
 
     @pytest.mark.parametrize("i1,i2,queries", [([], [1, 3], 0), ([1, 3], [], 1)])

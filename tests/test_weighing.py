@@ -509,21 +509,35 @@ class TestDecode:
 
 
 def counting_oracle(support):
-    """A block sum callback: each row's count of ids in ``support``."""
+    """A block sum callback: each row's count of ids in ``support``.
+
+    ``ask.queries`` counts the rows it has answered, one query each, and
+    ``ask.calls`` the blocks.
+    """
     sup = set(int(v) for v in support)
 
     def ask(cols, bounds):
         ids, b = cols.tolist(), bounds.tolist()
+        ask.queries += len(b) - 1
+        ask.calls += 1
         return [sum(1 for i in ids[b[r] : b[r + 1]] if i in sup) for r in range(len(b) - 1)]
 
+    ask.queries = ask.calls = 0
     return ask
 
 
 def reduceat_oracle(n, support):
-    """counting_oracle through one np.add.reduceat per block."""
+    """counting_oracle through one np.add.reduceat per block; ``ask.queries``
+    counts the rows it has answered."""
     x = np.zeros(n, dtype=np.int64)
     x[support] = 1
-    return lambda cols, bounds: np.add.reduceat(x[cols], bounds[:-1]).tolist()
+
+    def ask(cols, bounds):
+        ask.queries += len(bounds) - 1
+        return np.add.reduceat(x[cols], bounds[:-1]).tolist()
+
+    ask.queries = 0
+    return ask
 
 
 def halving_bound(n, w):
@@ -536,33 +550,34 @@ def halving_bound(n, w):
 
 class TestRecoverSparse:
     def test_zero_vector_one_query(self):
-        rec = recover_sparse(100, counting_oracle([]))
-        assert rec.support.tolist() == []
-        assert rec.queries_used == 1
+        ask = counting_oracle([])
+        support = recover_sparse(100, ask)
+        assert support.dtype == np.int64 and support.tolist() == []
+        assert ask.queries == 1
 
     def test_single_element_binary_descent(self):
-        rec = recover_sparse(8, counting_oracle([3]))
-        assert rec.support.tolist() == [3]
-        assert rec.queries_used <= 1 + 3
-        assert rec.strategy == "binary-split"
+        ask = counting_oracle([3])
+        assert recover_sparse(8, ask).tolist() == [3]
+        assert ask.queries <= 1 + 3
+        assert ask.queries == ask.calls  # one-row blocks only: no design asked
 
     def test_exhaustive_small_universes(self):
         # every support, within the worst-case bound of the docstring
         for n in range(1, 13):
             for code in range(2**n):
                 support = [e for e in range(n) if (code >> e) & 1]
-                rec = recover_sparse(n, counting_oracle(support))
-                assert rec.support.tolist() == support
-                assert rec.queries_used <= 1 + halving_bound(n, len(support))
+                ask = counting_oracle(support)
+                assert recover_sparse(n, ask).tolist() == support
+                assert ask.queries <= 1 + halving_bound(n, len(support))
 
     def test_packed_supports_within_the_worst_case_bound(self):
         # all ones at one end: halving meets them in one half at every step
         for n in range(2, 257):
             for w in range(1, n, max(1, n // 24)):
                 for support in (np.arange(w), np.arange(n - w, n)):
-                    rec = recover_sparse(n, reduceat_oracle(n, support))
-                    assert rec.support.tolist() == support.tolist()
-                    assert rec.queries_used <= 1 + halving_bound(n, w)
+                    ask = reduceat_oracle(n, support)
+                    assert recover_sparse(n, ask).tolist() == support.tolist()
+                    assert ask.queries <= 1 + halving_bound(n, w)
 
     def test_random_instances(self):
         rng = np.random.default_rng(0)
@@ -570,8 +585,7 @@ class TestRecoverSparse:
             n = int(rng.integers(1, 120))
             d = int(rng.integers(0, n + 1))
             support = sorted(rng.choice(n, size=d, replace=False).tolist())
-            rec = recover_sparse(n, counting_oracle(support))
-            assert rec.support.tolist() == support
+            assert recover_sparse(n, counting_oracle(support)).tolist() == support
 
     def test_frozen_budgets(self):
         config = load_regression_config()
@@ -580,14 +594,14 @@ class TestRecoverSparse:
             for seed in range(10):
                 rng = np.random.default_rng(seed)
                 support = rng.choice(n, size=d, replace=False)
-                rec = recover_sparse(n, counting_oracle(support))
-                assert sorted(rec.support.tolist()) == sorted(support.tolist())
-                assert rec.queries_used <= budget
+                ask = counting_oracle(support)
+                assert sorted(recover_sparse(n, ask).tolist()) == sorted(support.tolist())
+                assert ask.queries <= budget
 
     def test_known_total_skips_root(self):
-        rec = recover_sparse(64, counting_oracle([5]), known_total=1)
-        assert rec.support.tolist() == [5]
-        assert rec.queries_used <= 6
+        ask = counting_oracle([5])
+        assert recover_sparse(64, ask, known_total=1).tolist() == [5]
+        assert ask.queries <= 6
 
     @pytest.mark.parametrize(
         "n,d",
@@ -610,7 +624,7 @@ class TestRecoverSparse:
             blocks.append((cols.copy(), bounds.copy()))
             return ask(cols, bounds)
 
-        rec = recover_sparse(n, block)
+        recover_sparse(n, block)
         designs_asked = [(c, b) for c, b in blocks if b.size > 2]
         assert len(designs_asked) == len(designs) > 0
         for (cols, bounds), size in zip(designs_asked, designs):
@@ -618,7 +632,6 @@ class TestRecoverSparse:
             want_cols, want_bounds = m.flat_rows(int(cols.min()))
             assert bounds.size == m.n_rows + 1
             assert np.array_equal(cols, want_cols) and np.array_equal(bounds, want_bounds)
-        assert rec.queries_used == sum(b.size - 1 for _, b in blocks)
 
     # (n, support, known_total): the root query is a one-row block; 40 ones
     # in 64 columns go straight to one design block
@@ -678,7 +691,9 @@ class TestRecoverSparse:
             for seed in range(8):
                 rng = np.random.default_rng(seed * 1000 + d)
                 support = rng.choice(n, size=d, replace=False)
-                samples.append(recover_sparse(n, counting_oracle(support)).queries_used)
+                ask = counting_oracle(support)
+                recover_sparse(n, ask)
+                samples.append(ask.queries)
             means.append(np.mean(samples))
         # Spearman rank correlation between d and mean query count
         xr = np.argsort(np.argsort(ds)).astype(float)
@@ -814,16 +829,22 @@ class TestRowSets:
 
 
 def matching_oracle(partner):
+    """An add callback: the pairs of ``partner`` inside a set; ``add.queries``
+    counts its calls."""
+
     def add(subset):
+        add.queries += 1
         ss = set(int(v) for v in np.asarray(subset).tolist())
         return sum(1 for a, b in partner.items() if a in ss and b in ss)
 
+    add.queries = 0
     return add
 
 
 def random_matching(d, seed):
     """X = 0..d-1 and Y = d..2d-1 matched by a seeded permutation: (xs, ys,
-    partner, add), where ``add`` counts the pairs inside a set in O(|set|)."""
+    partner, add), where ``add`` counts the pairs inside a set in O(|set|)
+    and ``add.queries`` its calls."""
     rng = np.random.default_rng(seed)
     xs = np.arange(d)
     ys = np.arange(d, 2 * d)
@@ -835,11 +856,13 @@ def random_matching(d, seed):
         pair_arr[b] = a
 
     def add(subset):
+        add.queries += 1
         arr = np.asarray(subset, dtype=np.int64)
         mask = np.zeros(2 * d, dtype=bool)
         mask[arr] = True
         return int(np.count_nonzero(mask[arr] & mask[pair_arr[arr]])) // 2
 
+    add.queries = 0
     return xs, ys, partner, add
 
 
@@ -865,15 +888,15 @@ class TestHalve:
 
 class TestRecoverMatching:
     def test_single_pair_zero_queries(self):
-        res = recover_matching([4], [9], matching_oracle({4: 9}))
-        assert res.pairs == {4: 9}
-        assert res.queries_used == 0
+        add = matching_oracle({4: 9})
+        assert recover_matching([4], [9], add) == {4: 9}
+        assert add.queries == 0
 
     def test_two_pairs_one_query(self):
         partner = {0: 2, 1: 3}
-        res = recover_matching([0, 1], [2, 3], matching_oracle(partner))
-        assert res.pairs == partner
-        assert res.queries_used == 1
+        add = matching_oracle(partner)
+        assert recover_matching([0, 1], [2, 3], add) == partner
+        assert add.queries == 1
 
     def test_exhaustive_up_to_4(self):
         for d in range(1, 5):
@@ -881,17 +904,15 @@ class TestRecoverMatching:
             ys = list(range(d, 2 * d))
             for perm in permutations(range(d)):
                 partner = {xs[perm[j]]: ys[j] for j in range(d)}
-                res = recover_matching(xs, ys, matching_oracle(partner))
-                assert res.pairs == partner
+                assert recover_matching(xs, ys, matching_oracle(partner)) == partner
 
     @pytest.mark.parametrize("d", [32, 256, 1024])
     def test_large_random_within_budget(self, d):
         limit = load_regression_config().value("c_match") * d
         for seed in range(3):
             xs, ys, partner, add = random_matching(d, seed)
-            res = recover_matching(xs, ys, add)
-            assert res.pairs == partner
-            assert res.queries_used <= limit
+            assert recover_matching(xs, ys, add) == partner
+            assert add.queries <= limit
 
     def test_grouped_planes_every_size(self):
         # every d from the cutoff to 160, then around powers of two, where the
@@ -899,9 +920,8 @@ class TestRecoverMatching:
         limit = load_regression_config().value("c_match")
         for d in [*range(weighing.MATCHING_SEARCH_CUTOFF, 161), 255, 256, 257, 511, 513, 1024]:
             xs, ys, partner, add = random_matching(d, d)
-            res = recover_matching(xs, ys, add)
-            assert res.pairs == partner, d
-            assert res.queries_used <= limit * d, d
+            assert recover_matching(xs, ys, add) == partner, d
+            assert add.queries <= limit * d, d
 
     @pytest.mark.parametrize(
         "d,queries",
@@ -915,8 +935,7 @@ class TestRecoverMatching:
         # and 840; with cut blocks of A_k and the B16-seeded family, 79, 81,
         # 175, 262, 674 and 822
         xs, ys, partner, add = random_matching(d, 0)
-        res = recover_matching(xs, ys, add)
-        assert (res.pairs, res.queries_used) == (partner, queries)
+        assert (recover_matching(xs, ys, add), add.queries) == (partner, queries)
 
     @pytest.mark.parametrize("d", [32, 33, 100, 256, 257])
     def test_plane_b_recovers_d_minus_2_to_the_b_columns(self, d, monkeypatch):
@@ -934,7 +953,7 @@ class TestRecoverMatching:
 
         monkeypatch.setattr(weighing, "_recover_sparse", recording)
         xs, ys, partner, add = random_matching(d, 1)
-        assert recover_matching(xs, ys, add).pairs == partner
+        assert recover_matching(xs, ys, add) == partner
         assert sizes == [d - 2**b for b in range(math.ceil(math.log2(d)))]
 
     @pytest.mark.parametrize("d", [40, 100])
@@ -942,7 +961,8 @@ class TestRecoverMatching:
         # shift one add answer by +-1 at each query index in turn: a perfect
         # matching of the given sides or a rankprobe error, nothing else
         xs, ys, partner, add = random_matching(d, 5)
-        honest = recover_matching(xs, ys, add).queries_used
+        recover_matching(xs, ys, add)
+        honest = add.queries
         errors = 0
         for index in range(honest):
             for shift in (-1, 1):
@@ -953,7 +973,7 @@ class TestRecoverMatching:
                     return add(subset) + (shift if asked[0] == index + 1 else 0)
 
                 try:
-                    pairs = recover_matching(xs, ys, faulty).pairs
+                    pairs = recover_matching(xs, ys, faulty)
                 except RANKPROBE_ERRORS:
                     errors += 1
                     continue
@@ -975,8 +995,7 @@ class TestRecoverMatching:
             ys = np.arange(d, 2 * d)
             perm = rng.permutation(d)
             partner = {int(xs[perm[j]]): int(ys[j]) for j in range(d)}
-            res = recover_matching(xs, ys, matching_oracle(partner))
-            assert res.pairs == partner
+            assert recover_matching(xs, ys, matching_oracle(partner)) == partner
 
     def test_not_a_matching_raises(self):
         # everyone claims the same partner: bit planes cannot form a bijection
@@ -1044,7 +1063,7 @@ class TestIntegerSizes:
             build_detecting_matrix(N)
 
     def test_numpy_integer_n_accepted(self):
-        assert recover_sparse(np.int64(8), counting_oracle([3])).support.tolist() == [3]
+        assert recover_sparse(np.int64(8), counting_oracle([3])).tolist() == [3]
         assert build_detecting_matrix(np.int64(16)).n_cols == 16
 
     @pytest.mark.parametrize(
@@ -1060,8 +1079,7 @@ class TestIntegerSizes:
 
     def test_recover_sparse_integer_known_total_accepted(self):
         for total in (2, np.int64(2), np.uint8(2)):
-            rec = recover_sparse(8, counting_oracle([3, 5]), known_total=total)
-            assert rec.support.tolist() == [3, 5]
+            assert recover_sparse(8, counting_oracle([3, 5]), known_total=total).tolist() == [3, 5]
 
 
 # Build and decode a 1440-column design in a fresh interpreter, as the

@@ -11,6 +11,15 @@ An independence-oracle-only baseline learner is included for the query-count
 comparison; it shares the basis and representative machinery (those tests
 need only independence answers) and classifies the remaining elements with
 the same halving search.
+
+Every query of every stage is a shared base plus or minus a few ids: the
+prefix so far + v (basis); (B - T1) + e and B - X2 + e (representatives);
+(B + T2) - S and (B - T1) + S (the simulated oracles); B - X1 + e and
+(B + t2) - X (the baseline).  Each is asked through ``model._base_probe``.
+On RankOracle's own ``rank`` and ``is_independent`` that costs O(|change|),
+plus O(k) once a side of the change passes 8 ids: the change is checked and
+the answer counted from the base's per-part counts.  An oracle that overrides either method is asked the set itself,
+built in the order listed here, so it sees the same query stream.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, UsageError
-from .model import CapacitatedPartition, _check_universe, _int_array, _rank_answer
+from .model import CapacitatedPartition, _base_probe, _check_universe, _int_array, _out_of_range
 from .partition import find_partition
 from .weighing import _halve
 
@@ -86,10 +95,14 @@ class MatroidRun:
     stages: list
 
 
-def _rank_test(oracle):
+def _rank_test(probe, drop=(), add=()):
     """Independence as one rank query: S is independent iff rank(S) = |S|."""
-    rank = oracle.rank
-    return lambda s: _rank_answer(rank(s)) == s.size
+    return probe.rank(drop, add) == probe.size - len(drop) + len(add)
+
+
+def _independence_test(probe, drop=(), add=()):
+    """Independence as one independence query."""
+    return probe.is_independent(drop, add)
 
 
 def _stage(ledger, label, stages):
@@ -99,16 +112,16 @@ def _stage(ledger, label, stages):
     return block
 
 
-def _find_basis(n, ledger, independent, stages):
-    """Greedy basis, one ``independent(S)`` test per element (see find_basis)."""
-    buf = np.empty(max(n, 1), dtype=np.int64)
-    size = 0
-    with _stage(ledger, "basis", stages):
+def _find_basis(n, oracle, independent, stages):
+    """Greedy basis, one ``independent`` test of prefix + v per element (see find_basis)."""
+    prefix = _base_probe(oracle, np.empty(0, dtype=np.int64))
+    basis = []
+    with _stage(oracle.ledger, "basis", stages):
         for v in range(n):
-            buf[size] = v
-            if independent(buf[: size + 1]):
-                size += 1
-    return buf[:size].copy()
+            if independent(prefix, (), (v,)):
+                prefix.move_in(v)
+                basis.append(v)
+    return np.asarray(basis, dtype=np.int64)
 
 
 def find_basis(n, oracle):
@@ -118,27 +131,28 @@ def find_basis(n, oracle):
     exactly r_i elements of each part.
     """
     _check_universe(n, oracle)
-    return _find_basis(n, oracle.ledger, _rank_test(oracle), [])
+    return _find_basis(n, oracle, _rank_test, [])
 
 
-def _find_representatives(n, ledger, independent, b, stages):
-    """T1, T2 and phi from ``independent(S)`` tests (see find_representatives)."""
+def _find_representatives(n, oracle, independent, b, stages):
+    """T1, T2 and phi from ``independent`` tests (see find_representatives)."""
     t2, phi = [], {}
     in_cur = np.ones(b.size, dtype=bool)  # B - T1 as a mask over B
-    cur = b
-    with _stage(ledger, "representatives", stages):
+    cur = _base_probe(oracle, b)  # B - T1: each element of T1 moves out once found
+    whole = _base_probe(oracle, b)
+    with _stage(oracle.ledger, "representatives", stages):
         for e in _side_complement(n, b).tolist():
             # B - T1 + e is independent iff e's part still has a hole in
             # B - T1, i.e. a member in T1: the part is already discovered.
-            if independent(np.append(cur, e)):
+            if independent(cur, (), (e,)):
                 continue
             t2.append(e)
 
             def in_upper(lo, mid, hi):
                 # Y + X1 + e, where X = B[lo:hi] is the search window, X1 its
-                # lower half and Y = B minus X, is independent iff X2 holds a
-                # friend of e
-                return independent(np.concatenate((b[:mid], b[hi:], [e])))
+                # lower half and Y = B minus X, is B - X2 + e: independent iff
+                # X2 holds a friend of e
+                return independent(whole, b[mid:hi], (e,))
 
             x = _halve(0, b.size, in_upper)
             # e's part has no member in T1, so its friend cannot be in T1
@@ -146,7 +160,7 @@ def _find_representatives(n, ledger, independent, b, stages):
                 raise InvariantViolation(f"element {int(b[x])} found as a friend twice")
             phi[int(b[x])] = e
             in_cur[x] = False
-            cur = b[in_cur]
+            cur.move_out(int(b[x]))
     # b and the scan are ascending, so T1 and T2 are too
     return RepresentativePair(b[~in_cur], np.asarray(t2, dtype=np.int64), phi)
 
@@ -154,18 +168,33 @@ def _find_representatives(n, ledger, independent, b, stages):
 def find_representatives(n, oracle, basis):
     """Find transversals T1 in B, T2 disjoint from B, and the friend map phi: T1 -> T2.
 
-    ``basis`` is B as find_basis returns it, ascending; a list of ints or an
-    integer array.  Any other ``basis`` (floats, more than one dimension) is
-    a UsageError, raised before any query.
+    ``basis`` is B as find_basis returns it: strictly ascending ids in
+    [0, n), a list of ints or an integer array.  Any other ``basis``
+    (floats, more than one dimension, an id out of order, repeated or out of
+    range) is a UsageError, raised before any query.
 
     Scans the n - |B| non-basis elements; each one opening a new part triggers
     a halving search over B (at most ceil(log2 |B|) queries) for a basis
-    friend.  Ranks of known-independent sets (B - T1 and Y + X1) are computed
-    arithmetically, not queried.
+    friend.  Ranks of known-independent sets (B - T1 and Y + X1) are
+    computed arithmetically, not queried, and each probe is such a set plus
+    e: B - T1 + e in the scan, B - X2 + e (= Y + X1 + e) in the search.  On a
+    RankOracle's own ``rank`` a probe costs O(|change|), plus O(k) for more
+    than 8 ids, counted from the base's per-part counts with the change
+    checked (see ``model._BaseProbe``); an oracle that overrides ``rank`` or
+    ``is_independent`` is asked each probe as a set.
     """
     _check_universe(n, oracle)
-    basis = _int_array(basis, "basis")
-    return _find_representatives(n, oracle.ledger, _rank_test(oracle), basis, [])
+    return _find_representatives(n, oracle, _rank_test, _basis_array(n, basis), [])
+
+
+def _basis_array(n, basis):
+    """A public ``basis`` as an int64 array; UsageError unless strictly ascending in [0, n)."""
+    b = _int_array(basis, "basis")
+    if b.size > 1 and not (b[1:] > b[:-1]).all():
+        raise UsageError("basis ids must be strictly ascending, as find_basis returns them")
+    if b.size and (b[0] < 0 or b[-1] >= n):
+        raise _out_of_range(n, int(b[0] if b[0] < 0 else b[-1]))
+    return b
 
 
 def _side_complement(n, side):
@@ -175,63 +204,50 @@ def _side_complement(n, side):
 class _SimulatedOracle:
     """A simple-partition rank oracle over n positions, simulated on a base oracle.
 
-    ``probe(pos)`` gives the base query set for positions S and an offset;
-    rank(S) is the base rank of that set minus the offset, one base query per
-    call.  Positions come from find_partition_run and are trusted; the base
-    oracle validates each probe it is asked, and its answer is checked to be
-    an integer as it is read.  It answers rank queries only:
-    a learned answer is checked on the base oracle (``model.certify``).
+    ``rank(pos)`` asks one base probe (``model._base_probe``) for positions S
+    and subtracts a known rank.  Positions come from find_partition_run and
+    are trusted; the probe checks the change it is asked, and a built probe's
+    answer is checked to be an integer as it is read.  It answers rank
+    queries only: a learned answer is checked on the base oracle
+    (``model.certify``).
     """
 
-    def __init__(self, base, n, probe):
-        self.base = base
+    def __init__(self, base, n, rank):
         self.ledger = base.ledger
         self.n = n
-        self._probe = probe
-
-    def rank(self, pos):
-        query, offset = self._probe(pos)
-        return _rank_answer(self.base.rank(query)) - offset
+        self.rank = rank
 
 
 def _inside_oracle(base, b, t2):
     """Simple rank over basis positions: rank(B - S + T2) - rank(B - S)."""
-    keep = np.ones(b.size, dtype=bool)  # all True between probes
-
-    def probe(pos):
-        keep[pos] = False
-        query = np.concatenate((b[keep], t2))
-        keep[pos] = True
-        return query, b.size - len(pos)
-
-    return _SimulatedOracle(base, int(b.size), probe)
+    probe = _base_probe(base, np.concatenate((b, t2)))  # B + T2, dropping B's S
+    size = int(b.size)
+    return _SimulatedOracle(base, size, lambda pos: probe.rank(b[pos]) - (size - len(pos)))
 
 
 def _outside_oracle(base, b, outside, t1):
     """Simple rank over non-basis positions: rank((B - T1) + S) - rank(B - T1)."""
     rest = np.setdiff1d(b, t1, assume_unique=True)
+    probe = _base_probe(base, rest)  # B - T1, adding S
     offset = int(rest.size)  # rank(B - T1), a run constant
-
-    def probe(pos):
-        return np.concatenate((rest, outside[pos])), offset
-
-    return _SimulatedOracle(base, int(outside.size), probe)
+    return _SimulatedOracle(base, int(outside.size), lambda pos: probe.rank((), outside[pos]) - offset)
 
 
 def learn_matroid_with_reps(n, oracle, basis, reps):
     """Learn partition and capacities given a basis and representative pair.
 
     ``basis`` is find_basis's array and ``reps`` find_representatives' pair;
-    ``basis`` follows find_representatives' integer rule (UsageError before
-    any query).  Runs the simple-partition learner twice over simulated
-    oracles (inside the basis and outside it), reads capacities off the
-    inside parts, and stitches the two partitions through phi.  Returns the
+    ``basis`` follows find_representatives' rule (strictly ascending
+    integers in [0, n), UsageError before any query).  Runs the
+    simple-partition learner twice over simulated oracles (inside the basis
+    and outside it), reads capacities off the inside parts, and stitches the
+    two partitions through phi.  Returns the
     LearnedMatroid, which ``model.certify`` can check against the oracle.
     Each step runs as a ledger phase (``inside-basis``, ``outside-basis``,
     ``stitch``); the stitch asks nothing, so its record reads zero.
     """
     _check_universe(n, oracle)
-    return _learn_with_reps(n, oracle, _int_array(basis, "basis"), reps, [])
+    return _learn_with_reps(n, oracle, _basis_array(n, basis), reps, [])
 
 
 def _learn_with_reps(n, oracle, b, reps, stages):
@@ -274,9 +290,9 @@ def learn_partition_matroid_run(n, oracle):
     ``model.certify``, as ``bench.run_learner`` does on request.
     """
     _check_universe(n, oracle)
-    ledger, independent, stages = oracle.ledger, _rank_test(oracle), []
-    basis = _find_basis(n, ledger, independent, stages)
-    reps = _find_representatives(n, ledger, independent, basis, stages)
+    stages = []
+    basis = _find_basis(n, oracle, _rank_test, stages)
+    reps = _find_representatives(n, oracle, _rank_test, basis, stages)
     matroid = _learn_with_reps(n, oracle, basis, reps, stages)
     return MatroidRun(matroid, stages)
 
@@ -296,9 +312,9 @@ def baseline_independence_learner_run(n, oracle):
     is independent exactly when X hits the part's basis members.
     """
     _check_universe(n, oracle)
-    ledger, independent, stages = oracle.ledger, oracle.is_independent, []
-    b = _find_basis(n, ledger, independent, stages)
-    reps = _find_representatives(n, ledger, independent, b, stages)
+    ledger, independent, stages = oracle.ledger, _independence_test, []
+    b = _find_basis(n, oracle, independent, stages)
+    reps = _find_representatives(n, oracle, independent, b, stages)
 
     t1 = reps.inside
     t1_list = t1.tolist()
@@ -307,30 +323,30 @@ def baseline_independence_learner_run(n, oracle):
     inside = [[t] for t in t1_list]
     outside = [[reps.phi[t]] for t in t1_list]
     rest = np.setdiff1d(b, t1, assume_unique=True)  # B - T1
+    whole = _base_probe(oracle, np.concatenate((t1, rest)))  # B, listed T1 first
 
     with _stage(ledger, "outside-basis", stages):
         t2_set = set(reps.outside.tolist())
         for e in _side_complement(n, b).tolist():
             if e in t2_set:
                 continue
-            rest_e = np.append(rest, e)
 
             def in_upper(lo, mid, hi):
-                # B - T1[lo:mid] + e, built as T1[:lo] + T1[mid:] + (B - T1 + e),
-                # is independent iff removing X1 freed e's part: friend in X1
-                return not independent(np.concatenate((t1[:lo], t1[mid:], rest_e)))
+                # B - T1[lo:mid] + e is independent iff removing X1 freed
+                # e's part: friend in X1
+                return not independent(whole, t1[lo:mid], (e,))
 
             outside[_halve(0, t1.size, in_upper)].append(e)
 
-    # B - rest[lo:hi] + t2 is built as (T1 + t2) + rest[:lo] + rest[hi:]
     with _stage(ledger, "inside-basis", stages):
         for members, t in zip(inside, t1_list):
             if not rest.size:
                 continue
-            t1_t2 = np.append(t1, reps.phi[t])
+            # B + t2, listed T1, t2, B - T1, dropping rest[lo:hi]
+            plus = _base_probe(oracle, np.concatenate((t1, [reps.phi[t]], rest)))
 
             def hits(lo, hi):
-                return independent(np.concatenate((t1_t2, rest[:lo], rest[hi:])))
+                return independent(plus, rest[lo:hi])
 
             def sweep(lo, hi):
                 if not hits(lo, hi):

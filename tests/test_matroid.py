@@ -148,6 +148,28 @@ class TestLearnWithReps:
             learn_matroid_with_reps(4, o, basis, reps)
         assert (o.ledger.rank_count, o.ledger.independence_count) == (0, 0)
 
+    @pytest.mark.parametrize(
+        "basis,match",
+        [
+            ([5, 3, 1, 0], "strictly ascending"),
+            ([0, 1, 3, 3, 5], "strictly ascending"),
+            ([0, 3, 1, 5], "strictly ascending"),
+            ([0, 1, 3, 8], "out of range"),
+            ([-1, 0, 3, 5], "out of range"),
+        ],
+        ids=["descending", "repeated", "one-out-of-order", "id-n", "id-minus-1"],
+    )
+    def test_basis_must_be_strictly_ascending_in_range(self, basis, match):
+        # [5, 3, 1, 0] spent 10 queries and returned T1 = [5, 3, 0]
+        parts, caps = [[0, 1, 2], [3, 4], [5, 6, 7]], [2, 1, 1]
+        o = cap_oracle(parts, caps)
+        reps = find_representatives(8, cap_oracle(parts, caps), [0, 1, 3, 5])
+        with pytest.raises(UsageError, match=match):
+            find_representatives(8, o, basis)
+        with pytest.raises(UsageError, match=match):
+            learn_matroid_with_reps(8, o, basis, reps)
+        assert (o.ledger.rank_count, o.ledger.independence_count) == (0, 0)
+
     def test_basis_as_a_list(self):
         # a list raised AttributeError ('list' object has no attribute 'size')
         truth = CapacitatedPartition([[0, 1], [2, 3]], [1, 1])
@@ -524,3 +546,89 @@ class TestRankAnswerTypes:
         for sim in (_inside_oracle(odd, b, reps.outside), _outside_oracle(odd, b, outside, reps.inside)):
             with pytest.raises(UsageError, match="a rank answer must be an integer"):
                 sim.rank(np.array([0, 1]))
+
+
+class _PassThrough(RankOracle):
+    """RankOracle's answers through overriding methods: every probe is built as a set."""
+
+    def rank(self, s):
+        return super().rank(s)
+
+    def is_independent(self, s):
+        return super().is_independent(s)
+
+
+class TestBaseProbePaths:
+    """The base probes answer from counts on a RankOracle, and as sets otherwise."""
+
+    INSTANCES = [
+        *(InstanceSpec("capacitated-random", n, seed=s) for n in (64, 256, 2**11) for s in (1, 2)),
+        InstanceSpec("equal-blocks", 256, seed=1, capacitated=True, capacity_rule="ones"),
+    ]
+
+    @staticmethod
+    def every_learner(n, make, structure):
+        def record(oracle, run, *answer):
+            stages = run and [(s.label, s.rank_queries, s.independence_queries) for s in run.stages]
+            return oracle.ledger.snapshot(), stages, answer
+
+        out = []
+        for learner in (learn_partition_matroid_run, baseline_independence_learner_run):
+            o = make(structure)
+            run = learner(n, o)
+            out.append(record(o, run, run.matroid.as_tuples()))
+        o = make(structure)
+        basis = find_basis(n, o)
+        out.append(record(o, None, basis.tolist()))
+        o = make(structure)
+        reps = find_representatives(n, o, basis)
+        out.append(record(o, None, reps.inside.tolist(), reps.outside.tolist(), reps.phi))
+        o = make(structure)
+        out.append(record(o, None, learn_matroid_with_reps(n, o, basis, reps).as_tuples()))
+        return out
+
+    @pytest.mark.parametrize("spec", INSTANCES, ids=lambda s: f"{s.family}-{s.n}-{s.seed}")
+    def test_fast_path_equals_fallback(self, spec):
+        from rankprobe import model
+
+        st, _ = generate(spec)
+        assert type(model._base_probe(RankOracle(st), [0])) is model._BaseProbe
+        assert type(model._base_probe(_PassThrough(st), [0])) is model._BuiltProbe
+        fast = self.every_learner(spec.n, RankOracle, st)
+        assert fast == self.every_learner(spec.n, _PassThrough, st)
+        assert fast[0][2][0] == LearnedMatroid(st.parts, st.capacities).as_tuples()
+
+    def test_patched_methods_see_every_query(self, monkeypatch):
+        # a check of the class attribute alone (type(o).rank is RankOracle.rank)
+        # would still take the counted path behind such a patch, which saw
+        # no query at all
+        calls = {"rank": 0, "is_independent": 0}
+
+        def counting(name):
+            original = getattr(RankOracle, name)
+
+            def wrapper(self, s):
+                calls[name] += 1
+                return original(self, s)
+
+            return wrapper
+
+        monkeypatch.setattr(RankOracle, "rank", counting("rank"))
+        monkeypatch.setattr(RankOracle, "is_independent", counting("is_independent"))
+        st, _ = generate(InstanceSpec("capacitated-random", 256, seed=1))
+        for learner in (learn_partition_matroid_run, baseline_independence_learner_run):
+            calls.update(rank=0, is_independent=0)
+            o = RankOracle(st)
+            assert learner(256, o).matroid.matches(st)
+            ledger = o.ledger
+            assert (calls["rank"], calls["is_independent"]) == (ledger.rank_count, ledger.independence_count)
+            assert ledger.rank_count + ledger.independence_count > 0
+
+    def test_patched_instance_method_sees_every_query(self):
+        st, _ = generate(InstanceSpec("capacitated-random", 256, seed=2))
+        o = RankOracle(st)
+        calls = []
+        rank = o.rank
+        o.rank = lambda s: calls.append(len(s)) or rank(s)
+        assert learn_partition_matroid_run(256, o).matroid.matches(st)
+        assert len(calls) == o.ledger.rank_count > 0

@@ -19,7 +19,8 @@ from rankprobe import (
     sum_query_sim,
 )
 from rankprobe import model
-from rankprobe.model import Phase, instance_from_bytes, instance_to_bytes
+from rankprobe.bench import InstanceSpec, generate
+from rankprobe.model import Phase, QueryLedger, instance_from_bytes, instance_to_bytes
 
 from _bruteforce import brute_rank, brute_sum_query, enumerate_set_partitions
 
@@ -613,3 +614,108 @@ class TestLedger:
             return o.ledger.snapshot()
 
         assert run() == run()
+
+
+class TestBaseProbe:
+    """``model._BaseProbe`` against the rank of the set it stands for."""
+
+    N = 48
+
+    @staticmethod
+    def structure(family, seed):
+        st_, _ = generate(InstanceSpec(family, TestBaseProbe.N, k=6, seed=seed))
+        return st_
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["capacitated-random", "uniform-k"])
+    def test_answers_equal_the_built_sets_rank(self, family, seed):
+        # random bases, not only independent ones; changes up to 20 ids, as
+        # lists, ascending arrays and shuffled arrays, so that both the
+        # per-id and the NumPy path check and count them
+        o = RankOracle(self.structure(family, seed))
+        rng = np.random.default_rng(seed)
+        ids = rng.permutation(self.N)
+        base = set(ids[: rng.integers(0, self.N + 1)].tolist())
+        probe = model._base_probe(o, ids[: len(base)])
+        assert type(probe) is model._BaseProbe
+        for _ in range(400):
+            if rng.random() < 0.2:
+                if base and (rng.random() < 0.5 or len(base) == self.N):
+                    x = int(rng.choice(sorted(base)))
+                    probe.move_out(x)
+                    base.remove(x)
+                else:
+                    v = int(rng.choice(sorted(set(range(self.N)) - base)))
+                    probe.move_in(v)
+                    base.add(v)
+            inside, outside = sorted(base), sorted(set(range(self.N)) - base)
+            drop = rng.permutation(inside)[: rng.integers(0, 21)]
+            add = rng.permutation(outside)[: rng.integers(0, 21)]
+            built = np.array(sorted((base - set(drop.tolist())) | set(add.tolist())), dtype=np.int64)
+            form = rng.integers(3)
+            if form == 0:
+                drop, add = drop.tolist(), add.tolist()
+            elif form == 1:
+                drop, add = np.sort(drop), np.sort(add)
+            want = o._evaluate(built)
+            ledger = o.ledger
+            before = (ledger.rank_count, ledger.independence_count)
+            assert probe.rank(drop, add) == want
+            assert probe.is_independent(drop, add) == (want == built.size)
+            assert (ledger.rank_count, ledger.independence_count) == (before[0] + 1, before[1] + 1)
+            assert probe.size == len(base)
+
+    EVEN = list(range(0, N, 2))  # the base of the malformed cases
+    ODD = list(range(1, N, 2))
+
+    # (drop, add); the long forms take the NumPy path, ascending or shuffled
+    MALFORMED = {
+        "add-id-n": ([], [N]),
+        "add-id-minus-1": ([], [-1]),
+        "drop-id-n": ([N], []),
+        "drop-id-minus-1": ([-1], []),
+        "drop-outside-base": ([0, 1], []),
+        "add-inside-base": ([], [1, 2]),
+        "repeat-in-drop": ([4, 4], [1]),
+        "repeat-in-add": ([], [3, 3]),
+        "long-add-id-n": ([], ODD[:12] + [N]),
+        "long-add-id-minus-1": ([], [-1] + ODD[:12]),
+        "long-drop-id-n": (EVEN[:12] + [N], []),
+        "long-drop-outside-base": (EVEN[:12] + [1], []),
+        "long-add-inside-base": ([], ODD[:12] + [2]),
+        "long-repeat-in-drop": (EVEN[:12] + [6], []),
+        "long-repeat-in-add": ([0], ODD[:12] + [5]),
+        "shuffled-drop-outside-base": (EVEN[12:0:-1] + [1], []),
+        "shuffled-repeat-in-add": ([], ODD[12:0:-1] + [5]),
+        "shuffled-add-id-n": ([], [N] + ODD[12:0:-1]),
+    }
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_change_charges_nothing(self, case, as_array):
+        drop, add = self.MALFORMED[case]
+        if as_array:
+            drop, add = np.array(drop, dtype=np.int64), np.array(add, dtype=np.int64)
+        o = RankOracle(self.structure("capacitated-random", 1))
+        probe = model._base_probe(o, self.EVEN)
+        for ask in (probe.rank, probe.is_independent):
+            with pytest.raises(UsageError):
+                ask(drop, add)
+        assert o.ledger.snapshot() == QueryLedger().snapshot()
+        assert probe.rank() == o._evaluate(np.array(self.EVEN))
+
+    @pytest.mark.parametrize(
+        "move,x", [("move_in", 0), ("move_in", N), ("move_out", 1), ("move_out", -1)]
+    )
+    def test_malformed_move_is_rejected(self, move, x):
+        o = RankOracle(self.structure("uniform-k", 1))
+        probe = model._base_probe(o, self.EVEN)
+        with pytest.raises(UsageError):
+            getattr(probe, move)(x)
+        assert probe.size == len(self.EVEN)
+        assert probe.rank() == o._evaluate(np.array(self.EVEN))
+
+    @pytest.mark.parametrize("base", [[0, 0], [0, N], [-1]], ids=["repeat", "id-n", "id-minus-1"])
+    def test_malformed_base_is_rejected(self, base):
+        with pytest.raises(UsageError):
+            model._base_probe(RankOracle(self.structure("uniform-k", 1)), base)

@@ -432,10 +432,6 @@ class RankOracle:
         """``part_of`` as a list, for the base probes' per-id Python path."""
         return self._part_of.tolist()
 
-    @functools.cached_property
-    def _cap_list(self):
-        return self._caps.tolist()
-
 
 # the methods a base probe stands in for, as this module defines them
 _RANK, _IS_INDEPENDENT = RankOracle.rank, RankOracle.is_independent
@@ -486,7 +482,7 @@ class _BaseProbe:
         self._ledger = oracle.ledger
         self._marks = oracle._mark, oracle._order
         self._part_of, self._caps = oracle._part_of, oracle._caps
-        self._part_list, self._cap_list = oracle._part_list, oracle._cap_list
+        self._part_list, self._cap_list = oracle._part_list, self._caps.tolist()
         base = as_element_array(base, n, *self._marks)
         self._in = bytearray(n)  # B, read per id in Python
         self._mask = np.frombuffer(self._in, dtype=np.bool_)  # the same bytes, for NumPy

@@ -18,8 +18,9 @@ prefix so far + v (basis); (B - T1) + e and B - X2 + e (representatives);
 (B + t2) - X (the baseline).  Each is asked through ``model._base_probe``.
 On RankOracle's own ``rank`` and ``is_independent`` that costs O(|change|),
 plus O(k) once a side of the change passes 8 ids: the change is checked and
-the answer counted from the base's per-part counts.  An oracle that overrides either method is asked the set itself,
-built in the order listed here, so it sees the same query stream.
+the answer counted from the base's per-part counts.  An oracle that
+overrides either method is asked the set itself, built in the order listed
+here, so it sees the same query stream.
 """
 
 from __future__ import annotations
@@ -230,7 +231,9 @@ def _outside_oracle(base, b, outside, t1):
     rest = np.setdiff1d(b, t1, assume_unique=True)
     probe = _base_probe(base, rest)  # B - T1, adding S
     offset = int(rest.size)  # rank(B - T1), a run constant
-    return _SimulatedOracle(base, int(outside.size), lambda pos: probe.rank((), outside[pos]) - offset)
+    return _SimulatedOracle(
+        base, int(outside.size), lambda pos: probe.rank((), outside[pos]) - offset
+    )
 
 
 def learn_matroid_with_reps(n, oracle, basis, reps):
@@ -241,8 +244,8 @@ def learn_matroid_with_reps(n, oracle, basis, reps):
     integers in [0, n), UsageError before any query).  Runs the
     simple-partition learner twice over simulated oracles (inside the basis
     and outside it), reads capacities off the inside parts, and stitches the
-    two partitions through phi.  Returns the
-    LearnedMatroid, which ``model.certify`` can check against the oracle.
+    two partitions through phi.  Returns the LearnedMatroid, which
+    ``model.certify`` can check against the oracle.
     Each step runs as a ledger phase (``inside-basis``, ``outside-basis``,
     ``stitch``); the stitch asks nothing, so its record reads zero.
     """

@@ -25,9 +25,10 @@ patch of the class or of the instance both count as a change), a
 in O(|change|) (ids in [0, n), none repeated, dropped ids in B, added ids
 outside it; otherwise UsageError and no charge), counts the answer in
 O(|change|), plus O(k) once a side of the change passes ``_SMALL_CHANGE``
-ids, and charges one query per answer.  Otherwise a :class:`_BuiltProbe` builds the set, in the order the
-learner lists it, and asks it through those methods, so a recording, lying
-or tracing oracle sees every query as a set.
+ids, and charges one query per answer.  Otherwise a :class:`_BuiltProbe`
+builds the set, in the order the learner lists it, and asks it through
+those methods, so a recording, lying or tracing oracle sees every query as a
+set.
 
 Answer contract: a rank answer must be an integer (a bool is not).  The
 learners check each answer once, with ``_rank_answer``, where they read it,
